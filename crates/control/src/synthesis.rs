@@ -73,16 +73,6 @@ pub struct SynthesisConfig {
     /// Stability requirement: `ρ(Φ)` must stay strictly below this
     /// (slightly below 1 to keep a margin).
     pub stability_margin: f64,
-    /// Optional warm-start guess for the Phase-B swarm: a flat `m·l`
-    /// gain vector — typically a neighbouring schedule's converged
-    /// design, dimension-adapted by the caller. Appended to the guess
-    /// list after the Phase-A replication, so it overwrites one more
-    /// initial particle position (guesses never consume RNG draws — see
-    /// `cacs-pso`). Used by [`SynthesisStrategy::DirectGain`] only;
-    /// guesses whose length is not `m·l` are ignored. Part of
-    /// [`SynthesisConfig::push_key`]: two configs differing only here
-    /// walk different swarm trajectories and must memoise separately.
-    pub warm_guess: Option<Vec<f64>>,
 }
 
 impl SynthesisConfig {
@@ -98,7 +88,6 @@ impl SynthesisConfig {
             settling: SettlingSpec::two_percent(),
             horizon,
             stability_margin: 0.9999,
-            warm_guess: None,
         }
     }
 
@@ -127,13 +116,6 @@ impl SynthesisConfig {
         key.push_f64(self.settling.band);
         key.push_f64(self.horizon);
         key.push_f64(self.stability_margin);
-        match &self.warm_guess {
-            Some(guess) => {
-                key.push_u64(1);
-                key.push_slice(guess);
-            }
-            None => key.push_u64(0),
-        }
     }
 
     fn validate(&self) -> Result<()> {
@@ -513,18 +495,6 @@ fn synthesize_direct(
             replicated.extend_from_slice(&shared.best_position);
         }
         guesses.push(replicated);
-    }
-
-    // Neighbour warm start (opt-in): the caller's converged-neighbour
-    // gain vector joins the guess list after the Phase-A replication,
-    // overwriting one more initial particle position. Guesses never
-    // consume RNG draws, so the swarm's random stream is unchanged —
-    // only the evaluated positions (and hence the trajectory) differ,
-    // which is why the guess is part of the cache key.
-    if let Some(warm) = &config.warm_guess {
-        if warm.len() == m * l {
-            guesses.push(warm.clone());
-        }
     }
 
     // Phase B: full per-task gain search, warm-started. The budget scales
@@ -1040,51 +1010,10 @@ mod tests {
                 c.stability_margin = 0.95;
                 c
             },
-            {
-                let mut c = base.clone();
-                c.warm_guess = Some(vec![1.0, -2.0, 0.5, 0.25]);
-                c
-            },
         ];
         for (i, v) in variants.iter().enumerate() {
             assert_ne!(key_of(v), same, "variant {i} must change the key");
         }
-    }
-
-    #[test]
-    fn warm_guess_is_deterministic_and_mismatched_lengths_are_ignored() {
-        let lifted = first_order_lifted(); // m = 2, l = 1
-        let cold = synthesize(&lifted, &quick_config(1.0)).unwrap();
-        let mut warm_config = quick_config(1.0);
-        // Seed the swarm from the cold run's converged gains.
-        let flat: Vec<f64> = cold
-            .gains
-            .iter()
-            .flat_map(|g| g.as_slice().iter().copied())
-            .collect();
-        warm_config.warm_guess = Some(flat);
-        let warm_a = synthesize(&lifted, &warm_config).unwrap();
-        let warm_b = synthesize(&lifted, &warm_config).unwrap();
-        assert_eq!(
-            warm_a.settling_time.to_bits(),
-            warm_b.settling_time.to_bits()
-        );
-        assert_eq!(warm_a.evaluations, warm_b.evaluations);
-        for (x, y) in warm_a.gains.iter().zip(&warm_b.gains) {
-            assert!(x.approx_eq(y, 0.0));
-        }
-        // A guess seeded with the converged design can never end worse
-        // than that design's own settling time (it is in the swarm).
-        assert!(warm_a.settling_time <= cold.settling_time + 1e-12);
-        // Wrong-length guesses are ignored: identical to the cold run.
-        let mut bad = quick_config(1.0);
-        bad.warm_guess = Some(vec![0.1; 7]);
-        let ignored = synthesize(&lifted, &bad).unwrap();
-        assert_eq!(
-            ignored.settling_time.to_bits(),
-            cold.settling_time.to_bits()
-        );
-        assert_eq!(ignored.evaluations, cold.evaluations);
     }
 
     #[test]

@@ -34,19 +34,6 @@ use std::sync::Mutex;
 /// a handful of apps; the cap is a safety valve, not a working limit.
 const MAX_APP_ENTRIES: usize = 1 << 12;
 
-/// One application's most recent converged swarm summary: the flat
-/// `m·l` gain vector of its best design, remembered so a *neighbouring*
-/// schedule's synthesis can seed its PSO swarm with it (the lifted
-/// plants of adjacent schedules are close, so the old optimum is a
-/// strong initial particle). `l` is recorded so a dimension change
-/// (different plant order) invalidates the entry instead of feeding the
-/// optimiser garbage.
-#[derive(Debug, Clone)]
-struct WarmSwarm {
-    l: usize,
-    flat: Vec<f64>,
-}
-
 /// Per-evaluator context: scratch pools plus the optional memo layers.
 ///
 /// Construct with [`EvalCtx::cached`] (the default inside
@@ -59,15 +46,6 @@ pub struct EvalCtx {
     expm: Option<ExpmCache>,
     synth: SynthCtx,
     apps: Option<Mutex<HashMap<BitKey, AppOutcome>>>,
-    /// Neighbour warm-start slots, keyed by application index. `None`
-    /// (the default) keeps warm-starting off: the default evaluation
-    /// path must stay bit-identical to the seed behaviour. When
-    /// enabled, each evaluated schedule updates its apps' slots and the
-    /// next evaluation seeds its PSO from them (see
-    /// `SynthesisConfig::warm_guess`). The slot contents depend on
-    /// evaluation *order*, so warm-started runs are deterministic only
-    /// under a sequential engine — the driver enforces that.
-    swarms: Option<Mutex<HashMap<usize, WarmSwarm>>>,
     app_hits: AtomicU64,
     app_misses: AtomicU64,
 }
@@ -80,7 +58,6 @@ impl EvalCtx {
             expm: Some(ExpmCache::default()),
             synth: SynthCtx::new(),
             apps: Some(Mutex::new(HashMap::new())),
-            swarms: None,
             app_hits: AtomicU64::new(0),
             app_misses: AtomicU64::new(0),
         }
@@ -95,58 +72,8 @@ impl EvalCtx {
             expm: None,
             synth: SynthCtx::new(),
             apps: None,
-            swarms: None,
             app_hits: AtomicU64::new(0),
             app_misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Enables the neighbour warm-start slots on this context.
-    /// Off by default — warm-started PSO follows a different (still
-    /// deterministic) trajectory than the cold reference, so the caller
-    /// opts in explicitly and runs a sequential engine.
-    #[must_use]
-    pub fn with_warm_start(mut self) -> Self {
-        self.swarms = Some(Mutex::new(HashMap::new()));
-        self
-    }
-
-    /// `true` when neighbour warm-start slots are enabled.
-    pub fn warm_start_enabled(&self) -> bool {
-        self.swarms.is_some()
-    }
-
-    /// The warm guess for application `app` as a flat `m·l` vector, or
-    /// `None` when disabled, empty, or recorded for a different plant
-    /// order `l`. A neighbouring schedule may give the app a different
-    /// task count `m`, so the remembered `w_m` gain rows are adapted by
-    /// truncation / repeating the last row — deterministic and always
-    /// the right length.
-    pub(crate) fn warm_guess(&self, app: usize, m: usize, l: usize) -> Option<Vec<f64>> {
-        let slots = self.swarms.as_ref()?;
-        let entry = lock_recover(slots).get(&app).cloned()?;
-        if entry.l != l || l == 0 || entry.flat.len() % l != 0 {
-            return None;
-        }
-        let w_m = entry.flat.len() / l;
-        if w_m == 0 {
-            return None;
-        }
-        let mut flat = Vec::with_capacity(m * l);
-        for j in 0..m {
-            let row = j.min(w_m - 1);
-            flat.extend_from_slice(&entry.flat[row * l..(row + 1) * l]);
-        }
-        Some(flat)
-    }
-
-    /// Records application `app`'s converged flat gain vector for the
-    /// next evaluation's warm guess. Called on both memo hits and fresh
-    /// syntheses so the slot sequence depends only on the evaluated
-    /// outcomes, never on app-memo state. No-op when disabled.
-    pub(crate) fn store_warm(&self, app: usize, l: usize, flat: Vec<f64>) {
-        if let Some(slots) = &self.swarms {
-            lock_recover(slots).insert(app, WarmSwarm { l, flat });
         }
     }
 
@@ -239,38 +166,5 @@ mod tests {
         let mut other = BitKey::new();
         other.push_f64(0.0);
         assert_ne!(key, other);
-    }
-
-    #[test]
-    fn warm_slots_are_off_by_default() {
-        let ctx = EvalCtx::cached();
-        assert!(!ctx.warm_start_enabled());
-        ctx.store_warm(0, 2, vec![1.0, 2.0]);
-        assert!(ctx.warm_guess(0, 1, 2).is_none());
-    }
-
-    #[test]
-    fn warm_guess_adapts_task_count_and_rejects_dimension_changes() {
-        let ctx = EvalCtx::cached().with_warm_start();
-        assert!(ctx.warm_start_enabled());
-        assert!(ctx.warm_guess(0, 2, 2).is_none(), "empty slot");
-        // Two gain rows of l = 2: [1, 2], [3, 4].
-        ctx.store_warm(0, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        // Same m: returned verbatim.
-        assert_eq!(ctx.warm_guess(0, 2, 2).unwrap(), vec![1.0, 2.0, 3.0, 4.0]);
-        // Smaller m: truncated.
-        assert_eq!(ctx.warm_guess(0, 1, 2).unwrap(), vec![1.0, 2.0]);
-        // Larger m: last row repeated.
-        assert_eq!(
-            ctx.warm_guess(0, 3, 2).unwrap(),
-            vec![1.0, 2.0, 3.0, 4.0, 3.0, 4.0]
-        );
-        // Different plant order: entry invalidated, not reshaped.
-        assert!(ctx.warm_guess(0, 2, 3).is_none());
-        // Other app indices stay independent.
-        assert!(ctx.warm_guess(1, 2, 2).is_none());
-        // Re-storing overwrites.
-        ctx.store_warm(0, 2, vec![5.0, 6.0]);
-        assert_eq!(ctx.warm_guess(0, 2, 2).unwrap(), vec![5.0, 6.0, 5.0, 6.0]);
     }
 }

@@ -107,31 +107,14 @@ impl CodesignProblem {
         // error in application order, exactly like the sequential loop.
         let apps = cacs_par::try_par_map(self.apps(), |i, app| {
             let at = &timing.apps[i];
-            let l = app.plant.a().rows();
-            let mut config = self.synthesis_config_for(i, schedule);
-            if ctx.warm_start_enabled() {
-                // Seed this app's PSO from the previously evaluated
-                // (neighbouring) schedule's converged gains. Set BEFORE
-                // the memo key is computed: the guess changes the PSO
-                // trajectory, so it must be part of the key.
-                config.warm_guess = ctx.warm_guess(i, at.periods.len(), l);
-            }
+            let config = self.synthesis_config_for(i, schedule);
             let key = ctx
                 .caches_enabled()
                 .then(|| app_synthesis_key(i, app, at, &config));
             if let Some(k) = &key {
                 if let Some(hit) = ctx.lookup_app(k) {
-                    // Update the warm slot on hits too, so the slot
-                    // sequence depends only on the evaluated outcomes —
-                    // warm+cache stays bit-identical to warm+no-cache.
-                    if ctx.warm_start_enabled() {
-                        ctx.store_warm(i, l, flat_gains(&hit));
-                    }
                     return Ok(hit);
                 }
-            }
-            if config.warm_guess.is_some() {
-                cacs_obs::metrics::PSO_WARM_STARTED_SWARMS.incr();
             }
             let lifted = LiftedPlant::new_cached(
                 app.plant.clone(),
@@ -147,9 +130,6 @@ impl CodesignProblem {
                 controller,
                 lifted,
             };
-            if ctx.warm_start_enabled() {
-                ctx.store_warm(i, l, flat_gains(&outcome));
-            }
             if let Some(k) = key {
                 ctx.store_app(k, &outcome);
             }
@@ -213,17 +193,6 @@ impl CodesignProblem {
 /// fields). The synthesis configuration contributes through
 /// [`SynthesisConfig::push_key`], which includes the schedule-derived
 /// PSO seed, so equal keys imply an identical synthesis trajectory.
-/// An outcome's gain matrices flattened row-by-row into the `m·l`
-/// vector shape [`cacs_control::SynthesisConfig::warm_guess`] expects.
-fn flat_gains(outcome: &AppOutcome) -> Vec<f64> {
-    outcome
-        .controller
-        .gains
-        .iter()
-        .flat_map(|g| g.as_slice().iter().copied())
-        .collect()
-}
-
 fn app_synthesis_key(
     app: usize,
     spec: &AppSpec,
@@ -501,75 +470,6 @@ mod tests {
         assert_eq!(problem.eval_ctx().app_cache_hits(), 0);
         problem.set_eval_cache(true);
         assert!(problem.eval_ctx().caches_enabled());
-    }
-
-    /// The per-app settling times of a sequence of evaluations, as bit
-    /// patterns, evaluated strictly in order on one thread (warm slots
-    /// depend on evaluation order).
-    fn warm_trace(problem: &CodesignProblem, schedules: &[Schedule]) -> Vec<Vec<u64>> {
-        cacs_par::sequential(|| {
-            schedules
-                .iter()
-                .map(|s| {
-                    problem
-                        .evaluate_schedule(s)
-                        .unwrap()
-                        .apps
-                        .iter()
-                        .map(|o| o.settling_time.to_bits())
-                        .collect()
-                })
-                .collect()
-        })
-    }
-
-    #[test]
-    fn warm_started_evaluation_is_deterministic_and_cache_neutral() {
-        let schedules = vec![
-            Schedule::round_robin(3).unwrap(),
-            Schedule::new(vec![2, 1, 2]).unwrap(),
-            Schedule::new(vec![2, 2, 2]).unwrap(),
-        ];
-        let run = |cache: bool| {
-            let mut p = fast_problem();
-            p.set_eval_cache(cache);
-            p.set_warm_start(true);
-            assert_eq!(p.eval_ctx().caches_enabled(), cache);
-            assert!(p.eval_ctx().warm_start_enabled());
-            warm_trace(&p, &schedules)
-        };
-        let a = run(true);
-        let b = run(true);
-        assert_eq!(a, b, "warm-started runs must be bit-identical");
-        // The warm slots are fed on memo hits and misses alike, so the
-        // trajectory is independent of the app-memo layer.
-        let uncached = run(false);
-        assert_eq!(a, uncached, "warm trajectory must not depend on the memo");
-        // And set_eval_cache preserves the warm enablement.
-        let mut p = fast_problem();
-        p.set_warm_start(true);
-        p.set_eval_cache(false);
-        assert!(p.eval_ctx().warm_start_enabled());
-        p.set_warm_start(false);
-        assert!(!p.eval_ctx().warm_start_enabled());
-        assert!(!p.eval_ctx().caches_enabled());
-    }
-
-    #[test]
-    fn warm_start_off_is_the_default_and_leaves_results_unchanged() {
-        let problem = fast_problem();
-        assert!(!problem.eval_ctx().warm_start_enabled());
-        // A cold problem and a warm-toggled-off problem agree bitwise.
-        let mut toggled = fast_problem();
-        toggled.set_warm_start(true);
-        toggled.set_warm_start(false);
-        let s = Schedule::new(vec![1, 2, 2]).unwrap();
-        let a = problem.evaluate_schedule(&s).unwrap();
-        let b = toggled.evaluate_schedule(&s).unwrap();
-        assert_eq!(
-            a.overall_performance.map(f64::to_bits),
-            b.overall_performance.map(f64::to_bits)
-        );
     }
 
     #[test]

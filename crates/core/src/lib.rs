@@ -51,7 +51,7 @@ pub use error::CoreError;
 pub use evaluate::{AppOutcome, ScheduleEvaluation, ScreeningProblem};
 pub use interleaved::{one_split_interleavings, InterleavedEvaluation};
 pub use multicore::{optimize_multicore, CorePartition, MulticoreOutcome};
-pub use optimize::{HybridRunStats, MultistartStats, OptimizeOutcome, SearchSummary};
+pub use optimize::{MultistartStats, OptimizeOutcome, SearchSummary};
 pub use problem::{AppSpec, CodesignProblem, EvaluationConfig};
 pub use report::{fig6_series, table1_rows, table3_rows, Fig6Series, Table1Row, Table3Row};
 

@@ -33,10 +33,6 @@ pub struct MultistartStats {
     pub warm_started: usize,
 }
 
-/// Former name of [`MultistartStats`], kept while the hybrid search
-/// was the only strategy with store-backed multistart plumbing.
-pub type HybridRunStats = MultistartStats;
-
 impl MultistartStats {
     /// Evaluations this run did **not** have to execute because the
     /// store (or cross-start sharing) already held them.
@@ -114,7 +110,7 @@ impl CodesignProblem {
     /// any point can be resumed with the same store and will reproduce
     /// the uninterrupted run's best schedule and objective **bit for
     /// bit** while executing strictly fewer fresh evaluations
-    /// ([`HybridRunStats`] carries the accounting).
+    /// ([`MultistartStats`] carries the accounting).
     ///
     /// The store must have been opened for this problem's digest and
     /// for [`CodesignProblem::schedule_space`]; opening it for anything

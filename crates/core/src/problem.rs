@@ -277,31 +277,10 @@ impl CodesignProblem {
     /// modes. Note this replaces the context only for this instance —
     /// prior clones keep the one they share.
     pub fn set_eval_cache(&mut self, enabled: bool) {
-        let warm = self.ctx.warm_start_enabled();
-        self.ctx = Arc::new(match (enabled, warm) {
-            (true, true) => EvalCtx::cached().with_warm_start(),
-            (true, false) => EvalCtx::cached(),
-            (false, true) => EvalCtx::uncached().with_warm_start(),
-            (false, false) => EvalCtx::uncached(),
-        });
-    }
-
-    /// Enables or disables neighbour warm-starting by installing a
-    /// fresh context, preserving the memo-cache enablement. Off by
-    /// default: warm-started PSO follows a different (still
-    /// deterministic) trajectory than the cold reference, and the slot
-    /// contents depend on evaluation order, so warm runs must use a
-    /// sequential search engine.
-    pub fn set_warm_start(&mut self, enabled: bool) {
-        let base = if self.ctx.caches_enabled() {
+        self.ctx = Arc::new(if enabled {
             EvalCtx::cached()
         } else {
             EvalCtx::uncached()
-        };
-        self.ctx = Arc::new(if enabled {
-            base.with_warm_start()
-        } else {
-            base
         });
     }
 }

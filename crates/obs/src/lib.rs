@@ -455,9 +455,6 @@ registry! {
         // PSO objective closure invocations (the eval-cost driver).
         PSO_OBJECTIVE_CALLS => "pso.objective_calls",
         PSO_RUNS => "pso.runs",
-        // Swarms seeded from a neighbouring schedule's converged state
-        // (the opt-in `--warm-start` incremental path).
-        PSO_WARM_STARTED_SWARMS => "pso.warm_started_swarms",
         // Shared evaluation cache: requests served from cache vs fresh.
         CACHE_HITS => "search.cache_hits",
         CACHE_MISSES => "search.cache_misses",

@@ -262,12 +262,11 @@ pub fn run_multistart<E: ScheduleEvaluator + ?Sized>(
 
 /// [`run_multistart`], with the starts executed **sequentially in start
 /// order on the calling thread** instead of one scoped thread per
-/// start. Needed by stateful evaluators whose acceleration state is
-/// order-sensitive — the neighbour warm-start path seeds each PSO from
-/// the previously evaluated neighbour's swarm, so cross-start thread
-/// interleaving would make the seed nondeterministic. Reports,
-/// evaluation accounting and store semantics are identical to
-/// [`run_multistart`] for order-insensitive evaluators.
+/// start: the in-order reference engine. Reports, evaluation
+/// accounting and store semantics are identical to [`run_multistart`]
+/// (`sequential_multistart_matches_the_parallel_engine` pins it), so
+/// it also serves as the single-threaded baseline that parallel
+/// speedups are measured against.
 ///
 /// # Errors
 ///
@@ -432,8 +431,8 @@ fn run_multistart_indexed<E: ScheduleEvaluator + ?Sized>(
     results.resize_with(starts.len(), || None);
 
     if sequential {
-        // In-order execution on the calling thread (the warm-start
-        // path): same per-start sessions, seeds and accounting, no
+        // In-order execution on the calling thread (the reference
+        // engine): same per-start sessions, seeds and accounting, no
         // cross-start interleaving.
         for (slot, &(seed_index, start)) in starts.iter().enumerate() {
             let session = shared.session();

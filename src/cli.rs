@@ -80,8 +80,10 @@ impl ProblemSpec {
     /// toggled explicitly (`--no-eval-cache` passes `false`). Disabling
     /// gives the reference cache-free path; results are bit-identical
     /// either way — `tests/eval_cache_neutrality.rs` enforces it on the
-    /// digest bytes. The synthetic surrogate has no caches, so the flag
-    /// is a no-op there.
+    /// digest bytes. Every application's PSO is seeded from the
+    /// evaluated schedule alone, so results never depend on evaluation
+    /// order. The synthetic surrogate has no caches, so the flag is a
+    /// no-op there.
     ///
     /// # Errors
     ///
@@ -89,25 +91,6 @@ impl ProblemSpec {
     pub fn evaluator_with_cache(
         &self,
         eval_cache: bool,
-    ) -> Result<Box<dyn ScheduleEvaluator>, Box<dyn Error>> {
-        self.evaluator_with_options(eval_cache, false)
-    }
-
-    /// [`ProblemSpec::evaluator_with_cache`] with neighbour
-    /// warm-starting toggled as well (`--warm-start` passes `true`).
-    /// Warm-started evaluation seeds each application's PSO from the
-    /// previously evaluated schedule's converged gains — deterministic,
-    /// but order-sensitive, so callers must drive it through
-    /// [`cacs_search::run_multistart_sequential`]. The synthetic
-    /// surrogate has no PSO, so the flag is a no-op there.
-    ///
-    /// # Errors
-    ///
-    /// Propagates case-study construction failures.
-    pub fn evaluator_with_options(
-        &self,
-        eval_cache: bool,
-        warm_start: bool,
     ) -> Result<Box<dyn ScheduleEvaluator>, Box<dyn Error>> {
         let config = match self {
             ProblemSpec::PaperFast => EvaluationConfig::fast(),
@@ -119,9 +102,6 @@ impl ProblemSpec {
         let mut problem = paper_problem(config)?;
         if !eval_cache {
             problem.set_eval_cache(false);
-        }
-        if warm_start {
-            problem.set_warm_start(true);
         }
         Ok(Box::new(problem))
     }

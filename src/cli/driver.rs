@@ -23,9 +23,8 @@
 use crate::cli::{multistart_digest, screened_digest, ProblemSpec, StrategyKind};
 use cacs_sched::Schedule;
 use cacs_search::{
-    run_multistart, run_multistart_screened, run_multistart_sequential, AnnealConfig, EvalStore,
-    GeneticConfig, HybridConfig, MultistartOutcome, ScheduleEvaluator, ScreenConfig,
-    StrategyConfig, TabuConfig,
+    run_multistart, run_multistart_screened, AnnealConfig, EvalStore, GeneticConfig, HybridConfig,
+    MultistartOutcome, ScheduleEvaluator, ScreenConfig, StrategyConfig, TabuConfig,
 };
 use std::error::Error;
 use std::path::PathBuf;
@@ -62,7 +61,6 @@ struct Args {
     screen_budget: Option<f64>,
     survivor_frac: Option<f64>,
     no_screen: bool,
-    warm_start: bool,
     // Strategy knobs; `None` keeps the strategy's default.
     tolerance: Option<f64>,
     max_steps: Option<usize>,
@@ -114,7 +112,7 @@ fn usage(bin: &str, fixed: Option<StrategyKind>) -> ! {
          [--starts m1xm2x…[,m1xm2x…]] [--store FILE] [--resume] \
          [--kill-after-fresh-evals N] [--selfcheck] [--metrics FILE] \
          [--no-eval-cache] [--screen-budget F] [--survivor-frac F] \
-         [--no-screen] [--warm-start] {knobs}"
+         [--no-screen] {knobs}"
     );
     std::process::exit(2)
 }
@@ -134,7 +132,6 @@ fn parse_args(bin: &str, fixed: Option<StrategyKind>) -> Args {
         screen_budget: None,
         survivor_frac: None,
         no_screen: false,
-        warm_start: false,
         tolerance: None,
         max_steps: None,
         seed: None,
@@ -190,10 +187,6 @@ fn parse_args(bin: &str, fixed: Option<StrategyKind>) -> Args {
             "--survivor-frac" => args.survivor_frac = Some(parsed!(&mut i)),
             "--no-screen" => {
                 args.no_screen = true;
-                i += 1;
-            }
-            "--warm-start" => {
-                args.warm_start = true;
                 i += 1;
             }
             "--tolerance" => args.tolerance = Some(parsed!(&mut i)),
@@ -392,29 +385,11 @@ fn run(bin: &'static str, fixed: Option<StrategyKind>) -> Result<(), Box<dyn Err
     });
     let strategy = build_strategy(&args);
     let screening = screening_config(bin, &args);
-    if args.warm_start {
-        if args.store.is_some() {
-            eprintln!(
-                "{bin}: --warm-start cannot be combined with --store: store hits \
-                 skip the evaluator, so the warm slots would not be replayed on \
-                 resume and a resumed digest would diverge"
-            );
-            std::process::exit(2);
-        }
-        if screening.is_some() {
-            eprintln!(
-                "{bin}: --warm-start cannot be combined with \
-                 --screen-budget/--survivor-frac: the two-stage engine runs \
-                 starts in parallel, which races the order-sensitive warm slots"
-            );
-            std::process::exit(2);
-        }
-    }
     let space = spec.space()?;
     // `--no-eval-cache` runs the reference cache-free evaluation path;
     // the digest printed below is bit-identical either way (the CI
     // eval-cache smoke job compares the bytes).
-    let evaluator = spec.evaluator_with_options(!args.no_eval_cache, args.warm_start)?;
+    let evaluator = spec.evaluator_with_cache(!args.no_eval_cache)?;
     let starts = match &args.starts {
         Some(spec) => parse_starts(spec)?,
         None => vec![Schedule::round_robin(space.app_count())?],
@@ -467,10 +442,10 @@ fn run(bin: &'static str, fixed: Option<StrategyKind>) -> Result<(), Box<dyn Err
     };
 
     // One engine dispatch shared by the measured run and the selfcheck
-    // reference: screened two-stage, warm-started sequential, or the
-    // plain parallel multistart. The kill wrapper (and the store) sit on
-    // the **exact** evaluator only — screening results are never
-    // journalled, a resumed run simply re-screens deterministically.
+    // reference: screened two-stage or the plain parallel multistart.
+    // The kill wrapper (and the store) sit on the **exact** evaluator
+    // only — screening results are never journalled, a resumed run
+    // simply re-screens deterministically.
     let execute = |exact: &dyn ScheduleEvaluator, store: Option<&EvalStore>| -> DispatchResult {
         match screening {
             Some((budget, frac)) => {
@@ -497,11 +472,7 @@ fn run(bin: &'static str, fixed: Option<StrategyKind>) -> Result<(), Box<dyn Err
                 Ok((two.exact, digest, Some(stats)))
             }
             None => {
-                let outcome = if args.warm_start {
-                    run_multistart_sequential(exact, &space, &starts, &strategy, store)?
-                } else {
-                    run_multistart(exact, &space, &starts, &strategy, store)?
-                };
+                let outcome = run_multistart(exact, &space, &starts, &strategy, store)?;
                 let digest = multistart_digest(args.strategy, &space, &starts, &outcome.reports)?;
                 Ok((outcome, digest, None))
             }
@@ -538,8 +509,8 @@ fn run(bin: &'static str, fixed: Option<StrategyKind>) -> Result<(), Box<dyn Err
         eprintln!("{bin}: selfcheck — uninterrupted in-memory run…");
         // Fresh evaluator, no store, no kill wrapper: the reference is
         // what a single untouched process would have produced (under
-        // the same screening / warm-start mode).
-        let reference_eval = spec.evaluator_with_options(!args.no_eval_cache, args.warm_start)?;
+        // the same screening mode).
+        let reference_eval = spec.evaluator_with_cache(!args.no_eval_cache)?;
         let (reference, reference_digest, _) = execute(reference_eval.as_ref(), None)?;
         if digest.as_bytes() != reference_digest.as_bytes() {
             eprintln!("{bin}: SELFCHECK FAILED — digests differ");

@@ -13,6 +13,7 @@
 use cacs::cli::{report_digest, ProblemSpec};
 use cacs::core::{CodesignProblem, EvaluationConfig};
 use cacs::distrib::CoordinatorConfig;
+use cacs::sched::Schedule;
 use cacs::search::{exhaustive_search_with, ExhaustiveReport, SweepConfig};
 use std::process::Command;
 
@@ -28,12 +29,21 @@ fn assert_reports_identical(a: &ExhaustiveReport, b: &ExhaustiveReport, context:
 
 /// The real pipeline, sharded: every schedule evaluation runs the full
 /// cache-aware co-design, and the merged report still matches the
-/// single-process exhaustive verification bit for bit.
+/// single-process exhaustive verification bit for bit. The single
+/// report also pins the scientific anchor of the cold, schedule-seeded
+/// pipeline: 192 enumerated / 77 evaluated / 54 feasible, best
+/// `(1,4,3)` at a fixed `P_all` bit pattern.
 #[test]
 fn sharded_paper_sweep_is_bit_identical() {
     let study = cacs::apps::paper_case_study().unwrap();
     let problem = CodesignProblem::from_case_study(&study, EvaluationConfig::fast()).unwrap();
     let single = problem.optimize_exhaustive().unwrap();
+    assert_eq!(
+        (single.enumerated, single.evaluated, single.feasible),
+        (192, 77, 54)
+    );
+    assert_eq!(single.best, Some(Schedule::new(vec![1, 4, 3]).unwrap()));
+    assert_eq!(single.best_value.to_bits(), 0x3fc7_65a0_7803_13c0);
     let sharded = problem
         .optimize_exhaustive_sharded(
             2,

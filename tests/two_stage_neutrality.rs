@@ -1,18 +1,13 @@
-//! Determinism of the two-stage evaluation pipeline and the neighbour
-//! warm-start flag.
+//! Determinism of the two-stage evaluation pipeline.
 //!
 //! Two-stage contract: reduced-fidelity screening only *ranks* starts —
 //! every surviving start's exact search must be bit-identical (same
 //! best, same objective bits, same Section-V evaluation count) to the
 //! same start's search in a no-screen run, because stage 2 replays it
 //! under the original per-start seed. Screening values never reach the
-//! digest.
-//!
-//! Warm-start contract: `--warm-start` is off by default, deterministic
-//! when on (two warm runs print identical bytes), a no-op on the
-//! synthetic surrogate (no PSO to seed), and **rejected** alongside
-//! `--store` and the screening flags (the store would skip warm-slot
-//! replay on resume; the two-stage engine runs starts in parallel).
+//! digest. The exact evaluator seeds every application's PSO from the
+//! evaluated schedule alone, so a start's exact search is the same
+//! whichever starts run before or beside it.
 
 use cacs::cli::{multistart_digest, screened_digest, ProblemSpec, StrategyKind};
 use cacs::sched::Schedule;
@@ -220,6 +215,9 @@ fn cli_screen_flags_honour_the_reference_path() {
     assert_eq!(code, Some(2));
     let (code, _, _) = run_opt(&["--survivor-frac", "0.0"]);
     assert_eq!(code, Some(2));
+    // The retired neighbour warm-start flag is an unknown option.
+    let (code, _, _) = run_opt(&["--warm-start"]);
+    assert_eq!(code, Some(2));
 }
 
 /// Kill → resume with screening on: the injected kill lands in stage 2
@@ -270,57 +268,4 @@ fn screened_store_kill_resume_cycle_selfchecks() {
         "store-resumed screened digest differs from the storeless screened run's"
     );
     cleanup(&store);
-}
-
-/// Warm-start determinism at the process level: two warm runs print
-/// identical bytes, the synthetic surrogate (no PSO) prints the cold
-/// bytes, and the forbidden combinations are usage errors.
-#[test]
-fn warm_start_is_deterministic_and_guarded() {
-    // Paper problem: warm runs are deterministic (byte-identical to
-    // each other). They legitimately may differ from the cold digest —
-    // warm-seeded PSO follows a different trajectory — which is exactly
-    // why the flag is off by default.
-    let (code, warm_a, stderr) = run_opt(&["--warm-start", "--starts", "4x2x2,1x2x1"]);
-    assert_eq!(code, Some(0), "stderr:\n{stderr}");
-    let (code, warm_b, stderr) = run_opt(&["--warm-start", "--starts", "4x2x2,1x2x1"]);
-    assert_eq!(code, Some(0), "stderr:\n{stderr}");
-    assert_eq!(warm_a, warm_b, "warm-started runs must be byte-identical");
-
-    // Warm selfcheck: the in-memory reference rerun is warm too.
-    let (code, _, stderr) = run_opt(&["--warm-start", "--selfcheck"]);
-    assert_eq!(code, Some(0), "stderr:\n{stderr}");
-    assert!(stderr.contains("selfcheck OK"), "stderr:\n{stderr}");
-
-    // Synthetic surrogate: no PSO to seed, so warm == cold bytes.
-    let bin = env!("CARGO_BIN_EXE_cacs-opt");
-    let run_synth = |extra: &[&str]| {
-        let output = Command::new(bin)
-            .args(["--problem", "synthetic:6x6x6", "--starts", "2x2x2,5x1x3"])
-            .args(extra)
-            .output()
-            .expect("run cacs-opt");
-        (
-            output.status.code(),
-            String::from_utf8_lossy(&output.stdout).into_owned(),
-        )
-    };
-    let (code, cold) = run_synth(&[]);
-    assert_eq!(code, Some(0));
-    let (code, warm) = run_synth(&["--warm-start"]);
-    assert_eq!(code, Some(0));
-    assert_eq!(
-        warm, cold,
-        "surrogate warm-start must be a byte-level no-op"
-    );
-
-    // Forbidden combinations exit 2 before any work happens.
-    let store = temp_store("warm");
-    let (code, _, stderr) = run_opt(&["--warm-start", "--store", store.to_str().unwrap()]);
-    assert_eq!(code, Some(2), "stderr:\n{stderr}");
-    assert!(stderr.contains("--warm-start"), "stderr:\n{stderr}");
-    cleanup(&store);
-    let (code, _, stderr) = run_opt(&["--warm-start", "--screen-budget", "0.3"]);
-    assert_eq!(code, Some(2), "stderr:\n{stderr}");
-    assert!(stderr.contains("--warm-start"), "stderr:\n{stderr}");
 }
