@@ -10,9 +10,8 @@
 
 use cacs_sched::Schedule;
 use cacs_search::{
-    exhaustive_search, genetic_search, hybrid_search, hybrid_search_multistart, tabu_search,
-    CountingScheduleEvaluator, FnEvaluator, GeneticConfig, HybridConfig, MemoizedEvaluator,
-    ScheduleSpace, TabuConfig,
+    exhaustive_search, genetic_search, hybrid_search, run_multistart, tabu_search, FnEvaluator,
+    GeneticConfig, HybridConfig, ScheduleSpace, StrategyConfig, TabuConfig,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -81,17 +80,17 @@ fn print_multistart_ablation() {
     ];
     println!("\n=== Ablation: multistart count (shared memo across starts) ===");
     for k in [1, 2, 4, 6] {
-        let memo = MemoizedEvaluator::new(&eval);
-        let reports =
-            hybrid_search_multistart(&memo, &space, &starts[..k], &HybridConfig::default())
-                .expect("multistart runs");
-        let best = reports
+        let strategy = StrategyConfig::Hybrid(HybridConfig::default());
+        let outcome =
+            run_multistart(&eval, &space, &starts[..k], &strategy, None).expect("multistart runs");
+        let best = outcome
+            .reports
             .iter()
             .map(|r| r.best_value)
             .fold(f64::NEG_INFINITY, f64::max);
         println!(
             "{k} starts: {:>3} unique evaluations, best {best:.4}",
-            memo.unique_evaluations()
+            outcome.unique_evaluations
         );
     }
 }

@@ -188,13 +188,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let problem_digest = if full { "paper-full" } else { "paper-fast" };
     let space = problem.schedule_space()?;
     let store = EvalStore::open(&store_path, problem_digest, &space)?;
-    let first =
-        problem.optimize_hybrid_multistart(&starts, &HybridConfig::default(), Some(&store))?;
+    let hybrid = StrategyConfig::Hybrid(HybridConfig::default());
+    let first = problem.optimize_with_strategy(&starts, &hybrid, Some(&store))?;
     drop(store);
     let store = EvalStore::open(&store_path, problem_digest, &space)?;
     let t = cacs_obs::now();
-    let resumed =
-        problem.optimize_hybrid_multistart(&starts, &HybridConfig::default(), Some(&store))?;
+    let resumed = problem.optimize_with_strategy(&starts, &hybrid, Some(&store))?;
     let resumed_ms = t.elapsed().as_secs_f64() * 1e3;
     drop(store);
     std::fs::remove_dir_all(&store_dir)?;

@@ -100,48 +100,27 @@ impl CodesignProblem {
     ///
     /// Propagates search errors (e.g. a start outside the space).
     pub fn optimize(&self, starts: &[Schedule], config: &HybridConfig) -> Result<OptimizeOutcome> {
-        self.optimize_hybrid_multistart(starts, config, None)
-    }
-
-    /// [`CodesignProblem::optimize`] with an optional persistent
-    /// [`EvalStore`]: the run warm-starts from every evaluation the
-    /// store already holds and writes every fresh evaluation through
-    /// (append + flush) *before* its result is used — so a run killed at
-    /// any point can be resumed with the same store and will reproduce
-    /// the uninterrupted run's best schedule and objective **bit for
-    /// bit** while executing strictly fewer fresh evaluations
-    /// ([`MultistartStats`] carries the accounting).
-    ///
-    /// The store must have been opened for this problem's digest and
-    /// for [`CodesignProblem::schedule_space`]; opening it for anything
-    /// else fails fast with a typed store error.
-    ///
-    /// # Errors
-    ///
-    /// Propagates search and store errors (e.g. a start outside the
-    /// space, a store for a different space, a failed write-through).
-    pub fn optimize_hybrid_multistart(
-        &self,
-        starts: &[Schedule],
-        config: &HybridConfig,
-        store: Option<&EvalStore>,
-    ) -> Result<OptimizeOutcome> {
-        self.optimize_with_strategy(starts, &StrategyConfig::Hybrid(*config), store)
+        self.optimize_with_strategy(starts, &StrategyConfig::Hybrid(*config), None)
     }
 
     /// Runs any search strategy (hybrid, annealing, genetic, tabu) from
     /// the given start points in parallel through the unified strategy
     /// engine ([`cacs_search::run_multistart`]) — one shared evaluation
-    /// cache across starts, optional [`EvalStore`]-backed warm-start +
-    /// write-through, deterministic per-start seeding for the
+    /// cache across starts, deterministic per-start seeding for the
     /// randomised strategies.
     ///
-    /// The resume contract of
-    /// [`CodesignProblem::optimize_hybrid_multistart`] holds for every
-    /// strategy: a run killed at any point and resumed with the same
-    /// store reproduces the uninterrupted run's best schedule and
-    /// objective **bit for bit** while executing strictly fewer fresh
-    /// evaluations.
+    /// With a persistent [`EvalStore`] attached, the run warm-starts
+    /// from every evaluation the store already holds and writes every
+    /// fresh evaluation through (append + flush) *before* its result is
+    /// used — so a run of any strategy killed at any point can be
+    /// resumed with the same store and will reproduce the uninterrupted
+    /// run's best schedule and objective **bit for bit** while
+    /// executing strictly fewer fresh evaluations ([`MultistartStats`]
+    /// carries the accounting).
+    ///
+    /// The store must have been opened for this problem's digest and
+    /// for [`CodesignProblem::schedule_space`]; opening it for anything
+    /// else fails fast with a typed store error.
     ///
     /// # Errors
     ///

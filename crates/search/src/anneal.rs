@@ -2,8 +2,8 @@
 //! algorithm borrows its tolerance feature from (Section IV).
 
 use crate::{
-    CountingScheduleEvaluator, MemoizedEvaluator, Result, ScheduleEvaluator, ScheduleSpace,
-    SearchError, SearchReport,
+    CountingScheduleEvaluator, Result, ScheduleEvaluator, ScheduleSpace, SearchError, SearchReport,
+    SharedEvalCache,
 };
 use cacs_sched::Schedule;
 use rand::rngs::StdRng;
@@ -85,7 +85,7 @@ pub fn simulated_annealing<E: ScheduleEvaluator + ?Sized>(
     start: &Schedule,
     config: &AnnealConfig,
 ) -> Result<SearchReport> {
-    let memo = MemoizedEvaluator::new(evaluator);
+    let memo = SharedEvalCache::new(evaluator);
     anneal_core(&memo, space, start, config, config.seed)
 }
 

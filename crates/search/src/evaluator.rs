@@ -1,5 +1,5 @@
-//! The schedule-evaluation abstraction, its memoising wrapper, and the
-//! shared concurrent evaluation cache used by parallel searches.
+//! The schedule-evaluation abstraction and the concurrent memo cache
+//! every search evaluates through.
 
 use crate::lock_recover;
 use cacs_sched::Schedule;
@@ -41,8 +41,9 @@ pub trait ScheduleEvaluator: Sync {
 /// schedules it has fully evaluated — the paper's Section-V cost metric
 /// (9 resp. 18 of 76 schedules).
 ///
-/// Implemented by [`MemoizedEvaluator`] (per-search cache) and
-/// [`CacheSession`] (per-search view of a shared cache).
+/// Implemented by [`SharedEvalCache`] (distinct schedules requested
+/// through the whole cache — a solo search's cost) and [`CacheSession`]
+/// (the distinct schedules one search of a multistart run requested).
 pub trait CountingScheduleEvaluator: ScheduleEvaluator {
     /// Number of distinct schedules fully evaluated so far.
     fn unique_evaluations(&self) -> usize;
@@ -124,8 +125,7 @@ where
 }
 
 // ---------------------------------------------------------------------
-// Slot cache: the shared machinery behind MemoizedEvaluator and
-// SharedEvalCache.
+// Slot cache: the concurrent map behind SharedEvalCache.
 // ---------------------------------------------------------------------
 
 /// One cache entry: either a completed result or a marker that some
@@ -192,9 +192,9 @@ struct SlotCache {
 }
 
 impl SlotCache {
-    fn new(shard_count: usize) -> Self {
+    fn new() -> Self {
         SlotCache {
-            shards: (0..shard_count.max(1)).map(|_| Shard::default()).collect(),
+            shards: (0..SHARED_CACHE_SHARDS).map(|_| Shard::default()).collect(),
             fresh: AtomicUsize::new(0),
         }
     }
@@ -326,8 +326,14 @@ impl SlotCache {
 }
 
 // ---------------------------------------------------------------------
-// MemoizedEvaluator: per-search cache (public API unchanged).
+// SharedEvalCache: the memo cache every search evaluates through.
 // ---------------------------------------------------------------------
+
+/// How many shards the cache uses. Schedules hash cheaply and a full
+/// evaluation costs tens of milliseconds of CPU (about 57 ms each on
+/// `paper-fast`: 4.4 s over 77), so a small fixed shard count is plenty
+/// to keep lock contention negligible.
+const SHARED_CACHE_SHARDS: usize = 16;
 
 /// Persistence hook invoked (outside the cache lock, inside the
 /// evaluation slot) for every *fresh* evaluation — the write-through
@@ -335,143 +341,21 @@ impl SlotCache {
 /// entries never re-fire it.
 type WriteThrough<'a> = Box<dyn Fn(&Schedule, Option<f64>) + Sync + 'a>;
 
-/// Caching wrapper around a [`ScheduleEvaluator`].
+/// The concurrent, sharded memo cache around a [`ScheduleEvaluator`]:
+/// every search evaluates through one — a solo search (e.g.
+/// [`crate::hybrid_search`]) directly, each start of
+/// [`crate::run_multistart`] through its own [`CacheSession`].
 ///
-/// Repeated evaluations of the same schedule are served from the cache;
-/// [`MemoizedEvaluator::unique_evaluations`] counts how many *distinct*
-/// schedules were fully evaluated — the cost metric of the paper's
-/// Section V (9 resp. 18 of 76 schedules).
-///
-/// Concurrent lookups of the same uncached schedule are deduplicated:
-/// one thread evaluates (outside the lock) while the others wait for its
-/// result, so the expensive evaluation runs exactly once per distinct
-/// schedule even under parallel neighbour probing.
-///
-/// # Example
-///
-/// ```
-/// use cacs_search::{CountingScheduleEvaluator, FnEvaluator, MemoizedEvaluator, ScheduleEvaluator};
-/// use cacs_sched::Schedule;
-///
-/// let inner = FnEvaluator::new(1, |_s: &Schedule| Some(1.0));
-/// let memo = MemoizedEvaluator::new(&inner);
-/// let s = Schedule::new(vec![2]).unwrap();
-/// memo.evaluate(&s);
-/// memo.evaluate(&s); // served from cache
-/// assert_eq!(memo.unique_evaluations(), 1);
-/// ```
-pub struct MemoizedEvaluator<'a, E: ScheduleEvaluator + ?Sized> {
-    inner: &'a E,
-    cache: SlotCache,
-    write_through: Option<WriteThrough<'a>>,
-}
-
-impl<E: ScheduleEvaluator + ?Sized> std::fmt::Debug for MemoizedEvaluator<'_, E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MemoizedEvaluator")
-            .field("cache", &self.cache)
-            .field("write_through", &self.write_through.is_some())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a, E: ScheduleEvaluator + ?Sized> MemoizedEvaluator<'a, E> {
-    /// Wraps an evaluator.
-    pub fn new(inner: &'a E) -> Self {
-        MemoizedEvaluator {
-            inner,
-            cache: SlotCache::new(1),
-            write_through: None,
-        }
-    }
-
-    /// Preloads completed results (e.g. from a persistent
-    /// [`crate::EvalStore`]) so matching requests are served without a
-    /// fresh evaluation. Existing entries win over preloads. Returns
-    /// the number of entries inserted.
-    ///
-    /// Warm-started entries do **not** count towards
-    /// [`MemoizedEvaluator::unique_evaluations`] until a search
-    /// actually requests them — the paper's cost metric keeps meaning
-    /// "what this search would have cost alone".
-    pub fn warm_start<I>(&mut self, entries: I) -> usize
-    where
-        I: IntoIterator<Item = (Schedule, Option<f64>)>,
-    {
-        entries
-            .into_iter()
-            .filter(|(s, v)| self.cache.preload(s.counts(), *v))
-            .count()
-    }
-
-    /// Attaches a persistence hook fired for every fresh evaluation
-    /// (before the result is published to waiters), e.g.
-    /// [`crate::EvalStore::record`]. Cache hits and warm-started
-    /// entries never re-fire it.
-    pub fn set_write_through(&mut self, hook: impl Fn(&Schedule, Option<f64>) + Sync + 'a) {
-        self.write_through = Some(Box::new(hook));
-    }
-
-    /// Evaluations this wrapper actually executed — requests served
-    /// from warm-started entries are excluded.
-    pub fn fresh_evaluations(&self) -> usize {
-        self.cache.fresh_evaluations()
-    }
-
-    /// Snapshot of all cached results (including warm-started entries),
-    /// in deterministic (lexicographic) order of the schedule counts.
-    pub fn snapshot(&self) -> Vec<(Schedule, Option<f64>)> {
-        self.cache
-            .entries_sorted()
-            .into_iter()
-            .map(|(counts, v)| (Schedule::new(counts).expect("cached key valid"), v))
-            .collect()
-    }
-}
-
-impl<E: ScheduleEvaluator + ?Sized> ScheduleEvaluator for MemoizedEvaluator<'_, E> {
-    fn app_count(&self) -> usize {
-        self.inner.app_count()
-    }
-
-    fn idle_feasible(&self, schedule: &Schedule) -> bool {
-        self.inner.idle_feasible(schedule)
-    }
-
-    fn evaluate(&self, schedule: &Schedule) -> Option<f64> {
-        self.cache.get_or_evaluate(schedule.counts(), || {
-            let value = self.inner.evaluate(schedule);
-            if let Some(hook) = &self.write_through {
-                hook(schedule, value);
-            }
-            value
-        })
-    }
-}
-
-impl<E: ScheduleEvaluator + ?Sized> CountingScheduleEvaluator for MemoizedEvaluator<'_, E> {
-    fn unique_evaluations(&self) -> usize {
-        self.cache.completed()
-    }
-}
-
-// ---------------------------------------------------------------------
-// SharedEvalCache: one concurrent cache shared by many searches.
-// ---------------------------------------------------------------------
-
-/// How many shards the shared cache uses. Schedules hash cheaply and
-/// evaluations are seconds-long, so a small fixed shard count is plenty
-/// to keep lock contention negligible.
-const SHARED_CACHE_SHARDS: usize = 16;
-
-/// A concurrent, sharded evaluation cache shared by several searches
-/// (e.g. every start of [`crate::hybrid_search_multistart`]).
-///
-/// Distinct searches probing the same schedule pay for it **once**
-/// globally (with in-flight deduplication), while each search's
-/// Section-V cost metric stays exact via per-search [`CacheSession`]
-/// views: a session counts the distinct schedules *it* requested — the
-/// number that search would have evaluated had it run alone.
+/// Repeated requests for a schedule are served from the cache, and
+/// concurrent requests for the same uncached schedule are deduplicated:
+/// one thread evaluates (outside the lock) while the others wait for
+/// its result. So distinct searches probing the same schedule pay for
+/// it **once** globally, and the cache's
+/// [`CountingScheduleEvaluator::unique_evaluations`] is the paper's
+/// Section-V cost metric (9 resp. 18 of 76 schedules). Per-search
+/// sessions keep that metric exact inside a multistart run: a session
+/// counts the distinct schedules *it* requested — the number that
+/// search would have evaluated had it run alone.
 ///
 /// # Example
 ///
@@ -513,7 +397,7 @@ impl<'a, E: ScheduleEvaluator + ?Sized> SharedEvalCache<'a, E> {
     pub fn new(inner: &'a E) -> Self {
         SharedEvalCache {
             inner,
-            cache: SlotCache::new(SHARED_CACHE_SHARDS),
+            cache: SlotCache::new(),
             write_through: None,
             warm_started: 0,
         }
@@ -570,12 +454,6 @@ impl<'a, E: ScheduleEvaluator + ?Sized> SharedEvalCache<'a, E> {
         }
     }
 
-    /// Total distinct schedules *requested* across all sessions
-    /// (warm-started entries count once requested, like any other hit).
-    pub fn unique_evaluations(&self) -> usize {
-        self.cache.completed()
-    }
-
     /// All cached results, in deterministic (lexicographic) order of the
     /// schedule counts.
     pub fn snapshot(&self) -> Vec<(Schedule, Option<f64>)> {
@@ -584,6 +462,14 @@ impl<'a, E: ScheduleEvaluator + ?Sized> SharedEvalCache<'a, E> {
             .into_iter()
             .map(|(counts, v)| (Schedule::new(counts).expect("cached key valid"), v))
             .collect()
+    }
+}
+
+impl<E: ScheduleEvaluator + ?Sized> CountingScheduleEvaluator for SharedEvalCache<'_, E> {
+    /// Total distinct schedules *requested* across all sessions
+    /// (warm-started entries count once requested, like any other hit).
+    fn unique_evaluations(&self) -> usize {
+        self.cache.completed()
     }
 }
 
@@ -671,7 +557,7 @@ mod tests {
         let inner = CountingEvaluator {
             calls: AtomicUsize::new(0),
         };
-        let memo = MemoizedEvaluator::new(&inner);
+        let memo = SharedEvalCache::new(&inner);
         let a = Schedule::new(vec![1, 2]).unwrap();
         let b = Schedule::new(vec![2, 2]).unwrap();
         assert_eq!(memo.evaluate(&a), Some(3.0));
@@ -686,7 +572,7 @@ mod tests {
         let inner = CountingEvaluator {
             calls: AtomicUsize::new(0),
         };
-        let memo = MemoizedEvaluator::new(&inner);
+        let memo = SharedEvalCache::new(&inner);
         let bad = Schedule::new(vec![3, 3]).unwrap();
         assert_eq!(memo.evaluate(&bad), None);
         assert_eq!(memo.evaluate(&bad), None);
@@ -710,7 +596,7 @@ mod tests {
         let inner = CountingEvaluator {
             calls: AtomicUsize::new(0),
         };
-        let memo = MemoizedEvaluator::new(&inner);
+        let memo = SharedEvalCache::new(&inner);
         memo.evaluate(&Schedule::new(vec![4, 4]).unwrap());
         memo.evaluate(&Schedule::new(vec![1, 1]).unwrap());
         memo.evaluate(&Schedule::new(vec![1, 3]).unwrap());
@@ -741,7 +627,7 @@ mod tests {
         let inner = Slow {
             calls: AtomicUsize::new(0),
         };
-        let memo = MemoizedEvaluator::new(&inner);
+        let memo = SharedEvalCache::new(&inner);
         let s = Schedule::new(vec![3]).unwrap();
         std::thread::scope(|scope| {
             for _ in 0..8 {
@@ -812,17 +698,23 @@ mod tests {
             }
         }
         let inner = PanicOn { bad: vec![3] };
-        // MemoizedEvaluator has a single shard, so the panic poisons the
-        // very shard every other key lives in.
-        let memo = MemoizedEvaluator::new(&inner);
+        let memo = SharedEvalCache::new(&inner);
+        // The unrelated keys share the bad key's shard, so the panic
+        // poisons the very shard they live in.
+        for key in [[19], [35]] {
+            assert!(std::ptr::eq(
+                memo.cache.shard_for(&[3]),
+                memo.cache.shard_for(&key)
+            ));
+        }
         let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             memo.evaluate(&Schedule::new(vec![3]).unwrap())
         }));
         assert!(poisoned.is_err());
         // Unrelated keys still evaluate, counters and snapshots still
         // work, on the poisoned shard.
-        assert_eq!(memo.evaluate(&Schedule::new(vec![2]).unwrap()), Some(2.0));
-        assert_eq!(memo.evaluate(&Schedule::new(vec![5]).unwrap()), Some(5.0));
+        assert_eq!(memo.evaluate(&Schedule::new(vec![19]).unwrap()), Some(19.0));
+        assert_eq!(memo.evaluate(&Schedule::new(vec![35]).unwrap()), Some(35.0));
         assert_eq!(memo.unique_evaluations(), 2);
         assert_eq!(memo.snapshot().len(), 2);
     }
@@ -952,7 +844,7 @@ mod tests {
         let inner = Fragile {
             calls: AtomicUsize::new(0),
         };
-        let memo = MemoizedEvaluator::new(&inner);
+        let memo = SharedEvalCache::new(&inner);
         let s = Schedule::new(vec![2]).unwrap();
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| memo.evaluate(&s)));
         assert!(panicked.is_err());

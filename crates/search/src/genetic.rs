@@ -9,8 +9,8 @@
 //! (Section IV: each evaluation costs seconds to hours).
 
 use crate::{
-    CountingScheduleEvaluator, MemoizedEvaluator, Result, ScheduleEvaluator, ScheduleSpace,
-    SearchError, SearchReport,
+    CountingScheduleEvaluator, Result, ScheduleEvaluator, ScheduleSpace, SearchError, SearchReport,
+    SharedEvalCache,
 };
 use cacs_sched::Schedule;
 use rand::rngs::StdRng;
@@ -136,7 +136,7 @@ pub fn genetic_search<E: ScheduleEvaluator + ?Sized>(
     space: &ScheduleSpace,
     config: &GeneticConfig,
 ) -> Result<SearchReport> {
-    let memo = MemoizedEvaluator::new(evaluator);
+    let memo = SharedEvalCache::new(evaluator);
     genetic_core(&memo, space, None, config, config.seed)
 }
 

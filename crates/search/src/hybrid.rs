@@ -17,17 +17,18 @@
 //!   deduplicates against earlier steps, so the set of evaluated
 //!   schedules — and hence the Section-V cost metric — is identical to
 //!   the sequential order;
-//! * across starts, [`hybrid_search_multistart`] runs one OS thread per
-//!   start over a [`SharedEvalCache`], so schedules probed by several
-//!   searches are evaluated once globally while each report still
-//!   carries that search's own unique-evaluation count.
+//! * across starts, [`crate::run_multistart`] with
+//!   [`crate::StrategyConfig::Hybrid`] runs one OS thread per start over
+//!   a [`SharedEvalCache`], so schedules probed by several searches are
+//!   evaluated once globally while each report still carries that
+//!   search's own unique-evaluation count.
 //!
 //! Set `CACS_THREADS=1` (or wrap the call in [`cacs_par::sequential`])
 //! to force the exact sequential execution order when debugging.
 
 use crate::{
-    run_multistart, CountingScheduleEvaluator, EvalStore, MemoizedEvaluator, MultistartOutcome,
-    Result, ScheduleEvaluator, ScheduleSpace, SearchError, SearchReport, StrategyConfig,
+    CountingScheduleEvaluator, Result, ScheduleEvaluator, ScheduleSpace, SearchError, SearchReport,
+    SharedEvalCache,
 };
 use cacs_sched::Schedule;
 use std::collections::HashSet;
@@ -103,13 +104,14 @@ pub fn hybrid_search<E: ScheduleEvaluator + ?Sized>(
     start: &Schedule,
     config: &HybridConfig,
 ) -> Result<SearchReport> {
-    let memo = MemoizedEvaluator::new(evaluator);
+    let memo = SharedEvalCache::new(evaluator);
     hybrid_search_core(&memo, space, start, config)
 }
 
 /// The search proper, generic over the caching layer so one search can
-/// run against its own memo ([`hybrid_search`]) or a per-search session
-/// of a shared cache (via the [`crate::run_multistart`] engine).
+/// run against its own cache ([`hybrid_search`]) or a per-search session
+/// of a multistart run's cache (via the [`crate::run_multistart`]
+/// engine).
 pub(crate) fn hybrid_search_core<E: CountingScheduleEvaluator>(
     memo: &E,
     space: &ScheduleSpace,
@@ -228,67 +230,10 @@ pub(crate) fn hybrid_search_core<E: CountingScheduleEvaluator>(
     })
 }
 
-/// Runs independent hybrid searches from several start points in
-/// parallel (one scoped OS thread per start), one report per start — the
-/// paper's "parallel searches" feature.
-///
-/// All searches share one [`SharedEvalCache`]: a schedule probed by
-/// several starts is fully evaluated **once** globally (with in-flight
-/// deduplication when two searches race on the same schedule). Each
-/// report's `evaluations` still counts the distinct schedules *that*
-/// search requested — exactly what it would have cost on its own (the
-/// numbers reported in Section V).
-///
-/// Within each start's thread the per-step neighbour probes run
-/// sequentially (the cross-start fan-out already owns the thread
-/// budget); a single [`hybrid_search`] call parallelises its probes
-/// instead.
-///
-/// # Errors
-///
-/// Returns the first error any search produced (e.g. a start point
-/// outside the space); `starts` must be non-empty.
-pub fn hybrid_search_multistart<E: ScheduleEvaluator + ?Sized>(
-    evaluator: &E,
-    space: &ScheduleSpace,
-    starts: &[Schedule],
-    config: &HybridConfig,
-) -> Result<Vec<SearchReport>> {
-    hybrid_search_multistart_with_store(evaluator, space, starts, config, None)
-        .map(|outcome| outcome.reports)
-}
-
-/// [`hybrid_search_multistart`] with an optional persistent
-/// [`EvalStore`] — a thin delegation to the unified strategy engine
-/// ([`crate::run_multistart`] with [`StrategyConfig::Hybrid`]), kept
-/// for API stability. See the engine for the warm-start, write-through
-/// and resume contract; the refactor is byte-transparent — reports,
-/// trajectories and every evaluation count are identical to the
-/// pre-engine implementation.
-///
-/// # Errors
-///
-/// As [`crate::run_multistart`].
-pub fn hybrid_search_multistart_with_store<E: ScheduleEvaluator + ?Sized>(
-    evaluator: &E,
-    space: &ScheduleSpace,
-    starts: &[Schedule],
-    config: &HybridConfig,
-    store: Option<&EvalStore>,
-) -> Result<MultistartOutcome> {
-    run_multistart(
-        evaluator,
-        space,
-        starts,
-        &StrategyConfig::Hybrid(*config),
-        store,
-    )
-}
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::FnEvaluator;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Concave paraboloid peaking at (3, 2, 3) — loosely the paper's
     /// optimal schedule shape.
@@ -450,54 +395,5 @@ mod tests {
             }
         )
         .is_err());
-    }
-
-    #[test]
-    fn multistart_runs_all_searches() {
-        let eval = paraboloid();
-        let space = ScheduleSpace::new(vec![6, 6, 6]).unwrap();
-        let starts = vec![
-            Schedule::new(vec![4, 2, 2]).unwrap(),
-            Schedule::new(vec![1, 2, 1]).unwrap(),
-        ];
-        let reports =
-            hybrid_search_multistart(&eval, &space, &starts, &HybridConfig::default()).unwrap();
-        assert_eq!(reports.len(), 2);
-        for r in &reports {
-            assert_eq!(r.best.as_ref().unwrap().counts(), &[3, 2, 3]);
-        }
-        assert!(hybrid_search_multistart(&eval, &space, &[], &HybridConfig::default()).is_err());
-    }
-
-    #[test]
-    fn multistart_searches_run_concurrently_on_shared_evaluator() {
-        // The evaluator records the maximum number of in-flight calls.
-        struct Concurrent {
-            in_flight: AtomicUsize,
-            max_seen: AtomicUsize,
-        }
-        impl ScheduleEvaluator for Concurrent {
-            fn app_count(&self) -> usize {
-                1
-            }
-            fn evaluate(&self, s: &Schedule) -> Option<f64> {
-                let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-                self.max_seen.fetch_max(now, Ordering::SeqCst);
-                std::thread::sleep(std::time::Duration::from_millis(5));
-                self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                Some(-(f64::from(s.counts()[0]) - 3.0).powi(2))
-            }
-        }
-        let eval = Concurrent {
-            in_flight: AtomicUsize::new(0),
-            max_seen: AtomicUsize::new(0),
-        };
-        let space = ScheduleSpace::new(vec![8]).unwrap();
-        let starts: Vec<Schedule> = (1..=4).map(|m| Schedule::new(vec![m]).unwrap()).collect();
-        let reports =
-            hybrid_search_multistart(&eval, &space, &starts, &HybridConfig::default()).unwrap();
-        assert_eq!(reports.len(), 4);
-        // At least two searches overlapped in time.
-        assert!(eval.max_seen.load(Ordering::SeqCst) >= 2);
     }
 }

@@ -8,13 +8,13 @@
 //! * [`ScheduleEvaluator`] — the objective abstraction (implemented by
 //!   `cacs-core` on top of the full pipeline, and by cheap synthetic
 //!   functions in tests),
-//! * [`MemoizedEvaluator`] — caching wrapper counting *unique* full
-//!   evaluations (the cost metric the paper reports), with in-flight
-//!   deduplication so racing threads never evaluate a schedule twice,
-//! * [`SharedEvalCache`] — one concurrent evaluation cache shared by
-//!   several searches, with per-search [`CacheSession`] views that keep
-//!   the paper's per-start cost metric exact, plus warm-start and
-//!   write-through hooks for persistence,
+//! * [`SharedEvalCache`] — the one concurrent memo cache every search
+//!   evaluates through: it counts *unique* full evaluations (the cost
+//!   metric the paper reports), deduplicates in-flight requests so
+//!   racing threads never evaluate a schedule twice, opens per-search
+//!   [`CacheSession`] views that keep the paper's per-start cost metric
+//!   exact, and carries warm-start and write-through hooks for
+//!   persistence,
 //! * [`EvalStore`] — a persistent, digest-addressed store of completed
 //!   evaluations (append-only journal + `END`-guarded compacted
 //!   snapshot, wire-compatible rank/bit-pattern encodings) so an
@@ -23,11 +23,11 @@
 //! * [`ScheduleSpace`] — the bounded box of candidate schedules, with
 //!   bounds derived from the idle-time constraint and indexed access
 //!   (`unrank` / `iter_from`) into its lexicographic enumeration,
-//! * [`hybrid_search`] / [`hybrid_search_multistart`] — the paper's
-//!   hybrid algorithm: per-dimension 1-D quadratic gradient models,
-//!   unit steps along the best feasible direction, a simulated-annealing
-//!   style tolerance that accepts bounded worsening, parallel neighbour
-//!   probes and parallel multistart (std scoped threads),
+//! * [`hybrid_search`] — the paper's hybrid algorithm: per-dimension
+//!   1-D quadratic gradient models, unit steps along the best feasible
+//!   direction, a simulated-annealing style tolerance that accepts
+//!   bounded worsening and parallel neighbour probes (its parallel
+//!   multistart is [`run_multistart`] with [`StrategyConfig::Hybrid`]),
 //! * [`exhaustive_search`] / [`exhaustive_search_with`] — the
 //!   brute-force baseline, streamed chunk-by-chunk at constant memory
 //!   with a deterministic lexicographic-order reduction (see
@@ -95,17 +95,14 @@ mod tabu;
 pub use anneal::{simulated_annealing, AnnealConfig};
 pub use error::SearchError;
 pub use evaluator::{
-    CacheSession, CountingScheduleEvaluator, FnEvaluator, MemoizedEvaluator, ScheduleEvaluator,
-    SharedEvalCache,
+    CacheSession, CountingScheduleEvaluator, FnEvaluator, ScheduleEvaluator, SharedEvalCache,
 };
 pub use exhaustive::{
     exhaustive_search, exhaustive_search_range, exhaustive_search_with, ExhaustiveReport,
     SweepConfig,
 };
 pub use genetic::{genetic_search, GeneticConfig};
-pub use hybrid::{
-    hybrid_search, hybrid_search_multistart, hybrid_search_multistart_with_store, HybridConfig,
-};
+pub use hybrid::{hybrid_search, HybridConfig};
 pub use space::ScheduleSpace;
 pub use store::{CompactionPolicy, EvalStore, StoreError};
 pub use strategy::{

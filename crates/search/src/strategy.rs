@@ -31,16 +31,15 @@
 //! The strategy-specific logic stays in its own module
 //! (`hybrid.rs` / `anneal.rs` / `genetic.rs` / `tabu.rs`) as a core
 //! function over a [`CountingScheduleEvaluator`]; this module only
-//! dispatches. The legacy single-search entry points
+//! dispatches. The single-search entry points
 //! ([`crate::hybrid_search`], [`crate::simulated_annealing`],
-//! [`crate::genetic_search`], [`crate::tabu_search`]) are thin wrappers
-//! over the same cores, so their behaviour — including every RNG draw —
-//! is unchanged.
+//! [`crate::genetic_search`], [`crate::tabu_search`]) run the same
+//! cores directly against their own [`SharedEvalCache`].
 
 use crate::{
     anneal::anneal_core, genetic::genetic_core, hybrid::hybrid_search_core, tabu::tabu_core,
-    AnnealConfig, EvalStore, GeneticConfig, HybridConfig, Result, ScheduleEvaluator, ScheduleSpace,
-    SearchError, SharedEvalCache, StoreError, TabuConfig,
+    AnnealConfig, CountingScheduleEvaluator, EvalStore, GeneticConfig, HybridConfig, Result,
+    ScheduleEvaluator, ScheduleSpace, SearchError, SharedEvalCache, StoreError, TabuConfig,
 };
 use cacs_sched::Schedule;
 
@@ -120,7 +119,8 @@ impl StrategyConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScreenConfig {
     /// Fraction of starts whose searches are re-run exactly in stage 2:
-    /// `survivors = clamp(ceil(survivor_frac · starts), 1, starts)`.
+    /// `survivors = min(max(ceil(survivor_frac · starts), 1), starts)`
+    /// (so zero starts have zero survivors).
     /// `1.0` keeps every start (screening then only adds overhead, but
     /// the final digest is trivially identical to the no-screen run).
     pub survivor_frac: f64,
@@ -136,7 +136,9 @@ impl ScreenConfig {
     /// Number of stage-2 survivors for `starts` start points.
     #[must_use]
     pub fn survivor_count(&self, starts: usize) -> usize {
-        ((self.survivor_frac * starts as f64).ceil() as usize).clamp(1, starts)
+        ((self.survivor_frac * starts as f64).ceil() as usize)
+            .max(1)
+            .min(starts)
     }
 }
 
@@ -177,7 +179,7 @@ pub fn derive_start_seed(base: u64, start_index: usize) -> u64 {
 
 /// Runs one search of `strategy` from `start` against a counting
 /// evaluator layer — the per-start dispatch of [`run_multistart`].
-fn run_single<E: crate::CountingScheduleEvaluator>(
+fn run_single<E: CountingScheduleEvaluator>(
     memo: &E,
     space: &ScheduleSpace,
     start: &Schedule,
@@ -512,6 +514,7 @@ fn run_multistart_indexed<E: ScheduleEvaluator + ?Sized>(
 mod tests {
     use super::*;
     use crate::FnEvaluator;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn paraboloid() -> FnEvaluator<impl Fn(&Schedule) -> Option<f64> + Sync> {
         FnEvaluator::new(3, |s: &Schedule| {
@@ -713,6 +716,7 @@ mod tests {
     #[test]
     fn survivor_counts_clamp_sanely() {
         let c = ScreenConfig { survivor_frac: 0.5 };
+        assert_eq!(c.survivor_count(0), 0);
         assert_eq!(c.survivor_count(1), 1);
         assert_eq!(c.survivor_count(2), 1);
         assert_eq!(c.survivor_count(5), 3);
@@ -759,5 +763,37 @@ mod tests {
                 assert_eq!(x.trajectory, y.trajectory);
             }
         }
+    }
+
+    #[test]
+    fn multistart_searches_run_concurrently_on_shared_evaluator() {
+        // The evaluator records the maximum number of in-flight calls.
+        struct Concurrent {
+            in_flight: AtomicUsize,
+            max_seen: AtomicUsize,
+        }
+        impl ScheduleEvaluator for Concurrent {
+            fn app_count(&self) -> usize {
+                1
+            }
+            fn evaluate(&self, s: &Schedule) -> Option<f64> {
+                let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                self.max_seen.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                self.in_flight.fetch_sub(1, Ordering::SeqCst);
+                Some(-(f64::from(s.counts()[0]) - 3.0).powi(2))
+            }
+        }
+        let eval = Concurrent {
+            in_flight: AtomicUsize::new(0),
+            max_seen: AtomicUsize::new(0),
+        };
+        let space = ScheduleSpace::new(vec![8]).unwrap();
+        let starts: Vec<Schedule> = (1..=4).map(|m| Schedule::new(vec![m]).unwrap()).collect();
+        let strategy = StrategyConfig::Hybrid(HybridConfig::default());
+        let outcome = run_multistart(&eval, &space, &starts, &strategy, None).unwrap();
+        assert_eq!(outcome.reports.len(), 4);
+        // At least two searches overlapped in time.
+        assert!(eval.max_seen.load(Ordering::SeqCst) >= 2);
     }
 }

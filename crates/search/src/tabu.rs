@@ -9,8 +9,8 @@
 //! without the annealing lottery.
 
 use crate::{
-    CountingScheduleEvaluator, MemoizedEvaluator, Result, ScheduleEvaluator, ScheduleSpace,
-    SearchError, SearchReport,
+    CountingScheduleEvaluator, Result, ScheduleEvaluator, ScheduleSpace, SearchError, SearchReport,
+    SharedEvalCache,
 };
 use cacs_sched::Schedule;
 use std::collections::HashMap;
@@ -92,7 +92,7 @@ pub fn tabu_search<E: ScheduleEvaluator + ?Sized>(
     start: &Schedule,
     config: &TabuConfig,
 ) -> Result<SearchReport> {
-    let memo = MemoizedEvaluator::new(evaluator);
+    let memo = SharedEvalCache::new(evaluator);
     tabu_core(&memo, space, start, config)
 }
 

@@ -9,8 +9,8 @@
 
 use cacs_sched::Schedule;
 use cacs_search::{
-    hybrid_search_multistart_with_store, EvalStore, FnEvaluator, HybridConfig, ScheduleEvaluator,
-    ScheduleSpace, SearchError,
+    run_multistart, EvalStore, FnEvaluator, HybridConfig, ScheduleEvaluator, ScheduleSpace,
+    SearchError, StrategyConfig,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -52,7 +52,7 @@ impl ScheduleEvaluator for PanicAt {
 }
 
 fn temp_store(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cacs-hybrid-resume-{}-{tag}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("cacs-search-resume-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir.join("evals.store")
 }
@@ -69,12 +69,11 @@ fn starts() -> Vec<Schedule> {
 fn killed_multistart_resumes_bit_identically_with_fewer_fresh_evaluations() {
     let space = ScheduleSpace::new(vec![16, 8, 16]).unwrap();
     let starts = starts();
-    let config = HybridConfig::default();
+    let strategy = StrategyConfig::Hybrid(HybridConfig::default());
 
     // The uninterrupted reference run (no store, fresh cache).
     let eval = evaluator();
-    let reference =
-        hybrid_search_multistart_with_store(&eval, &space, &starts, &config, None).unwrap();
+    let reference = run_multistart(&eval, &space, &starts, &strategy, None).unwrap();
     let reference_fresh = reference.fresh_evaluations;
     assert!(
         reference_fresh > 12,
@@ -89,8 +88,7 @@ fn killed_multistart_resumes_bit_identically_with_fewer_fresh_evaluations() {
         calls: AtomicUsize::new(0),
         panic_at: 9,
     };
-    let killed =
-        hybrid_search_multistart_with_store(&dying, &space, &starts, &config, Some(&store));
+    let killed = run_multistart(&dying, &space, &starts, &strategy, Some(&store));
     assert!(matches!(killed, Err(SearchError::SearchPanicked { .. })));
     let stored = store.len();
     assert!(
@@ -103,8 +101,7 @@ fn killed_multistart_resumes_bit_identically_with_fewer_fresh_evaluations() {
     let store = EvalStore::open(&path, "resume-test", &space).unwrap();
     assert_eq!(store.len(), stored, "journal replay lost records");
     let eval = evaluator();
-    let resumed =
-        hybrid_search_multistart_with_store(&eval, &space, &starts, &config, Some(&store)).unwrap();
+    let resumed = run_multistart(&eval, &space, &starts, &strategy, Some(&store)).unwrap();
 
     // Bit-identical reports: best schedule, objective bits, Section-V
     // evaluation counts and full trajectories.
@@ -136,20 +133,18 @@ fn killed_multistart_resumes_bit_identically_with_fewer_fresh_evaluations() {
 fn fully_completed_run_resumes_with_zero_fresh_evaluations() {
     let space = ScheduleSpace::new(vec![16, 8, 16]).unwrap();
     let starts = starts();
-    let config = HybridConfig::default();
+    let strategy = StrategyConfig::Hybrid(HybridConfig::default());
     let path = temp_store("complete");
 
     let store = EvalStore::open(&path, "resume-test", &space).unwrap();
     let eval = evaluator();
-    let first =
-        hybrid_search_multistart_with_store(&eval, &space, &starts, &config, Some(&store)).unwrap();
+    let first = run_multistart(&eval, &space, &starts, &strategy, Some(&store)).unwrap();
     assert!(first.fresh_evaluations > 0);
     drop(store);
 
     let store = EvalStore::open(&path, "resume-test", &space).unwrap();
     let eval = evaluator();
-    let second =
-        hybrid_search_multistart_with_store(&eval, &space, &starts, &config, Some(&store)).unwrap();
+    let second = run_multistart(&eval, &space, &starts, &strategy, Some(&store)).unwrap();
     assert_eq!(second.fresh_evaluations, 0);
     assert_eq!(second.unique_evaluations, first.unique_evaluations);
     for (r, q) in second.reports.iter().zip(&first.reports) {
@@ -167,13 +162,8 @@ fn store_for_a_different_space_is_refused() {
     let store = EvalStore::open(&path, "resume-test", &store_space).unwrap();
     let search_space = ScheduleSpace::new(vec![16, 8, 16]).unwrap();
     let eval = evaluator();
-    let result = hybrid_search_multistart_with_store(
-        &eval,
-        &search_space,
-        &starts(),
-        &HybridConfig::default(),
-        Some(&store),
-    );
+    let strategy = StrategyConfig::Hybrid(HybridConfig::default());
+    let result = run_multistart(&eval, &search_space, &starts(), &strategy, Some(&store));
     assert!(matches!(
         result,
         Err(SearchError::Store(

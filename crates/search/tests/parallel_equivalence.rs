@@ -6,8 +6,8 @@
 
 use cacs_sched::Schedule;
 use cacs_search::{
-    exhaustive_search, hybrid_search, hybrid_search_multistart, FnEvaluator, HybridConfig,
-    ScheduleSpace,
+    exhaustive_search, hybrid_search, run_multistart, FnEvaluator, HybridConfig, ScheduleSpace,
+    StrategyConfig,
 };
 
 /// Concave paraboloid peaking at (3, 2, 3) — the paper's optimal
@@ -96,7 +96,10 @@ fn multistart_shared_cache_reports_match_independent_searches() {
         Schedule::new(vec![6, 6, 6]).unwrap(),
     ];
     let config = HybridConfig::default();
-    let shared = hybrid_search_multistart(&eval, &space, &starts, &config).unwrap();
+    let strategy = StrategyConfig::Hybrid(config);
+    let shared = run_multistart(&eval, &space, &starts, &strategy, None)
+        .unwrap()
+        .reports;
     assert_eq!(shared.len(), starts.len());
 
     for (start, report) in starts.iter().zip(&shared) {

@@ -7,7 +7,7 @@ use cacs_sched::Schedule;
 use cacs_search::{
     exhaustive_search, genetic_search, hybrid_search, simulated_annealing, tabu_search,
     AnnealConfig, CountingScheduleEvaluator, FnEvaluator, GeneticConfig, HybridConfig,
-    MemoizedEvaluator, ScheduleEvaluator, ScheduleSpace, TabuConfig,
+    ScheduleEvaluator, ScheduleSpace, SharedEvalCache, TabuConfig,
 };
 use proptest::prelude::*;
 
@@ -123,7 +123,7 @@ proptest! {
     fn memo_transparency(seed in 0u64..500, queries in prop::collection::vec(
         prop::collection::vec(1u32..5, 3), 1..30)) {
         let eval = FnEvaluator::new(3, objective(seed));
-        let memo = MemoizedEvaluator::new(&eval);
+        let memo = SharedEvalCache::new(&eval);
         let mut distinct = std::collections::HashSet::new();
         for q in queries {
             let s = Schedule::new(q).unwrap();

@@ -9,7 +9,7 @@ use cacs::core::{CodesignProblem, EvaluationConfig};
 use cacs::sched::Schedule;
 use cacs::search::{
     exhaustive_search, hybrid_search, simulated_annealing, AnnealConfig, CountingScheduleEvaluator,
-    HybridConfig, MemoizedEvaluator,
+    HybridConfig, SharedEvalCache,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Shared memo so the expensive evaluations are reused across all
     // algorithms; per-algorithm counts come from their own reports.
-    let memo = MemoizedEvaluator::new(&problem);
+    let memo = SharedEvalCache::new(&problem);
 
     println!("\n== Hybrid search (paper: 9 and 18 evaluations of 76) ==");
     for start in [vec![4, 2, 2], vec![1, 2, 1], vec![1, 1, 1], vec![2, 4, 3]] {

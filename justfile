@@ -70,12 +70,12 @@ opt STRATEGY="hybrid" PROBLEM="paper-fast" STARTS="4x2x2,1x2x1" FLAGS="":
 # Resumable hybrid search demo: kill a multistart run hard after N
 # fresh evaluations, then resume it from the persistent store and
 # self-check that the resumed run is byte-identical to an uninterrupted
-# one with strictly fewer fresh evaluations (the CI hybrid-resume-smoke
-# gate). PROBLEM and STARTS as for cacs-hybrid.
+# one with strictly fewer fresh evaluations (the CI strategy-smoke
+# gate). PROBLEM and STARTS as for cacs-opt.
 hybrid-resume PROBLEM="paper-fast" STARTS="4x2x2,1x2x1" KILL_AFTER="5":
-    cargo build --release --bin cacs-hybrid
-    rm -f /tmp/cacs-hybrid-demo.store /tmp/cacs-hybrid-demo.store.log
-    -target/release/cacs-hybrid --problem {{PROBLEM}} --starts {{STARTS}} \
-        --store /tmp/cacs-hybrid-demo.store --kill-after-fresh-evals {{KILL_AFTER}}
-    target/release/cacs-hybrid --problem {{PROBLEM}} --starts {{STARTS}} \
-        --store /tmp/cacs-hybrid-demo.store --resume --selfcheck
+    cargo build --release --bin cacs-opt
+    rm -f /tmp/cacs-opt-hybrid-demo.store /tmp/cacs-opt-hybrid-demo.store.log
+    -target/release/cacs-opt --problem {{PROBLEM}} --strategy hybrid --starts {{STARTS}} \
+        --store /tmp/cacs-opt-hybrid-demo.store --kill-after-fresh-evals {{KILL_AFTER}}
+    target/release/cacs-opt --problem {{PROBLEM}} --strategy hybrid --starts {{STARTS}} \
+        --store /tmp/cacs-opt-hybrid-demo.store --resume --selfcheck

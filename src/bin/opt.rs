@@ -21,5 +21,5 @@
 //! full contract.
 
 fn main() {
-    cacs::cli::driver::cli_main("cacs-opt", None)
+    cacs::cli::driver::cli_main("cacs-opt")
 }

@@ -215,7 +215,7 @@ impl StrategyKind {
     }
 
     /// Upper-case digest header label. For [`StrategyKind::Hybrid`]
-    /// this is `HYBRID` — the pre-engine `cacs-hybrid` header — so
+    /// this is `HYBRID` — the pre-engine hybrid-only header — so
     /// refactoring onto the unified engine changed no byte of the
     /// hybrid digest.
     pub fn label(self) -> &'static str {
@@ -246,44 +246,32 @@ pub fn report_digest(
     Ok(digest)
 }
 
-/// Renders a hybrid multistart's results as a stable, bit-exact textual
+/// Renders a multistart's results as a stable, bit-exact textual
 /// digest (ranks + 16-hex `f64` bit patterns, the wire encodings): two
 /// runs are byte-identical here if and only if every search found the
 /// same best schedule with the same objective bits at the same
 /// Section-V evaluation cost. This is the currency of the resume
 /// contract — a resumed run's digest must equal the uninterrupted
-/// run's; `cacs-hybrid --selfcheck` and the CI smoke job compare these
+/// run's; `cacs-opt --selfcheck` and the CI smoke job compare these
 /// bytes. Fresh-evaluation counts are deliberately **not** part of the
 /// digest (they are exactly what resume changes).
 ///
 /// ```text
-/// HYBRID <nstarts>
+/// <LABEL> <nstarts>
 /// SEARCH <i> <start-rank> <rank>:<bits>|none <evaluations>
 /// BEST <rank>:<bits>|none
 /// DONE
 /// ```
 ///
+/// The header carries the strategy's [`StrategyKind::label`] (so
+/// digests of different strategies can never be confused for one
+/// another). For [`StrategyKind::Hybrid`] the output is byte-identical
+/// to the pre-engine hybrid digest.
+///
 /// # Errors
 ///
 /// Returns an error when a start or best schedule lies outside `space`
 /// (it has no rank).
-pub fn hybrid_digest(
-    space: &ScheduleSpace,
-    starts: &[cacs_sched::Schedule],
-    reports: &[cacs_search::SearchReport],
-) -> Result<String, Box<dyn Error>> {
-    multistart_digest(StrategyKind::Hybrid, space, starts, reports)
-}
-
-/// [`hybrid_digest`] for any strategy: the header line carries the
-/// strategy's [`StrategyKind::label`] (so digests of different
-/// strategies can never be confused for one another), the rest of the
-/// format is shared. For [`StrategyKind::Hybrid`] the output is
-/// byte-identical to the historical `cacs-hybrid` digest.
-///
-/// # Errors
-///
-/// As [`hybrid_digest`].
 pub fn multistart_digest(
     strategy: StrategyKind,
     space: &ScheduleSpace,
@@ -430,15 +418,17 @@ mod tests {
             cacs_sched::Schedule::new(vec![2, 2, 2]).unwrap(),
             cacs_sched::Schedule::new(vec![5, 1, 3]).unwrap(),
         ];
-        let reports = cacs_search::hybrid_search_multistart(
+        let reports = cacs_search::run_multistart(
             eval.as_ref(),
             &space,
             &starts,
-            &cacs_search::HybridConfig::default(),
+            &cacs_search::StrategyConfig::Hybrid(cacs_search::HybridConfig::default()),
+            None,
         )
-        .unwrap();
-        let a = hybrid_digest(&space, &starts, &reports).unwrap();
-        let b = hybrid_digest(&space, &starts, &reports).unwrap();
+        .unwrap()
+        .reports;
+        let a = multistart_digest(StrategyKind::Hybrid, &space, &starts, &reports).unwrap();
+        let b = multistart_digest(StrategyKind::Hybrid, &space, &starts, &reports).unwrap();
         assert_eq!(a, b);
         assert!(a.starts_with("HYBRID 2\nSEARCH 0 "));
         assert!(a.trim_end().ends_with("DONE"));
@@ -446,8 +436,8 @@ mod tests {
     }
 
     /// Golden pin of the refactored hybrid digest to the **pre-engine**
-    /// bytes: these strings were captured from the `cacs-hybrid` binary
-    /// at PR 4 (before the unified strategy engine existed). If this
+    /// bytes: these strings were captured from the hybrid-only binary
+    /// before the unified strategy engine existed. If this
     /// test fails, the engine refactor changed observable hybrid
     /// behaviour — which the whole PR contract forbids.
     #[test]
@@ -488,8 +478,12 @@ mod tests {
                 None,
             )
             .unwrap();
-            let digest = hybrid_digest(&space, &starts, &outcome.reports).unwrap();
-            assert_eq!(digest, golden, "{problem}: digest drifted from PR-4 bytes");
+            let digest =
+                multistart_digest(StrategyKind::Hybrid, &space, &starts, &outcome.reports).unwrap();
+            assert_eq!(
+                digest, golden,
+                "{problem}: digest drifted from pre-engine bytes"
+            );
         }
     }
 

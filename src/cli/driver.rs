@@ -1,10 +1,8 @@
-//! The shared engine behind the strategy CLIs: `cacs-opt` (any
-//! strategy via `--strategy`) and `cacs-hybrid` (the historical
-//! hybrid-only entry point, kept as a thin alias).
+//! The engine behind the `cacs-opt` strategy CLI (any strategy via
+//! `--strategy`, hybrid by default).
 //!
-//! Both binaries expose identical persistence semantics for **every**
-//! strategy, inherited from the unified engine
-//! ([`cacs_search::run_multistart`]):
+//! It exposes identical persistence semantics for **every** strategy,
+//! inherited from the unified engine ([`cacs_search::run_multistart`]):
 //!
 //! * `--store FILE` journals each completed evaluation before its
 //!   result is used; an existing store is refused without `--resume`;
@@ -75,53 +73,26 @@ struct Args {
     stall_limit: Option<usize>,
 }
 
-fn usage(bin: &str, fixed: Option<StrategyKind>) -> ! {
-    let strategy_flag = match fixed {
-        Some(_) => "",
-        None => " [--strategy hybrid|anneal|genetic|tabu]",
-    };
-    // Only advertise the knobs the binary can actually accept: the
-    // fixed-strategy alias lists its own strategy's flags, cacs-opt
-    // lists all of them.
-    let knob_lines: [(StrategyKind, &str); 4] = [
-        (StrategyKind::Hybrid, "[--tolerance F] [--max-steps N]"),
-        (
-            StrategyKind::Anneal,
-            "[--seed N] [--steps N] [--initial-temperature F] [--cooling F]",
-        ),
-        (
-            StrategyKind::Genetic,
-            "[--seed N] [--population N] [--generations N]",
-        ),
-        (
-            StrategyKind::Tabu,
-            "[--iterations N] [--tenure N] [--stall-limit N]",
-        ),
-    ];
-    let knobs = knob_lines
-        .iter()
-        .filter(|(kind, _)| fixed.is_none_or(|f| f == *kind))
-        .map(|(kind, line)| match fixed {
-            Some(_) => line.to_string(),
-            None => format!("{line} ({})", kind.name()),
-        })
-        .collect::<Vec<_>>()
-        .join(" ");
+fn usage(bin: &str) -> ! {
     eprintln!(
-        "usage: {bin} --problem <paper-fast|paper-full|synthetic:AxBxC>{strategy_flag} \
+        "usage: {bin} --problem <paper-fast|paper-full|synthetic:AxBxC> \
+         [--strategy hybrid|anneal|genetic|tabu] \
          [--starts m1xm2x…[,m1xm2x…]] [--store FILE] [--resume] \
          [--kill-after-fresh-evals N] [--selfcheck] [--metrics FILE] \
          [--no-eval-cache] [--screen-budget F] [--survivor-frac F] \
-         [--no-screen] {knobs}"
+         [--no-screen] [--tolerance F] [--max-steps N] (hybrid) \
+         [--seed N] [--steps N] [--initial-temperature F] [--cooling F] (anneal) \
+         [--seed N] [--population N] [--generations N] (genetic) \
+         [--iterations N] [--tenure N] [--stall-limit N] (tabu)"
     );
     std::process::exit(2)
 }
 
-fn parse_args(bin: &str, fixed: Option<StrategyKind>) -> Args {
+fn parse_args(bin: &str) -> Args {
     let argv: Vec<String> = std::env::args().collect();
     let mut args = Args {
         problem: String::new(),
-        strategy: fixed.unwrap_or(StrategyKind::Hybrid),
+        strategy: StrategyKind::Hybrid,
         starts: None,
         store: None,
         resume: false,
@@ -146,22 +117,19 @@ fn parse_args(bin: &str, fixed: Option<StrategyKind>) -> Args {
     };
     let mut i = 1;
     let value = |i: &mut usize| -> String {
-        let v = argv
-            .get(*i + 1)
-            .cloned()
-            .unwrap_or_else(|| usage(bin, fixed));
+        let v = argv.get(*i + 1).cloned().unwrap_or_else(|| usage(bin));
         *i += 2;
         v
     };
     macro_rules! parsed {
         ($i:expr) => {
-            value($i).parse().unwrap_or_else(|_| usage(bin, fixed))
+            value($i).parse().unwrap_or_else(|_| usage(bin))
         };
     }
     while i < argv.len() {
         match argv[i].as_str() {
             "--problem" => args.problem = value(&mut i),
-            "--strategy" if fixed.is_none() => {
+            "--strategy" => {
                 args.strategy = StrategyKind::parse(&value(&mut i)).unwrap_or_else(|e| {
                     eprintln!("{bin}: {e}");
                     std::process::exit(2)
@@ -200,11 +168,11 @@ fn parse_args(bin: &str, fixed: Option<StrategyKind>) -> Args {
             "--iterations" => args.iterations = Some(parsed!(&mut i)),
             "--tenure" => args.tenure = Some(parsed!(&mut i)),
             "--stall-limit" => args.stall_limit = Some(parsed!(&mut i)),
-            _ => usage(bin, fixed),
+            _ => usage(bin),
         }
     }
     if args.problem.is_empty() {
-        usage(bin, fixed);
+        usage(bin);
     }
     reject_foreign_knobs(bin, &args);
     args
@@ -212,9 +180,7 @@ fn parse_args(bin: &str, fixed: Option<StrategyKind>) -> Args {
 
 /// A strategy knob passed for a strategy that does not consume it is a
 /// usage error (exit 2), not a silent no-op — `--strategy tabu --seed 7`
-/// would otherwise run with the flag dropped, and the `cacs-hybrid`
-/// alias would quietly accept nine flags its pre-engine argv surface
-/// refused.
+/// would otherwise run with the flag dropped.
 fn reject_foreign_knobs(bin: &str, args: &Args) {
     use StrategyKind::{Anneal, Genetic, Hybrid, Tabu};
     let knobs: [(&str, bool, &[StrategyKind]); 11] = [
@@ -357,13 +323,13 @@ impl ScheduleEvaluator for KillAfter<'_> {
 }
 
 /// The whole CLI: parse `std::env::args`, run the strategy, print the
-/// digest, self-check, exit. `fixed` pins the strategy (the
-/// `cacs-hybrid` alias); `None` accepts `--strategy` (default hybrid).
+/// digest, self-check, exit. `--strategy` picks the strategy (default
+/// hybrid).
 /// Never returns — the process exits with 0 on success, 2 on usage
 /// errors, 3 on a failed `--selfcheck`, 9 on an injected kill, 1 on
 /// everything else.
-pub fn cli_main(bin: &'static str, fixed: Option<StrategyKind>) -> ! {
-    match run(bin, fixed) {
+pub fn cli_main(bin: &'static str) -> ! {
+    match run(bin) {
         Ok(()) => std::process::exit(0),
         Err(e) => {
             eprintln!("{bin}: {e}");
@@ -372,8 +338,8 @@ pub fn cli_main(bin: &'static str, fixed: Option<StrategyKind>) -> ! {
     }
 }
 
-fn run(bin: &'static str, fixed: Option<StrategyKind>) -> Result<(), Box<dyn Error>> {
-    let args = parse_args(bin, fixed);
+fn run(bin: &'static str) -> Result<(), Box<dyn Error>> {
+    let args = parse_args(bin);
     if args.metrics.is_some() {
         // Recording stays off unless explicitly requested; metrics are
         // reporting-only and never reach the digest printed below.

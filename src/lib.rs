@@ -103,10 +103,9 @@
 //! and persist through [`search::EvalStore`]: every completed
 //! evaluation is journalled under the problem's digest before its
 //! result is used, so a killed run of any strategy resumes
-//! (`cacs-opt --strategy … --store … --resume`, the `cacs-hybrid`
-//! alias, or [`core`]'s `optimize_with_strategy`) with the **same
-//! best schedule and objective bits** and strictly fewer fresh
-//! evaluations. Randomised strategies derive per-start seeds
+//! (`cacs-opt --strategy … --store … --resume`, or [`core`]'s
+//! `optimize_with_strategy`) with the **same best schedule and
+//! objective bits** and strictly fewer fresh evaluations. Randomised strategies derive per-start seeds
 //! deterministically, so resume replays the exact walk. Stores and
 //! sweep checkpoints are digest-addressed: state written for a
 //! different problem or box is refused with a typed error.

@@ -1,6 +1,6 @@
 //! Integration tests for resumable hybrid searches at the outermost
-//! layer: the `cacs-hybrid` **binary** as a real child process. A run
-//! is killed mid-multistart by the deterministic
+//! layer: the `cacs-opt --strategy hybrid` **binary** as a real child
+//! process. A run is killed mid-multistart by the deterministic
 //! `--kill-after-fresh-evals` injection (a hard `exit(9)` from inside
 //! an evaluation — nothing unwinds, nothing flushes afterwards), then
 //! resumed from the store in a fresh process; the resumed digest must
@@ -16,12 +16,13 @@ const PROBLEM: &str = "synthetic:16x16x16";
 const STARTS: &str = "8x8x8,2x3x4";
 
 fn run_hybrid(extra: &[&str]) -> (Option<i32>, String, String) {
-    let bin = env!("CARGO_BIN_EXE_cacs-hybrid");
+    let bin = env!("CARGO_BIN_EXE_cacs-opt");
     let output = Command::new(bin)
         .args(["--problem", PROBLEM, "--starts", STARTS])
+        .args(["--strategy", "hybrid"])
         .args(extra)
         .output()
-        .expect("run cacs-hybrid");
+        .expect("run cacs-opt");
     (
         output.status.code(),
         String::from_utf8_lossy(&output.stdout).into_owned(),
@@ -30,7 +31,7 @@ fn run_hybrid(extra: &[&str]) -> (Option<i32>, String, String) {
 }
 
 fn temp_store(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("cacs-hybrid-it-{}-{tag}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("cacs-opt-hybrid-it-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir.join("hybrid.store")
 }
@@ -88,19 +89,21 @@ fn resume_under_a_different_problem_is_refused() {
     let (code, _, stderr) = run_hybrid(&["--store", store_arg, "--kill-after-fresh-evals", "3"]);
     assert_eq!(code, Some(9), "stderr:\n{stderr}");
 
-    let bin = env!("CARGO_BIN_EXE_cacs-hybrid");
+    let bin = env!("CARGO_BIN_EXE_cacs-opt");
     let output = Command::new(bin)
         .args([
             "--problem",
             "synthetic:9x9x9",
             "--starts",
             "2x2x2",
+            "--strategy",
+            "hybrid",
             "--store",
             store_arg,
             "--resume",
         ])
         .output()
-        .expect("run cacs-hybrid");
+        .expect("run cacs-opt");
     assert!(
         !output.status.success(),
         "a mismatched problem digest must be refused"

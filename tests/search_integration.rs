@@ -5,7 +5,7 @@
 use cacs::apps::paper_case_study;
 use cacs::core::{optimize_multicore, CodesignProblem, CorePartition, EvaluationConfig};
 use cacs::sched::Schedule;
-use cacs::search::{CountingScheduleEvaluator, HybridConfig, MemoizedEvaluator, ScheduleEvaluator};
+use cacs::search::{CountingScheduleEvaluator, HybridConfig, ScheduleEvaluator, SharedEvalCache};
 
 fn fast_problem() -> CodesignProblem {
     let study = paper_case_study().expect("case study builds");
@@ -75,7 +75,7 @@ fn optimizer_beats_round_robin() {
 #[test]
 fn memoised_adapter_behaviour() {
     let problem = fast_problem();
-    let memo = MemoizedEvaluator::new(&problem);
+    let memo = SharedEvalCache::new(&problem);
     let s = Schedule::new(vec![1, 2, 1]).unwrap();
     let v1 = memo.evaluate(&s);
     let v2 = memo.evaluate(&s);

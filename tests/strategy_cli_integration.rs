@@ -1,8 +1,8 @@
 //! Integration tests for the strategy-aware `cacs-opt` binary as a
 //! real child process: every strategy passes `--selfcheck`, a
 //! non-hybrid strategy survives a hard kill→resume cycle bit for bit,
-//! and `cacs-opt --strategy hybrid` prints the exact bytes of the
-//! historical `cacs-hybrid` binary (which still exists as an alias).
+//! and `cacs-opt --strategy hybrid` prints the pinned pre-engine hybrid
+//! digest bytes.
 
 use std::path::Path;
 use std::process::Command;
@@ -105,37 +105,21 @@ fn anneal_process_kill_resume_cycle_is_bit_identical() {
     cleanup(&store);
 }
 
-/// The two binaries agree byte for byte on the hybrid strategy: the
-/// alias (`cacs-hybrid`) and `cacs-opt --strategy hybrid` are the same
-/// engine behind two argv conventions.
+/// `cacs-opt --strategy hybrid` prints, byte for byte, the first
+/// golden digest of `cli::tests::hybrid_digest_pins_pre_engine_bytes`
+/// — the pre-engine hybrid bytes, pinned at the binary level.
 #[test]
-fn opt_hybrid_matches_the_cacs_hybrid_alias_bytes() {
-    let (code, opt_digest, stderr) = run_opt(&["--strategy", "hybrid"]);
+fn opt_hybrid_prints_the_pre_engine_golden_bytes() {
+    let (code, digest, stderr) = run_opt(&["--strategy", "hybrid"]);
     assert_eq!(code, Some(0), "stderr:\n{stderr}");
-
-    let hybrid_bin = env!("CARGO_BIN_EXE_cacs-hybrid");
-    let output = Command::new(hybrid_bin)
-        .args(["--problem", PROBLEM, "--starts", STARTS])
-        .output()
-        .expect("run cacs-hybrid");
-    assert_eq!(output.status.code(), Some(0));
     assert_eq!(
-        opt_digest,
-        String::from_utf8_lossy(&output.stdout),
-        "cacs-opt --strategy hybrid must print cacs-hybrid's exact bytes"
+        digest,
+        "HYBRID 2\n\
+         SEARCH 0 1911 1896:3fee700000000000 16\n\
+         SEARCH 1 291 259:3fe6ea0000000000 16\n\
+         BEST 1896:3fee700000000000\n\
+         DONE\n"
     );
-}
-
-/// `cacs-hybrid` (the fixed-strategy alias) rejects `--strategy` — its
-/// argv surface is frozen to the historical flag set.
-#[test]
-fn hybrid_alias_rejects_strategy_flag() {
-    let hybrid_bin = env!("CARGO_BIN_EXE_cacs-hybrid");
-    let output = Command::new(hybrid_bin)
-        .args(["--problem", PROBLEM, "--strategy", "anneal"])
-        .output()
-        .expect("run cacs-hybrid");
-    assert_eq!(output.status.code(), Some(2));
 }
 
 /// An unknown strategy name is a usage error with a helpful message.
@@ -157,24 +141,10 @@ fn foreign_strategy_knobs_are_refused() {
         "stderr:\n{stderr}"
     );
 
-    // The cacs-hybrid alias keeps its pre-engine argv surface: flags of
-    // the other strategies are refused, its own still work.
-    let hybrid_bin = env!("CARGO_BIN_EXE_cacs-hybrid");
-    let output = Command::new(hybrid_bin)
-        .args(["--problem", PROBLEM, "--population", "32"])
-        .output()
-        .expect("run cacs-hybrid");
-    assert_eq!(output.status.code(), Some(2));
-    let output = Command::new(hybrid_bin)
-        .args([
-            "--problem",
-            PROBLEM,
-            "--starts",
-            STARTS,
-            "--tolerance",
-            "0.01",
-        ])
-        .output()
-        .expect("run cacs-hybrid");
-    assert_eq!(output.status.code(), Some(0));
+    // The hybrid strategy (the default) refuses the other strategies'
+    // flags and accepts its own.
+    let (code, _, stderr) = run_opt(&["--population", "32"]);
+    assert_eq!(code, Some(2), "stderr:\n{stderr}");
+    let (code, _, stderr) = run_opt(&["--strategy", "hybrid", "--tolerance", "0.01"]);
+    assert_eq!(code, Some(0), "stderr:\n{stderr}");
 }
