@@ -19,20 +19,21 @@
 //! END
 //! ```
 //!
-//! Version 3 frames every line after the header with the CRC-32 suffix
-//! of [`cacs_search::integrity`] (`<payload> *<8 hex>`): bit rot in a
+//! Every line after the header carries the CRC-32 suffix of
+//! [`cacs_search::integrity`] (`<payload> *<8 hex>`): bit rot in a
 //! checkpoint — a flipped hex digit inside a bit pattern would
-//! otherwise parse fine and silently poison every resumed sweep — is
-//! the typed [`DistribError::Corrupt`] and the resume is **refused**
-//! (unlike store records, a checkpoint line cannot be skipped: the
-//! merged report is one indivisible value). Version-1 (no `PROBLEM`
-//! line) and version-2 files, both unframed, remain readable.
+//! otherwise parse fine and silently poison every resumed sweep — or a
+//! line missing its suffix is the typed [`DistribError::Corrupt`] and
+//! the resume is **refused** (unlike store records, a checkpoint line
+//! cannot be skipped: the merged report is one indivisible value).
+//! Files with any other header, including the unframed versions 1 and
+//! 2, are refused with [`DistribError::Checkpoint`].
 //!
 //! The **problem digest** (an opaque token naming the exact objective,
-//! e.g. the canonical `--problem` spec, introduced in v2) makes a
-//! resume against a checkpoint written for a *different* problem over
-//! the same box fail fast with [`DistribError::ProblemMismatch`]
-//! instead of silently merging two sweeps.
+//! e.g. the canonical `--problem` spec) makes a resume against a
+//! checkpoint written for a *different* problem over the same box fail
+//! fast with [`DistribError::ProblemMismatch`] instead of silently
+//! merging two sweeps.
 //!
 //! Writes go through a sibling temp file and an atomic rename, and loads
 //! refuse files without the `END` trailer, so a coordinator killed
@@ -42,23 +43,21 @@
 //! an uninterrupted one.
 
 use crate::shard::{coalesce, RankRange};
-use crate::wire::{ReportAssembler, WorkerMsg};
+use crate::wire::{parse_bits, ReportAssembler, WorkerMsg};
 use crate::{DistribError, Result};
 use cacs_search::integrity::{append_crc, verify_line};
 use cacs_search::{ExhaustiveReport, ScheduleSpace};
 use std::io::Write as _;
 use std::path::Path;
 
-const HEADER_V1: &str = "CACS-SWEEP-CHECKPOINT 1";
-const HEADER_V2: &str = "CACS-SWEEP-CHECKPOINT 2";
-const HEADER_V3: &str = "CACS-SWEEP-CHECKPOINT 3";
+const HEADER: &str = "CACS-SWEEP-CHECKPOINT 3";
 
 /// The durable state of a partially completed sharded sweep.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
-    /// Opaque digest of the problem being swept (v2 checkpoints; resume
-    /// validates it when both sides carry one). `None` = unknown, e.g. a
-    /// v1 checkpoint or an API caller without a canonical problem name.
+    /// Opaque digest of the problem being swept (resume validates it
+    /// when both sides carry one). `None` = unknown, e.g. an API caller
+    /// without a canonical problem name.
     pub problem: Option<String>,
     /// Per-dimension maxima of the swept space (resume validates these).
     pub space_maxes: Vec<u32>,
@@ -107,7 +106,7 @@ impl Checkpoint {
     /// schedules outside the space (cannot be encoded as ranks).
     pub fn to_text(&self, space: &ScheduleSpace) -> Result<String> {
         let mut out = String::new();
-        out.push_str(HEADER_V3);
+        out.push_str(HEADER);
         out.push('\n');
         // Every line below the header is CRC-framed.
         let mut push = |line: &str| {
@@ -140,7 +139,7 @@ impl Checkpoint {
             truncated,
             nresults,
             ..
-        } = WorkerMsg::decode(&lines[0])?
+        } = WorkerMsg::decode_payload(&lines[0])?
         else {
             unreachable!("report_to_lines starts with a REPORT header");
         };
@@ -165,8 +164,8 @@ impl Checkpoint {
     ///
     /// Returns [`DistribError::Checkpoint`] on malformed or truncated
     /// text or when the checkpoint's space/retention disagree with the
-    /// resumed sweep's, [`DistribError::Corrupt`] when a v3 line fails
-    /// (or is missing) its CRC — the resume is refused rather than
+    /// resumed sweep's, [`DistribError::Corrupt`] when a line fails (or
+    /// is missing) its CRC — the resume is refused rather than
     /// continued from poisoned state — and
     /// [`DistribError::ProblemMismatch`] when the checkpoint names a
     /// different problem than `problem`. A checkpoint without a
@@ -182,47 +181,23 @@ impl Checkpoint {
             reason: reason.to_string(),
         };
         let mut raw = text.lines();
-        let version = match raw.next() {
-            Some(HEADER_V1) => 1,
-            Some(HEADER_V2) => 2,
-            Some(HEADER_V3) => 3,
-            _ => return Err(bad("missing or unsupported header")),
-        };
-        // v3: verify and strip the CRC frame of every line up front;
-        // older versions pass through unframed.
-        let body: Vec<&str> = if version == 3 {
-            raw.map(|line| match verify_line(line) {
-                Ok((payload, true)) => Ok(payload),
-                Ok((_, false)) => Err(DistribError::Corrupt {
-                    context: format!("checkpoint line {line:?} is missing its CRC suffix"),
-                }),
-                Err(reason) => Err(DistribError::Corrupt {
+        if raw.next() != Some(HEADER) {
+            return Err(bad("missing or unsupported header"));
+        }
+        // Verify and strip the CRC frame of every line up front.
+        let body: Vec<&str> = raw
+            .map(|line| {
+                verify_line(line).map_err(|reason| DistribError::Corrupt {
                     context: format!("{reason} in checkpoint line {line:?}"),
-                }),
+                })
             })
-            .collect::<Result<_>>()?
-        } else {
-            raw.collect()
-        };
+            .collect::<Result<_>>()?;
         let mut lines = body.into_iter().peekable();
-        let saved_problem = match version {
-            1 => None,
-            2 => {
-                let problem_line = lines.next().ok_or_else(|| bad("missing PROBLEM line"))?;
-                let digest = problem_line
-                    .strip_prefix("PROBLEM ")
-                    .ok_or_else(|| bad("missing PROBLEM line"))?;
-                Some(digest.to_string())
-            }
-            _ => match lines.peek().and_then(|l| l.strip_prefix("PROBLEM ")) {
-                Some(digest) => {
-                    let digest = digest.to_string();
-                    lines.next();
-                    Some(digest)
-                }
-                None => None,
-            },
-        };
+        // The PROBLEM line is optional: digest-less API callers omit it.
+        let saved_problem = lines
+            .next_if(|l| l.starts_with("PROBLEM "))
+            .and_then(|l| l.strip_prefix("PROBLEM "))
+            .map(str::to_string);
         if let (Some(expected), Some(found)) = (problem, &saved_problem) {
             if expected != found {
                 return Err(DistribError::ProblemMismatch {
@@ -232,7 +207,7 @@ impl Checkpoint {
             }
         }
         let space_line = lines.next().ok_or_else(|| bad("missing SPACE line"))?;
-        let space_maxes = match crate::wire::CoordMsg::decode(space_line) {
+        let space_maxes = match crate::wire::CoordMsg::decode_payload(space_line) {
             Ok(crate::wire::CoordMsg::Space(maxes)) => maxes,
             _ => return Err(bad("malformed SPACE line")),
         };
@@ -296,7 +271,7 @@ impl Checkpoint {
             Some(pair) => {
                 let (rank, bits) = pair.split_once(':').ok_or_else(|| bad("malformed BEST"))?;
                 let rank = rank.parse().map_err(|_| bad("malformed BEST rank"))?;
-                let bits = u64::from_str_radix(bits, 16).map_err(|_| bad("malformed BEST bits"))?;
+                let bits = parse_bits(bits).ok_or_else(|| bad("malformed BEST bits"))?;
                 Some((rank, bits))
             }
             None => return Err(bad("missing BEST line")),
@@ -329,7 +304,7 @@ impl Checkpoint {
             })?;
         for _ in 0..nresults {
             let l = lines.next().ok_or_else(|| bad("truncated result list"))?;
-            let msg = WorkerMsg::decode(l).map_err(|e| DistribError::Checkpoint {
+            let msg = WorkerMsg::decode_payload(l).map_err(|e| DistribError::Checkpoint {
                 reason: format!("result line: {e}"),
             })?;
             assembler.push(msg).map_err(|e| DistribError::Checkpoint {
@@ -486,26 +461,6 @@ mod tests {
         assert!(Checkpoint::from_text(&text, &space, Some(5), None).is_err());
     }
 
-    /// Renders `text` the way an older (unframed) writer would have:
-    /// legacy header, CRC suffixes stripped, `PROBLEM` dropped for v1.
-    fn downgrade(text: &str, version: u32) -> String {
-        text.lines()
-            .map(|l| {
-                if l == super::HEADER_V3 {
-                    if version == 1 {
-                        super::HEADER_V1
-                    } else {
-                        super::HEADER_V2
-                    }
-                } else {
-                    cacs_search::integrity::verify_line(l).unwrap().0
-                }
-            })
-            .filter(|l| !(version == 1 && l.starts_with("PROBLEM ")))
-            .map(|l| format!("{l}\n"))
-            .collect()
-    }
-
     #[test]
     fn problem_digest_round_trips_and_mismatch_is_typed() {
         let (space, mut ck) = sample();
@@ -535,25 +490,28 @@ mod tests {
     }
 
     #[test]
-    fn v1_and_v2_checkpoints_stay_readable() {
+    fn pre_integrity_checkpoint_headers_are_refused() {
+        // Versions 1 and 2 predate the CRC frame (and version 1 the
+        // PROBLEM line); no writer emits them.
         let (space, mut ck) = sample();
         ck.problem = Some("paper-fast".to_string());
         let text = ck.to_text(&space).unwrap();
-
-        // v1: no PROBLEM line, unframed. Loads under any expected digest
-        // (nothing to validate).
-        let v1 = downgrade(&text, 1);
-        assert!(v1.starts_with("CACS-SWEEP-CHECKPOINT 1\nSPACE "));
-        let back = Checkpoint::from_text(&v1, &space, None, Some("paper-fast")).unwrap();
-        assert!(back.problem.is_none());
-        assert_reports_identical(&back.report, &ck.report);
-
-        // v2: PROBLEM line, unframed.
-        let v2 = downgrade(&text, 2);
-        assert!(v2.starts_with("CACS-SWEEP-CHECKPOINT 2\nPROBLEM paper-fast\n"));
-        let back = Checkpoint::from_text(&v2, &space, None, Some("paper-fast")).unwrap();
-        assert_eq!(back.problem.as_deref(), Some("paper-fast"));
-        assert_reports_identical(&back.report, &ck.report);
+        let body: Vec<&str> = text
+            .lines()
+            .skip(1)
+            .map(|l| verify_line(l).unwrap())
+            .collect();
+        for (version, first) in [(1, 1), (2, 0)] {
+            let old = format!(
+                "CACS-SWEEP-CHECKPOINT {version}\n{}\n",
+                body[first..].join("\n")
+            );
+            let err = Checkpoint::from_text(&old, &space, None, None).unwrap_err();
+            assert!(
+                matches!(err, DistribError::Checkpoint { .. }),
+                "version {version}: expected Checkpoint, got {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -601,14 +559,14 @@ mod tests {
     fn v3_line_stripped_of_its_crc_refuses_the_resume() {
         let (space, ck) = sample();
         let text = ck.to_text(&space).unwrap();
-        // Remove the CRC suffix from one line: a v3 file must not accept
-        // unframed lines (that would let truncation-by-suffix pass).
+        // Remove the CRC suffix from one line: a checkpoint must not
+        // accept unframed lines (that would let truncation-by-suffix pass).
         let stripped: String = text
             .lines()
             .enumerate()
             .map(|(i, l)| {
                 if i == 2 {
-                    format!("{}\n", cacs_search::integrity::verify_line(l).unwrap().0)
+                    format!("{}\n", verify_line(l).unwrap())
                 } else {
                     format!("{l}\n")
                 }

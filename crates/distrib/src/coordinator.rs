@@ -38,7 +38,7 @@
 use crate::checkpoint::Checkpoint;
 use crate::link::{LinkRecv, WorkerLink};
 use crate::shard::{Lease, RankRange, ShardPlan};
-use crate::wire::{CoordMsg, ReportAssembler, WorkerMsg, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+use crate::wire::{CoordMsg, ReportAssembler, WorkerMsg, PROTOCOL_VERSION};
 use crate::worker::{splitmix64, ChaosPlan};
 use crate::{DistribError, Result};
 use cacs_par::sync::lock_recover;
@@ -427,7 +427,7 @@ pub fn run_supervised(
         });
     }
     checkpoint.retain = retain;
-    // A digest-less config must not strip the digest a resumed v2
+    // A digest-less config must not strip the digest a resumed
     // checkpoint already carries — that would silently disable the
     // mismatch protection for good.
     if config.problem_digest.is_some() {
@@ -585,14 +585,9 @@ fn drive_worker(mut link: WorkerLink, shared: &Shared<'_>, consecutive: &mut u32
     let handshake_start = cacs_obs::stamp();
     let handshake_why: Option<String> = match link.recv_deadline(shared.config.handshake_timeout) {
         LinkRecv::Line(line) => match WorkerMsg::decode(&line) {
-            Ok(WorkerMsg::Hello { version })
-                if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) =>
-            {
-                None
-            }
+            Ok(WorkerMsg::Hello { version }) if version == PROTOCOL_VERSION => None,
             Ok(WorkerMsg::Hello { version }) => Some(format!(
-                "protocol version {version}, supported \
-                 {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION}"
+                "protocol version {version}, expected {PROTOCOL_VERSION}"
             )),
             _ => Some("bad handshake".to_string()),
         },
@@ -1271,68 +1266,39 @@ mod tests {
     }
 
     #[test]
-    fn version_1_workers_are_still_admitted() {
-        // A v1 peer sends an unframed HELLO with version 1; the range
-        // check must admit it for one version of overlap.
+    fn framed_hello_with_an_old_version_is_refused() {
+        // A correctly framed HELLO naming protocol version 1 is refused
+        // at the handshake, whether or not a good worker stands by.
         let eval = gnarly();
         let space = ScheduleSpace::new(vec![4, 4, 4]).unwrap();
         let single = exhaustive_search_with(&eval, &space, &SweepConfig::default()).unwrap();
+        let old_peer = || {
+            let (link, endpoint) = WorkerLink::channel_pair("old-peer");
+            endpoint
+                .outgoing
+                .send(WorkerMsg::Hello { version: 1 }.encode_framed())
+                .unwrap();
+            link
+        };
+        let config = CoordinatorConfig {
+            shard_size: 30,
+            ..CoordinatorConfig::default()
+        };
+
+        let alone = run_coordinator(&space, vec![old_peer()], &config);
+        assert!(matches!(alone, Err(DistribError::WorkersExhausted { .. })));
+
         let sharded = std::thread::scope(|s| {
+            let (link, endpoint) = WorkerLink::channel_pair("steady");
             let eval = &eval;
-            let (link, endpoint) = WorkerLink::channel_pair("v1-peer");
-            s.spawn(move || {
-                // Hand-rolled v1 worker: unframed lines, version 1.
-                let incoming = endpoint.incoming;
-                let outgoing = endpoint.outgoing;
-                // cacs-lint: allow(unframed-wire-write, reason = "v1-compat test: a version-1 peer speaks unframed lines by design")
-                outgoing.send("HELLO cacs-sweep 1".to_string()).unwrap();
-                let space_line = incoming.recv().unwrap();
-                let CoordMsg::Space(maxes) = CoordMsg::decode(&space_line).unwrap() else {
-                    panic!("expected SPACE");
-                };
-                let space = ScheduleSpace::new(maxes).unwrap();
-                while let Ok(line) = incoming.recv() {
-                    match CoordMsg::decode(&line).unwrap() {
-                        CoordMsg::Sweep {
-                            lease,
-                            start,
-                            end,
-                            chunk,
-                            grain,
-                            retain,
-                        } => {
-                            let report = cacs_search::exhaustive_search_range(
-                                eval,
-                                &space,
-                                start,
-                                end,
-                                &SweepConfig {
-                                    chunk_size: chunk,
-                                    max_results: retain,
-                                    dispatch_grain: grain,
-                                },
-                            )
-                            .unwrap();
-                            for l in crate::wire::report_to_lines(&space, lease, &report).unwrap() {
-                                outgoing.send(l).unwrap(); // unframed, v1 style
-                            }
-                        }
-                        CoordMsg::Exit => break,
-                        CoordMsg::Space(_) => panic!("SPACE twice"),
-                    }
-                }
-            });
-            run_coordinator(
-                &space,
-                vec![link],
-                &CoordinatorConfig {
-                    shard_size: 30,
-                    ..CoordinatorConfig::default()
-                },
-            )
+            s.spawn(move || endpoint.serve(eval, ChaosPlan::default()));
+            run_coordinator(&space, vec![old_peer(), link], &config)
         })
         .unwrap();
-        assert_identical(&sharded.report, &single, "v1 worker interop");
+        assert_eq!(sharded.stats.faults.len(), 1);
+        assert_eq!(sharded.stats.faults[0].worker, "old-peer");
+        assert_eq!(sharded.stats.faults[0].kind, FaultKind::Handshake);
+        assert_identical(&sharded.report, &single, "after refusing the old peer");
     }
 
     #[test]

@@ -43,12 +43,12 @@
 //! structured [`FaultEvent`] in [`SweepStats`].
 //!
 //! Integrity is end to end: every wire line is CRC-32 framed
-//! (protocol v2 — see [`wire`]; v-less peers are still accepted), as
-//! is every checkpoint body line, so corruption anywhere between a
-//! worker's encoder and the coordinator's decoder is a typed `Corrupt`
-//! fault (worker replaced, lease re-issued), never a silently wrong
-//! merge. A corrupt checkpoint refuses to resume instead — the merged
-//! report is indivisible. The coordinator checkpoints completed
+//! (protocol v2 — see [`wire`]), as is every checkpoint body line, so
+//! corruption anywhere between a worker's encoder and the
+//! coordinator's decoder is a typed `Corrupt` fault (worker replaced,
+//! lease re-issued), never a silently wrong merge. A corrupt
+//! checkpoint refuses to resume instead — the merged report is
+//! indivisible. The coordinator checkpoints completed
 //! coverage plus the running merged report after every lease
 //! ([`checkpoint`]), atomically, so a killed coordinator resumes where
 //! it left off — even under a different shard size.

@@ -26,32 +26,29 @@
 //!
 //! # Integrity (protocol version 2)
 //!
-//! Since version 2 every line a peer emits is **framed** with a CRC-32
-//! suffix (see [`cacs_search::integrity`]): `<payload> *<8 hex>`. The
-//! decoder verifies and strips the suffix before parsing; a mismatch is
-//! the typed [`DistribError::Corrupt`] — distinct from a structurally
-//! malformed line — and the coordinator treats it like any other fault:
-//! the worker is dropped and its lease re-issued, so a transport that
-//! flips a bit inside an objective's hex pattern can no longer smuggle
-//! wrong bits into the merged report. Unframed (version-1) lines are
-//! still accepted for one version, so a v1 peer interoperates with a v2
-//! one; the `HELLO` version check accepts [`MIN_PROTOCOL_VERSION`]
-//! through [`PROTOCOL_VERSION`].
+//! Every line a peer emits is **framed** with a CRC-32 suffix (see
+//! [`cacs_search::integrity`]): `<payload> *<8 hex>`. The decoder
+//! verifies and strips the suffix before parsing; a missing or
+//! mismatching suffix is the typed [`DistribError::Corrupt`] — distinct
+//! from a structurally malformed line — and the coordinator treats it
+//! like any other fault: the worker is dropped and its lease re-issued,
+//! so a transport that flips a bit inside an objective's hex pattern,
+//! or cuts a line short, can no longer smuggle wrong bits into the
+//! merged report.
 //!
 //! # Stability guarantee
 //!
 //! The protocol is versioned by [`PROTOCOL_VERSION`], exchanged in the
-//! `HELLO` line; a coordinator refuses workers speaking a version it
-//! does not support. Within one version the format is **frozen**:
+//! `HELLO` line; a coordinator refuses workers speaking any other
+//! version. Within one version the format is **frozen**:
 //! fields are only ever appended behind a version bump, never reordered
 //! or re-encoded, so a coordinator and workers built from the same
 //! major protocol version interoperate across hosts and binary builds.
 //! The checkpoint file reuses the same primitive encodings (ranks + hex
 //! bit patterns) under its own header, with the same guarantee.
-//! Decoding is deliberately strict — unknown *trailing* fields are
-//! rejected rather than ignored — so a framed line whose CRC suffix was
-//! damaged (and therefore no longer recognised as a suffix) fails to
-//! parse instead of being accepted with stale checksum text glued on.
+//! Decoding is deliberately strict: unknown *trailing* fields are
+//! rejected rather than ignored, `<bits>` must be exactly 16 lower-case
+//! hex digits and the truncated flag exactly `0` or `1`.
 
 use crate::{DistribError, Result};
 use cacs_search::integrity::{append_crc, verify_line};
@@ -62,11 +59,6 @@ use cacs_search::{ExhaustiveReport, ScheduleSpace};
 ///
 /// Version 2 added the per-line CRC-32 framing.
 pub const PROTOCOL_VERSION: u32 = 2;
-
-/// Oldest protocol version the coordinator still admits: version-1
-/// workers emit unframed lines, which the decoder accepts for one
-/// version of overlap.
-pub const MIN_PROTOCOL_VERSION: u32 = 1;
 
 /// Magic token of the `HELLO` line, so a coordinator fails fast when
 /// pointed at something that is not a sweep worker at all.
@@ -148,14 +140,11 @@ fn protocol_err(line: &str, why: &str) -> DistribError {
     }
 }
 
-/// Verifies and strips an optional CRC frame before parsing.
+/// Verifies and strips the mandatory CRC frame before parsing.
 fn unframe(line: &str) -> Result<&str> {
-    match verify_line(line) {
-        Ok((payload, _)) => Ok(payload),
-        Err(reason) => Err(DistribError::Corrupt {
-            context: format!("{reason} in line {line:?}"),
-        }),
-    }
+    verify_line(line).map_err(|reason| DistribError::Corrupt {
+        context: format!("{reason} in line {line:?}"),
+    })
 }
 
 /// Rejects unknown trailing fields — see the module docs on strictness.
@@ -173,12 +162,21 @@ fn parse_field<T: std::str::FromStr>(field: Option<&str>, line: &str, what: &str
         .map_err(|_| protocol_err(line, &format!("malformed {what}")))
 }
 
+/// Parses a `<bits>` field: exactly 16 lower-case hex digits.
+pub(crate) fn parse_bits(hex: &str) -> Option<u64> {
+    let digits = hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    if hex.len() != 16 || !digits {
+        return None;
+    }
+    u64::from_str_radix(hex, 16).ok()
+}
+
 fn parse_opt_bits(field: Option<&str>, line: &str) -> Result<Option<u64>> {
     match field {
         Some("none") => Ok(None),
-        Some(hex) => u64::from_str_radix(hex, 16)
+        Some(hex) => parse_bits(hex)
             .map(Some)
-            .map_err(|_| protocol_err(line, "malformed value bits")),
+            .ok_or_else(|| protocol_err(line, "malformed value bits")),
         None => Err(protocol_err(line, "missing value bits")),
     }
 }
@@ -219,15 +217,19 @@ impl CoordMsg {
         append_crc(&self.encode())
     }
 
-    /// Parses one coordinator line, verifying and stripping the CRC
-    /// frame when present.
+    /// Parses one coordinator line, verifying and stripping its CRC
+    /// frame.
     ///
     /// # Errors
     ///
     /// Returns [`DistribError::Protocol`] on unknown or malformed lines
-    /// and [`DistribError::Corrupt`] on a CRC mismatch.
+    /// and [`DistribError::Corrupt`] on a missing or mismatching CRC.
     pub fn decode(line: &str) -> Result<Self> {
-        let line = unframe(line)?;
+        Self::decode_payload(unframe(line)?)
+    }
+
+    /// Parses an already-verified payload (see [`CoordMsg::decode`]).
+    pub(crate) fn decode_payload(line: &str) -> Result<Self> {
         let mut fields = line.split_whitespace();
         match fields.next() {
             Some("SPACE") => {
@@ -312,15 +314,18 @@ impl WorkerMsg {
         append_crc(&self.encode())
     }
 
-    /// Parses one worker line, verifying and stripping the CRC frame
-    /// when present.
+    /// Parses one worker line, verifying and stripping its CRC frame.
     ///
     /// # Errors
     ///
     /// Returns [`DistribError::Protocol`] on unknown or malformed lines
-    /// and [`DistribError::Corrupt`] on a CRC mismatch.
+    /// and [`DistribError::Corrupt`] on a missing or mismatching CRC.
     pub fn decode(line: &str) -> Result<Self> {
-        let line = unframe(line)?;
+        Self::decode_payload(unframe(line)?)
+    }
+
+    /// Parses an already-verified payload (see [`WorkerMsg::decode`]).
+    pub(crate) fn decode_payload(line: &str) -> Result<Self> {
         let mut fields = line.split_whitespace();
         match fields.next() {
             Some("HELLO") => {
@@ -345,13 +350,17 @@ impl WorkerMsg {
                         let rank = rank
                             .parse()
                             .map_err(|_| protocol_err(line, "malformed best rank"))?;
-                        let bits = u64::from_str_radix(bits, 16)
-                            .map_err(|_| protocol_err(line, "malformed best bits"))?;
+                        let bits = parse_bits(bits)
+                            .ok_or_else(|| protocol_err(line, "malformed best bits"))?;
                         Some((rank, bits))
                     }
                     None => return Err(protocol_err(line, "missing best")),
                 };
-                let truncated: u8 = parse_field(fields.next(), line, "truncated flag")?;
+                let truncated = match fields.next() {
+                    Some("0") => false,
+                    Some("1") => true,
+                    _ => return Err(protocol_err(line, "malformed truncated flag")),
+                };
                 let nresults = parse_field(fields.next(), line, "result count")?;
                 expect_end(&mut fields, line)?;
                 Ok(WorkerMsg::Report {
@@ -360,7 +369,7 @@ impl WorkerMsg {
                     evaluated,
                     feasible,
                     best,
-                    truncated: truncated != 0,
+                    truncated,
                     nresults,
                 })
             }
@@ -380,7 +389,9 @@ impl WorkerMsg {
     }
 }
 
-/// Renders a shard report as its wire lines (`REPORT`, `R`…, `DONE`).
+/// Renders a shard report as its wire line payloads (`REPORT`, `R`…,
+/// `DONE`), unframed: callers frame each with
+/// [`cacs_search::integrity::append_crc`] before sending.
 ///
 /// # Errors
 ///
@@ -577,7 +588,7 @@ mod tests {
             CoordMsg::Exit,
         ];
         for msg in &msgs {
-            assert_eq!(&CoordMsg::decode(&msg.encode()).unwrap(), msg);
+            assert_eq!(&CoordMsg::decode(&msg.encode_framed()).unwrap(), msg);
         }
     }
 
@@ -616,53 +627,41 @@ mod tests {
             WorkerMsg::Done { lease: 9 },
         ];
         for msg in &msgs {
-            assert_eq!(&WorkerMsg::decode(&msg.encode()).unwrap(), msg);
+            assert_eq!(&WorkerMsg::decode(&msg.encode_framed()).unwrap(), msg);
         }
     }
 
     #[test]
     fn malformed_lines_rejected() {
+        // Framed, so each case reaches the field parser.
         for line in [
             "",
             "BOGUS 1 2",
-            "SPACE 3 4 9",             // count mismatch
-            "SPACE x",                 // malformed count
-            "SWEEP 1 2",               // missing fields
-            "HELLO other-magic 1",     // wrong magic
-            "REPORT 1 2 3 4",          // missing best
-            "REPORT 1 2 3 4 5:zz 0 0", // bad hex
-            "R 5",                     // missing value
-            "R x none",                // bad rank
-            "DONE",                    // missing lease
-            "EXIT now",                // trailing junk
-            "DONE 3 x",                // trailing junk
-            "R 5 none extra",          // trailing junk
-            "HELLO cacs-sweep 2 !",    // trailing junk
-            "SWEEP 1 2 3 4 5 all 6",   // trailing junk
+            "SPACE 3 4 9",              // count mismatch
+            "SPACE x",                  // malformed count
+            "SWEEP 1 2",                // missing fields
+            "HELLO other-magic 1",      // wrong magic
+            "REPORT 1 2 3 4",           // missing best
+            "REPORT 1 2 3 4 5:zz 0 0",  // bad hex
+            "REPORT 1 2 3 4 5:3fc 0 0", // short bits
+            "REPORT 1 2 3 4 none 2 0",  // truncated flag not 0/1
+            "R 5",                      // missing value
+            "R x none",                 // bad rank
+            "R 5 3fc",                  // short bits
+            "R 5 3FC765A0780313C0",     // upper-case bits
+            "DONE",                     // missing lease
+            "EXIT now",                 // trailing junk
+            "DONE 3 x",                 // trailing junk
+            "R 5 none extra",           // trailing junk
+            "HELLO cacs-sweep 2 !",     // trailing junk
+            "SWEEP 1 2 3 4 5 all 6",    // trailing junk
         ] {
+            let framed = append_crc(line);
             assert!(
-                CoordMsg::decode(line).is_err() && WorkerMsg::decode(line).is_err(),
-                "line {line:?} should not parse"
+                CoordMsg::decode(&framed).is_err() && WorkerMsg::decode(&framed).is_err(),
+                "line {framed:?} should not parse"
             );
         }
-    }
-
-    #[test]
-    fn framed_messages_round_trip() {
-        let coord = CoordMsg::Sweep {
-            lease: 3,
-            start: 100,
-            end: 260,
-            chunk: 4096,
-            grain: 64,
-            retain: Some(12),
-        };
-        assert_eq!(CoordMsg::decode(&coord.encode_framed()).unwrap(), coord);
-        let worker = WorkerMsg::Result {
-            rank: 7,
-            value_bits: Some(0.125f64.to_bits()),
-        };
-        assert_eq!(WorkerMsg::decode(&worker.encode_framed()).unwrap(), worker);
     }
 
     #[test]
@@ -682,12 +681,14 @@ mod tests {
 
     #[test]
     fn damaged_crc_suffix_degrades_to_a_parse_error_not_acceptance() {
-        // Mutating the `*` marker makes the suffix unrecognisable; the
-        // stale checksum text must then be rejected as trailing junk
-        // rather than silently ignored.
+        // Mutating the `*` marker makes the suffix unrecognisable, and a
+        // line without a suffix is rejected before any field is read.
         let framed = WorkerMsg::Done { lease: 3 }.encode_framed();
         let damaged = framed.replacen(" *", " x", 1);
-        assert!(WorkerMsg::decode(&damaged).is_err());
+        assert!(matches!(
+            WorkerMsg::decode(&damaged),
+            Err(DistribError::Corrupt { .. })
+        ));
     }
 
     #[test]
@@ -708,11 +709,13 @@ mod tests {
         let report = exhaustive_search(&eval, &space).unwrap();
 
         let lines = report_to_lines(&space, 5, &report).unwrap();
-        let header = WorkerMsg::decode(&lines[0]).unwrap();
+        let header = WorkerMsg::decode(&append_crc(&lines[0])).unwrap();
         let mut assembler = ReportAssembler::new(&space, &header).unwrap();
         let mut finished = None;
         for line in &lines[1..] {
-            finished = assembler.push(WorkerMsg::decode(line).unwrap()).unwrap();
+            finished = assembler
+                .push(WorkerMsg::decode(&append_crc(line)).unwrap())
+                .unwrap();
         }
         let (lease, decoded) = finished.expect("DONE closes the report");
         assert_eq!(lease, 5);

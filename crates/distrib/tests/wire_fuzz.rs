@@ -106,10 +106,9 @@ fn pristine_corpus_decodes() {
 /// The heart of the integrity story: a framed line with any ONE byte
 /// substituted must be rejected. CRC-32 catches every single-byte
 /// change of payload or suffix; substituting the frame marker or
-/// bending a suffix digit out of lowercase hex un-frames the line, and
-/// the decoders' strict trailing-field checks then reject the leftover
-/// suffix token. Exhaustive over every position and all 255 substitute
-/// bytes.
+/// bending a suffix digit out of lowercase hex leaves the line without
+/// a well-formed suffix, which the decoders refuse before reading a
+/// field. Exhaustive over every position and all 255 substitute bytes.
 #[test]
 fn framed_lines_reject_every_single_byte_substitution() {
     for (coord_line, line) in corpus() {
@@ -129,6 +128,22 @@ fn framed_lines_reject_every_single_byte_substitution() {
                     "accepted a corrupted line: {line:?} with byte {pos} -> {substitute:#04x}"
                 );
             }
+        }
+    }
+}
+
+/// A line cut short anywhere (a truncated read, a half-flushed write)
+/// must be rejected too: without its full suffix it is not framed, so
+/// no prefix can decode to a shorter field with wrong bits.
+#[test]
+fn every_proper_prefix_of_a_framed_line_is_rejected() {
+    for (coord_line, line) in corpus() {
+        for end in 0..line.len() {
+            assert!(
+                !decode(coord_line, &line[..end]),
+                "accepted the prefix {:?} of {line:?}",
+                &line[..end]
+            );
         }
     }
 }

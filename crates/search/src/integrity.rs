@@ -21,12 +21,11 @@
 //! The checksum is CRC-32 (IEEE 802.3, reflected polynomial
 //! `0xEDB88320`) over the raw payload bytes — everything before the
 //! ` *` marker. Payload fields in the covered formats never contain
-//! `*`, so the suffix is unambiguous. [`verify_line`] accepts unframed
-//! lines unchanged (one version of backward compatibility for every
-//! consumer), and is deliberately strict about the suffix itself: the
-//! checksum must be exactly 8 lower-case hex digits, so no single-byte
-//! mutation of a framed line (payload, marker, or checksum — including
-//! case changes) can pass verification.
+//! `*`, so the suffix is unambiguous. The frame is mandatory:
+//! [`verify_line`] rejects a line without one, and the checksum must be
+//! exactly 8 lower-case hex digits, so neither a single-byte mutation
+//! of a framed line (payload, marker, or checksum — including case
+//! changes) nor a proper prefix of one can pass verification.
 
 /// CRC-32 lookup table (IEEE 802.3 reflected polynomial), built at
 /// compile time.
@@ -76,20 +75,16 @@ fn has_crc_suffix(line: &str) -> bool {
             .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(b))
 }
 
-/// Splits and verifies an optionally CRC-framed line.
-///
-/// Returns `(payload, had_crc)`: a line carrying a well-formed CRC
-/// suffix is verified and stripped; a line without one passes through
-/// unchanged with `had_crc == false` (v-less compatibility).
+/// Verifies a CRC-framed line and returns its payload.
 ///
 /// # Errors
 ///
-/// Returns a human-readable reason when the suffix is well-formed but
-/// the checksum does not match the payload — the caller wraps it in its
-/// own typed `Corrupt` error.
-pub fn verify_line(line: &str) -> Result<(&str, bool), String> {
+/// Returns a human-readable reason when the line lacks a well-formed
+/// suffix or the checksum does not match the payload — the caller wraps
+/// it in its own typed `Corrupt` error.
+pub fn verify_line(line: &str) -> Result<&str, String> {
     if !has_crc_suffix(line) {
-        return Ok((line, false));
+        return Err("missing CRC suffix".to_string());
     }
     let payload = &line[..line.len() - 10];
     let stated = u32::from_str_radix(&line[line.len() - 8..], 16)
@@ -100,7 +95,7 @@ pub fn verify_line(line: &str) -> Result<(&str, bool), String> {
             "CRC mismatch: line states {stated:08x}, payload hashes to {actual:08x}"
         ));
     }
-    Ok((payload, true))
+    Ok(payload)
 }
 
 #[cfg(test)]
@@ -121,26 +116,20 @@ mod tests {
     #[test]
     fn framed_lines_round_trip() {
         for payload in ["R 17 3fc0000000000000", "E 0 none", "EXIT", ""] {
-            let framed = append_crc(payload);
-            let (back, had) = verify_line(&framed).unwrap();
-            assert_eq!(back, payload);
-            assert!(had);
+            assert_eq!(verify_line(&append_crc(payload)), Ok(payload));
         }
     }
 
     #[test]
-    fn unframed_lines_pass_through() {
+    fn unframed_lines_are_rejected() {
         for line in ["R 17 3fc0000000000000", "DONE 3", "", "ends with *short"] {
-            let (back, had) = verify_line(line).unwrap();
-            assert_eq!(back, line);
-            assert!(!had);
+            assert!(verify_line(line).is_err(), "{line:?} accepted");
         }
     }
 
     #[test]
     fn every_single_byte_mutation_of_a_framed_line_is_rejected() {
-        let payload = "REPORT 9 160 150 140 42:3fc0000000000000 1 2";
-        let framed = append_crc(payload);
+        let framed = append_crc("REPORT 9 160 150 140 42:3fc0000000000000 1 2");
         let bytes = framed.as_bytes();
         for i in 0..bytes.len() {
             for replacement in [b'0', b'9', b'a', b'f', b'A', b'x', b' ', b'*', b'~'] {
@@ -150,18 +139,10 @@ mod tests {
                 let mut mutated = bytes.to_vec();
                 mutated[i] = replacement;
                 let mutated = String::from_utf8(mutated).unwrap();
-                // Either the CRC fails outright, or the suffix is no
-                // longer recognised — in which case the stale checksum
-                // text stays glued to the payload and the caller's
-                // parser rejects the trailing junk. What can never
-                // happen is the original payload emerging verified.
-                match verify_line(&mutated) {
-                    Err(_) => {}
-                    Ok((back, _)) => assert_ne!(
-                        back, payload,
-                        "mutation at {i} to {replacement:?} slipped through"
-                    ),
-                }
+                assert!(
+                    verify_line(&mutated).is_err(),
+                    "mutation at {i} to {replacement:?} slipped through"
+                );
             }
         }
     }
@@ -171,9 +152,6 @@ mod tests {
         // Hex parsing is case-insensitive, so an upper-case suffix would
         // let `a`→`A` mutations through; the suffix grammar forbids it.
         let framed = append_crc("DONE 3");
-        let upper = framed.to_uppercase();
-        let (payload, had) = verify_line(&upper).unwrap();
-        assert!(!had);
-        assert_eq!(payload, upper);
+        assert!(verify_line(&framed.to_uppercase()).is_err());
     }
 }

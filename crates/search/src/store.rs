@@ -50,16 +50,15 @@
 //! [CRC-32 suffix](crate::integrity) covering its payload. Unlike the
 //! sweep checkpoint (where one damaged line invalidates the indivisible
 //! merged report, so resume is refused), store records are independent
-//! facts: a record whose CRC fails, whose payload does not parse, or
-//! whose rank lies outside the space is **quarantined** — skipped with
-//! a count surfaced through [`EvalStore::quarantined_records`] — and
-//! every other record is kept. The affected evaluations are simply
-//! re-computed by the resumed search. Structural damage (bad header,
-//! missing `END` trailer, mismatched digest or space) still refuses the
-//! open, and a torn *final* journal line remains silently tolerated as
-//! before — it is an interrupted append, not corruption. Version-1
-//! stores (no CRC suffixes) stay readable; the first compaction
-//! rewrites them in version-2 form.
+//! facts: a record whose CRC is missing or fails, whose payload does
+//! not parse, or whose rank lies outside the space is **quarantined** —
+//! skipped with a count surfaced through
+//! [`EvalStore::quarantined_records`] — and every other record is kept.
+//! The affected evaluations are simply re-computed by the resumed
+//! search. Structural damage (bad header, missing `END` trailer,
+//! mismatched digest or space) refuses the open, and a torn *final*
+//! journal line (no trailing `\n`) is silently tolerated: it is an
+//! interrupted append, not corruption.
 //!
 //! [`EvalStore::open`] replays the journal into the snapshot and
 //! compacts, so steady-state reads are a single sequential parse.
@@ -89,7 +88,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 const HEADER: &str = "CACS-EVAL-STORE 2";
-const HEADER_V1: &str = "CACS-EVAL-STORE 1";
 
 /// Error returned by [`EvalStore`] operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -270,29 +268,17 @@ pub fn decode_record(line: &str) -> StoreResult<(u64, Option<u64>)> {
     Ok((rank, value_bits))
 }
 
-/// Verifies and decodes one stored record line: strips and checks an
-/// optional CRC-32 frame (see [`crate::integrity`]), then decodes the
-/// payload and validates its rank against `space`. `require_crc`
-/// additionally rejects unframed lines — set for version-2 snapshots,
-/// whose writer always frames; the version-less journal accepts both so
-/// a version-1 journal replays unchanged.
+/// Verifies and decodes one stored record line: strips and checks its
+/// mandatory CRC-32 frame (see [`crate::integrity`]), then decodes the
+/// payload and validates its rank against `space`.
 ///
 /// Any `Err` from this function is *record-level* damage: the callers
 /// quarantine the line (skip it and count it) rather than refusing the
 /// store, because each record is an independent fact.
-fn decode_stored_record(
-    line: &str,
-    space: &ScheduleSpace,
-    require_crc: bool,
-) -> StoreResult<(u64, Option<u64>)> {
-    let (payload, had_crc) = verify_line(line).map_err(|why| StoreError::Corrupt {
+fn decode_stored_record(line: &str, space: &ScheduleSpace) -> StoreResult<(u64, Option<u64>)> {
+    let payload = verify_line(line).map_err(|why| StoreError::Corrupt {
         reason: format!("record {why}"),
     })?;
-    if require_crc && !had_crc {
-        return Err(StoreError::Corrupt {
-            reason: format!("record line {line:?} is missing its CRC suffix"),
-        });
-    }
     let (rank, bits) = decode_record(payload)?;
     if rank >= space.len() {
         return Err(StoreError::Corrupt {
@@ -692,13 +678,9 @@ fn parse_snapshot(
         reason: reason.to_string(),
     };
     let mut lines = text.lines();
-    // Version-2 snapshots CRC-frame every record line; version-1 files
-    // (pre-integrity) carry bare records and stay readable.
-    let require_crc = match lines.next() {
-        Some(h) if h == HEADER => true,
-        Some(h) if h == HEADER_V1 => false,
-        _ => return Err(bad("missing or unsupported header")),
-    };
+    if lines.next() != Some(HEADER) {
+        return Err(bad("missing or unsupported header"));
+    }
     let problem_line = lines.next().ok_or_else(|| bad("missing PROBLEM line"))?;
     let found = problem_line
         .strip_prefix("PROBLEM ")
@@ -740,7 +722,7 @@ fn parse_snapshot(
         let line = lines
             .next()
             .ok_or_else(|| bad("truncated record list (missing END trailer?)"))?;
-        match decode_stored_record(line, space, require_crc) {
+        match decode_stored_record(line, space) {
             Ok((rank, bits)) => {
                 records.insert(rank, bits);
             }
@@ -769,9 +751,7 @@ fn replay_journal(
     let torn_tail = !text.is_empty() && !text.ends_with('\n');
     for (i, line) in lines.iter().enumerate() {
         let last = i + 1 == lines.len();
-        // The journal carries no version header, so the CRC frame stays
-        // optional here — a version-1 journal replays unchanged.
-        match decode_stored_record(line, space, false) {
+        match decode_stored_record(line, space) {
             Ok((rank, bits)) => {
                 // The snapshot-covered value wins ties; journal entries
                 // behind an existing key are redundant re-records.
@@ -945,7 +925,12 @@ mod tests {
         let space = space();
         drop(EvalStore::open(&path, "p", &space).unwrap());
         let log = EvalStore::log_path_for(&path);
-        std::fs::write(&log, "E zz garbage\nE 3 none\n").unwrap();
+        let text = format!(
+            "{}\n{}\n",
+            append_crc("E zz garbage"),
+            append_crc("E 3 none")
+        );
+        std::fs::write(&log, text).unwrap();
         let store = EvalStore::open(&path, "p", &space).unwrap();
         assert_eq!(store.len(), 1);
         assert_eq!(store.quarantined_records(), 1);
@@ -961,7 +946,11 @@ mod tests {
         let space = space();
         drop(EvalStore::open(&path, "p", &space).unwrap());
         let log = EvalStore::log_path_for(&path);
-        std::fs::write(&log, "E 3 none\nE 5\n").unwrap();
+        std::fs::write(
+            &log,
+            format!("{}\n{}\n", append_crc("E 3 none"), append_crc("E 5")),
+        )
+        .unwrap();
         let store = EvalStore::open(&path, "p", &space).unwrap();
         assert_eq!(store.len(), 1);
         assert_eq!(store.quarantined_records(), 1);
@@ -1005,33 +994,41 @@ mod tests {
     }
 
     #[test]
-    fn version_1_store_files_stay_readable() {
-        // A pre-integrity store: version-1 header, bare (unframed)
-        // records in both snapshot and journal. It must load cleanly
-        // with nothing quarantined, and the first compaction (at open)
-        // must rewrite the snapshot in framed version-2 form.
-        let path = temp_store_path("v1-compat");
-        let space = space();
+    fn pre_integrity_store_header_is_refused() {
+        // Version 1 predates the CRC frame; no writer emits it, so its
+        // header is structural damage like any other unknown header.
+        let path = temp_store_path("pre-integrity");
         std::fs::write(
             &path,
             "CACS-EVAL-STORE 1\nPROBLEM p\nSPACE 2 6 7\nNRECORDS 2\nE 0 none\nE 9 3ff0000000000000\nEND\n",
         )
         .unwrap();
-        std::fs::write(EvalStore::log_path_for(&path), "E 11 none\n").unwrap();
-        let store = EvalStore::open(&path, "p", &space).unwrap();
-        assert_eq!(store.len(), 3);
-        assert_eq!(store.quarantined_records(), 0);
-        drop(store);
-        let rewritten = std::fs::read_to_string(&path).unwrap();
-        assert!(rewritten.starts_with("CACS-EVAL-STORE 2\n"));
-        assert!(rewritten.contains("E 9 3ff0000000000000 *"));
+        assert!(matches!(
+            EvalStore::open(&path, "p", &space()),
+            Err(StoreError::Corrupt { .. })
+        ));
         cleanup(&path);
+    }
+
+    /// Rewrites line `index` of `path` without its CRC suffix.
+    fn strip_crc(path: &Path, index: usize) {
+        let text = std::fs::read_to_string(path).unwrap();
+        let stripped: String = text
+            .lines()
+            .enumerate()
+            .map(|(i, l)| match verify_line(l) {
+                Ok(payload) if i == index => format!("{payload}\n"),
+                _ => format!("{l}\n"),
+            })
+            .collect();
+        assert_ne!(stripped, text, "no record line was stripped");
+        std::fs::write(path, stripped).unwrap();
     }
 
     #[test]
     fn v2_snapshot_record_stripped_of_its_crc_is_quarantined() {
-        // Version-2 snapshots are written fully framed, so a record
-        // line *without* a CRC suffix in one is itself damage (e.g. a
+        // Snapshots are written fully framed, so a record line
+        // *without* a CRC suffix in one is itself damage (e.g. a
         // partial overwrite pasted older content in) — quarantined.
         let path = temp_store_path("v2-stripped");
         let space = space();
@@ -1044,21 +1041,39 @@ mod tests {
             .unwrap();
         store.compact().unwrap();
         drop(store);
-
-        let text = std::fs::read_to_string(&path).unwrap();
-        let stripped: String = text
-            .lines()
-            .map(|l| match verify_line(l) {
-                Ok((payload, true)) if payload.starts_with("E 1") => format!("{payload}\n"),
-                _ => format!("{l}\n"),
-            })
-            .collect();
-        assert_ne!(stripped, text, "no record line was stripped");
-        std::fs::write(&path, stripped).unwrap();
+        strip_crc(&path, 4); // the first record, behind the 4 header lines
 
         let back = EvalStore::open(&path, "p", &space).unwrap();
         assert_eq!(back.quarantined_records(), 1);
         assert_eq!(back.len(), 1);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn journal_record_stripped_of_its_crc_is_quarantined() {
+        // A complete ('\n'-terminated) journal line without its frame
+        // is damage, not a torn append: quarantined, the rest replays.
+        let path = temp_store_path("journal-stripped");
+        let space = space();
+        let store = EvalStore::open(&path, "p", &space).unwrap();
+        for m in 1..=3u32 {
+            store
+                .record(&Schedule::new(vec![m, 1]).unwrap(), Some(f64::from(m)))
+                .unwrap();
+        }
+        drop(store);
+        strip_crc(&EvalStore::log_path_for(&path), 1);
+
+        let back = EvalStore::open(&path, "p", &space).unwrap();
+        assert_eq!(back.quarantined_records(), 1);
+        assert_eq!(back.len(), 2);
+        for (schedule, value) in back.entries() {
+            assert_ne!(schedule.counts()[0], 2, "stripped record replayed");
+            assert_eq!(
+                value.unwrap().to_bits(),
+                f64::from(schedule.counts()[0]).to_bits()
+            );
+        }
         cleanup(&path);
     }
 

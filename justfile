@@ -70,7 +70,7 @@ opt STRATEGY="hybrid" PROBLEM="paper-fast" STARTS="4x2x2,1x2x1" FLAGS="":
 # Resumable hybrid search demo: kill a multistart run hard after N
 # fresh evaluations, then resume it from the persistent store and
 # self-check that the resumed run is byte-identical to an uninterrupted
-# one with strictly fewer fresh evaluations (the CI strategy-smoke
+# one with strictly fewer fresh evaluations (the CI cli-smoke
 # gate). PROBLEM and STARTS as for cacs-opt.
 hybrid-resume PROBLEM="paper-fast" STARTS="4x2x2,1x2x1" KILL_AFTER="5":
     cargo build --release --bin cacs-opt

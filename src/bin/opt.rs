@@ -17,7 +17,7 @@
 //! Every strategy inherits the store/resume semantics the hybrid search
 //! pioneered: kill→resume cycles are bit-identical with strictly fewer
 //! fresh evaluations, enforced by `--selfcheck` (exit 3 on divergence)
-//! and the CI `strategy-smoke` job. See [`cacs::cli::driver`] for the
+//! and the CI `cli-smoke` job. See [`cacs::cli::driver`] for the
 //! full contract.
 
 fn main() {
