@@ -1,36 +1,31 @@
-//! `perf-baseline`: measures the co-design pipeline's hot paths on the
-//! paper case study and writes the machine-readable baselines that the
-//! perf-trajectory tracker consumes:
+//! `perf-baseline`: the self-check of the perf contracts that no test
+//! covers. It writes four machine-readable files:
 //!
-//! * `BENCH_schedule_search.json` — wall-clock of the stage-2 searches
-//!   (parallel vs forced-sequential exhaustive sweep, hybrid
-//!   multistart), the cross-check that both paths select the same
-//!   best schedule with bit-identical `P_all`, and a store-backed
-//!   resume cycle recording how many evaluations the persistent
-//!   evaluation store saves on resume (must be all of them here, with
-//!   bit-identical results — enforced, not just recorded);
 //! * `BENCH_strategy_shootout.json` — the paper's Section-V strategy
 //!   comparison on the unified engine: best schedule, objective bit
 //!   pattern and fresh-evaluation count for each of hybrid / anneal /
 //!   genetic / tabu, each run doubling as a store-backed resume
-//!   self-check (bit-identical, strictly fewer fresh evaluations —
+//!   self-check (bit-identical, zero fresh evaluations on resume —
 //!   enforced for all four);
-//! * `BENCH_eval_cost.json` — per-schedule stage-1 evaluation cost (the
+//! * `BENCH_eval_cost.json` — per-schedule stage-1 evaluations (the
 //!   Section-V observation that cost grows with the task counts `m_i`),
-//!   measured cache-off (the reference path), cache-cold and cache-warm
-//!   on a fresh `EvalCtx`; the file records the measured
-//!   `speedup_vs_cache_off` (gated ≥ 1.5×), the app-synthesis
-//!   `cache_hit_rate`, and `bit_identical_with_cache_off` (every
-//!   schedule's `P_all` bit pattern must agree across all three runs —
-//!   enforced, non-zero exit);
-//! * `BENCH_streaming_sweep.json` — the streaming exhaustive engine on a
-//!   synthetic 2,097,152-schedule box: wall-clock, throughput, the
-//!   peak-RSS delta proving constant-memory operation, and a sharded
-//!   run of the same box through the `cacs-distrib` coordinator whose
-//!   merged report must be byte-identical to the single-process sweep.
+//!   run cache-off (the reference path), cache-cold and cache-warm on a
+//!   fresh `EvalCtx`: the caching speed-up (gated ≥ 1.5×), the
+//!   app-synthesis `cache_hit_rate` and `bit_identical_with_cache_off`;
+//!   plus the two-stage (screen, then exact) multistart against the
+//!   exact-only one (gated ≥ 1.3×, final answer bit-identical);
+//! * `BENCH_obs_overhead.json` — one cache-off full evaluation with the
+//!   `cacs-obs` recorder disabled and enabled (gated < 3%, result bits
+//!   unchanged, every evaluation recorded);
+//! * `BENCH_streaming_sweep.json` — the answers of the streaming
+//!   exhaustive engine on a synthetic 2,097,152-schedule box and the
+//!   peak-RSS growth proving constant-memory operation.
 //!
 //! Every file also records a `host` block (hostname, logical cores, raw
-//! `CACS_THREADS`) so baselines from different machines are diffable.
+//! `CACS_THREADS`) so files from different machines are diffable.
+//! Each floor is a ratio of two measurements taken in this one process;
+//! the pipeline's own timings come from `perfbench/` (cold, one process
+//! per repetition), and its answers are pinned by the tier-1 tests.
 //!
 //! ```text
 //! cargo run --release -p cacs-bench --bin perf-baseline [--full] [--out DIR]
@@ -38,17 +33,12 @@
 //!
 //! `--fast` (default) uses the reduced synthesis budget; `--full` uses
 //! the paper-accuracy budget (slow). `CACS_THREADS` caps the worker
-//! threads; the file records the count used.
-//!
-//! The binary is also CI's perf self-check: it exits non-zero when the
-//! parallel sweep diverges bitwise from the forced-sequential path, or
-//! when the streaming sweep's peak-RSS growth exceeds its bound.
+//! threads; the file records the count used. The binary exits non-zero
+//! when any gate fails.
 
 use cacs_apps::paper_case_study;
 use cacs_bench::host_metadata_json;
 use cacs_core::{CodesignProblem, EvaluationConfig, ScreeningProblem};
-use cacs_distrib::{sweep_in_process, CoordinatorConfig};
-use cacs_linalg::Matrix;
 use cacs_sched::Schedule;
 use cacs_search::{
     exhaustive_search_with, run_multistart, run_multistart_screened, AnnealConfig, EvalStore,
@@ -78,16 +68,11 @@ const STREAMING_RSS_LIMIT_KIB: u64 = 64 * 1024;
 /// schedules, the scale the paper's 77-schedule sweep grows into.
 const STREAMING_BOX: [u32; 3] = [128, 128, 128];
 
-/// Workers and shard size of the sharded coordinator run over the
-/// streaming box (32 leases of 65,536 ranks across 2 in-process
-/// workers — full wire protocol, bit-identical merge).
-const SHARDED_WORKERS: usize = 2;
-const SHARDED_SHARD_SIZE: u64 = 65_536;
-
 /// Repetitions per recorder state in the obs-overhead measurement; the
-/// minimum of each side is compared, so one noisy rep cannot fail the
-/// gate.
-const OBS_OVERHEAD_REPS: usize = 5;
+/// minimum of each side is compared, so a slow rep cannot fail the
+/// gate. Thirty, because one full evaluation (~40 ms at the fast
+/// budget) varies by several percent between reps on a shared host.
+const OBS_OVERHEAD_REPS: usize = 30;
 
 /// Ceiling on the recorder-enabled slowdown of one full evaluation.
 const OBS_OVERHEAD_LIMIT_PCT: f64 = 3.0;
@@ -116,28 +101,6 @@ const TWO_STAGE_SCREEN_BUDGET: f64 = 0.3;
 /// the six-start pool amortises screening further.)
 const TWO_STAGE_SURVIVOR_FRAC: f64 = 1.0 / 3.0;
 
-/// Square sizes of the blocked-matmul microbenchmark: the 2n×2n
-/// augmented-plant shapes `expm` squares (n = plant order 1–4, lifted
-/// products grow past that), plus larger sizes where blocking pays.
-const MATMUL_SIZES: [usize; 5] = [4, 8, 16, 32, 64];
-
-/// `splitmix64`: deterministic fill for the microbenchmark operands.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A deterministic pseudo-random matrix with entries in (-1, 1).
-fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut state = seed;
-    Matrix::from_fn(rows, cols, |_, _| {
-        (splitmix64(&mut state) >> 11) as f64 / (1u64 << 52) as f64 * 2.0 - 1.0
-    })
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().collect();
     let full = args.iter().any(|a| a == "--full");
@@ -146,6 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .map_or_else(|| PathBuf::from("."), PathBuf::from);
+    std::fs::create_dir_all(&out_dir)?;
 
     let config = if full {
         EvaluationConfig::default()
@@ -157,145 +121,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let threads = cacs_par::thread_budget();
     let budget = format!("{}x{}", config.pso_particles, config.pso_iterations);
 
-    // ----- schedule-search baseline ---------------------------------
-    eprintln!("perf-baseline: exhaustive sweep (parallel, {threads} threads)…");
-    let t = cacs_obs::now();
-    let par = problem.optimize_exhaustive()?;
-    let par_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    eprintln!("perf-baseline: exhaustive sweep (forced sequential)…");
-    let t = cacs_obs::now();
-    let seq = cacs_par::sequential(|| problem.optimize_exhaustive())?;
-    let seq_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    let results_identical = par.bit_identical(&seq);
-
-    eprintln!("perf-baseline: hybrid multistart…");
     let starts = [Schedule::new(vec![4, 2, 2])?, Schedule::new(vec![1, 2, 1])?];
-    let t = cacs_obs::now();
-    let outcome = problem.optimize(&starts, &HybridConfig::default())?;
-    let hybrid_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    // Store-backed resume cycle: populate a fresh persistent store with
-    // one multistart run, then resume it. The resumed run must
-    // reproduce the storeless run bit for bit while executing strictly
-    // fewer fresh evaluations — the evaluations-saved-on-resume metric
-    // of the resumable-hybrid subsystem.
-    eprintln!("perf-baseline: hybrid multistart, store-backed resume cycle…");
-    let store_dir = std::env::temp_dir().join(format!("cacs-bench-store-{}", std::process::id()));
-    std::fs::create_dir_all(&store_dir)?;
-    let store_path = store_dir.join("hybrid.store");
     let problem_digest = if full { "paper-full" } else { "paper-fast" };
     let space = problem.schedule_space()?;
-    let store = EvalStore::open(&store_path, problem_digest, &space)?;
-    let hybrid = StrategyConfig::Hybrid(HybridConfig::default());
-    let first = problem.optimize_with_strategy(&starts, &hybrid, Some(&store))?;
-    drop(store);
-    let store = EvalStore::open(&store_path, problem_digest, &space)?;
-    let t = cacs_obs::now();
-    let resumed = problem.optimize_with_strategy(&starts, &hybrid, Some(&store))?;
-    let resumed_ms = t.elapsed().as_secs_f64() * 1e3;
-    drop(store);
-    std::fs::remove_dir_all(&store_dir)?;
-    let resume_identical = outcome.searches.len() == resumed.searches.len()
-        && outcome
-            .searches
-            .iter()
-            .zip(&resumed.searches)
-            .all(|(a, b)| {
-                a.report.best == b.report.best
-                    && a.report.best_value.to_bits() == b.report.best_value.to_bits()
-                    && a.report.evaluations == b.report.evaluations
-            });
-    let evals_saved = first
-        .stats
-        .fresh_evaluations
-        .saturating_sub(resumed.stats.fresh_evaluations);
-    let resume_strictly_fewer =
-        resumed.stats.fresh_evaluations < first.stats.fresh_evaluations.max(1);
-
-    let best = par
-        .best
-        .clone()
-        .ok_or("exhaustive sweep found nothing feasible")?;
     let host = host_metadata_json();
-    let mut search_json = String::new();
-    writeln!(search_json, "{{")?;
-    writeln!(search_json, "  \"bench\": \"schedule_search\",")?;
-    writeln!(search_json, "  \"budget\": \"{}\",", json_escape(&budget))?;
-    writeln!(search_json, "  \"threads\": {threads},")?;
-    writeln!(search_json, "  \"host\": {host},")?;
-    writeln!(search_json, "  \"exhaustive\": {{")?;
-    writeln!(search_json, "    \"wall_ms_parallel\": {par_ms:.1},")?;
-    writeln!(search_json, "    \"wall_ms_sequential\": {seq_ms:.1},")?;
-    writeln!(
-        search_json,
-        "    \"speedup\": {:.3},",
-        seq_ms / par_ms.max(1e-9)
-    )?;
-    writeln!(search_json, "    \"enumerated\": {},", par.enumerated)?;
-    writeln!(search_json, "    \"evaluated\": {},", par.evaluated)?;
-    writeln!(search_json, "    \"feasible\": {},", par.feasible)?;
-    writeln!(search_json, "    \"best_schedule\": \"{best}\",")?;
-    writeln!(search_json, "    \"best_p_all\": {:.12},", par.best_value)?;
-    writeln!(
-        search_json,
-        "    \"parallel_matches_sequential_bitwise\": {results_identical}"
-    )?;
-    writeln!(search_json, "  }},")?;
-    writeln!(search_json, "  \"hybrid_multistart\": {{")?;
-    writeln!(search_json, "    \"wall_ms\": {hybrid_ms:.1},")?;
-    writeln!(search_json, "    \"searches\": [")?;
-    for (i, s) in outcome.searches.iter().enumerate() {
-        let sep = if i + 1 == outcome.searches.len() {
-            ""
-        } else {
-            ","
-        };
-        writeln!(
-            search_json,
-            "      {{ \"start\": \"{}\", \"best\": \"{}\", \"best_p_all\": {:.12}, \"evaluations\": {} }}{sep}",
-            s.start,
-            s.report
-                .best
-                .as_ref()
-                .map_or("<none>".to_string(), ToString::to_string),
-            s.report.best_value,
-            s.report.evaluations,
-        )?;
-    }
-    writeln!(search_json, "    ],")?;
-    writeln!(search_json, "    \"store_resume\": {{")?;
-    writeln!(
-        search_json,
-        "      \"first_run_fresh_evaluations\": {},",
-        first.stats.fresh_evaluations
-    )?;
-    writeln!(
-        search_json,
-        "      \"resumed_fresh_evaluations\": {},",
-        resumed.stats.fresh_evaluations
-    )?;
-    writeln!(
-        search_json,
-        "      \"evaluations_saved_on_resume\": {evals_saved},"
-    )?;
-    writeln!(
-        search_json,
-        "      \"warm_started\": {},",
-        resumed.stats.warm_started
-    )?;
-    writeln!(search_json, "      \"resumed_wall_ms\": {resumed_ms:.1},")?;
-    writeln!(
-        search_json,
-        "      \"resume_bit_identical\": {resume_identical}"
-    )?;
-    writeln!(search_json, "    }}")?;
-    writeln!(search_json, "  }}")?;
-    writeln!(search_json, "}}")?;
-    let search_path = out_dir.join("BENCH_schedule_search.json");
-    std::fs::write(&search_path, &search_json)?;
-    eprintln!("perf-baseline: wrote {}", search_path.display());
 
     // ----- strategy shootout ----------------------------------------
     // The paper's Section-V comparison as a tracked baseline: every
@@ -328,7 +157,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         best: Option<(String, f64)>,
         fresh: usize,
         unique: usize,
-        wall_ms: f64,
         resumed_fresh: usize,
         resume_identical: bool,
     }
@@ -337,9 +165,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("perf-baseline: shootout — {}…", strategy.name());
         let store_path = shootout_dir.join(format!("{}.store", strategy.name()));
         let store = EvalStore::open(&store_path, problem_digest, &space)?;
-        let t = cacs_obs::now();
         let first = problem.optimize_with_strategy(&starts, strategy, Some(&store))?;
-        let wall_ms = t.elapsed().as_secs_f64() * 1e3;
         drop(store);
         let store = EvalStore::open(&store_path, problem_digest, &space)?;
         let resumed = problem.optimize_with_strategy(&starts, strategy, Some(&store))?;
@@ -361,7 +187,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             best: first.best.as_ref().map(|(s, v)| (s.to_string(), *v)),
             fresh: first.stats.fresh_evaluations,
             unique: first.stats.unique_evaluations,
-            wall_ms,
             resumed_fresh: resumed.stats.fresh_evaluations,
             resume_identical,
         });
@@ -412,8 +237,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             shootout_json,
             "    {{ \"strategy\": \"{}\", \"best_schedule\": {best}, \"best_p_all\": {p_all}, \
              \"best_p_all_bits\": {bits}, \"fresh_evaluations\": {}, \"unique_evaluations\": {}, \
-             \"wall_ms\": {:.1}, \"resumed_fresh_evaluations\": {}, \"resume_bit_identical\": {} }}{sep}",
-            r.name, r.fresh, r.unique, r.wall_ms, r.resumed_fresh, r.resume_identical,
+             \"resumed_fresh_evaluations\": {}, \"resume_bit_identical\": {} }}{sep}",
+            r.name, r.fresh, r.unique, r.resumed_fresh, r.resume_identical,
         )?;
     }
     writeln!(shootout_json, "  ],")?;
@@ -433,8 +258,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // with a fresh EvalCtx — fresh so hits from the earlier sections
     // cannot leak in. The warm pass models what searches actually pay
     // on re-probed schedules (selfcheck reruns, repeated strategy
-    // probes); `wall_ms` is the cold/warm mean, and every P_all bit
-    // pattern must agree across all three runs.
+    // probes); the cache-on cost is the cold/warm mean, and every P_all
+    // bit pattern must agree across all three runs.
     let cost_schedules = [
         vec![1u32, 1, 1],
         vec![2, 1, 1],
@@ -498,51 +323,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let eval_cache_speedup = mean_off / mean_on.max(1e-9);
     let eval_cache_identical = !rows.is_empty() && rows.iter().all(|r| r.bits_agree);
     let eval_cache_fast_enough = eval_cache_speedup >= EVAL_CACHE_SPEEDUP_FLOOR;
-
-    // ----- blocked-matmul microbenchmark ----------------------------
-    // The cache-blocked `matmul_into` kernel vs the naive triple loop
-    // it replaced: per-size wall time and the bitwise-equality
-    // self-check (the kernel reorders loops, never reductions, so every
-    // output element must be bit-identical — enforced, non-zero exit).
-    eprintln!("perf-baseline: blocked-matmul microbenchmark…");
-    struct MatmulRow {
-        n: usize,
-        ns_blocked: f64,
-        ns_naive: f64,
-        identical: bool,
-    }
-    let mut matmul_rows: Vec<MatmulRow> = Vec::new();
-    for (i, &n) in MATMUL_SIZES.iter().enumerate() {
-        let a = random_matrix(n, n, 0x5EED_0000 + i as u64);
-        let b = random_matrix(n, n, 0xB10C_0000 + i as u64);
-        let mut blocked = Matrix::zeros(n, n);
-        let mut naive = Matrix::zeros(n, n);
-        // Per-size rep count keeps every measurement in the ~1 ms range.
-        let reps = (1 << 22) / (n * n * n).max(1);
-        let time_ns = |f: &mut dyn FnMut() -> cacs_linalg::Result<()>|
-         -> Result<f64, Box<dyn std::error::Error>> {
-            f()?; // warmup
-            let t = cacs_obs::now();
-            for _ in 0..reps {
-                f()?;
-            }
-            Ok(t.elapsed().as_secs_f64() * 1e9 / reps as f64)
-        };
-        let ns_blocked = time_ns(&mut || a.matmul_into(&b, &mut blocked))?;
-        let ns_naive = time_ns(&mut || a.matmul_into_naive(&b, &mut naive))?;
-        let identical = blocked
-            .as_slice()
-            .iter()
-            .zip(naive.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits());
-        matmul_rows.push(MatmulRow {
-            n,
-            ns_blocked,
-            ns_naive,
-            identical,
-        });
-    }
-    let matmul_identical = matmul_rows.iter().all(|r| r.identical);
 
     // ----- two-stage screening baseline -----------------------------
     // The two-stage pipeline (reduced-fidelity screening of every
@@ -625,44 +405,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (i, r) in rows.iter().enumerate() {
         let sep = if i + 1 == rows.len() { "" } else { "," };
         let p = r.p_all.map_or("null".to_string(), |v| format!("{v:.12}"));
-        let wall_ms = (r.cold_ms + r.warm_ms) / 2.0;
-        // Warm re-evaluations are app-cache hits and complete in
-        // microseconds — a millisecond column printed `0.0` for every
-        // row, so the warm wall time is recorded in µs.
         writeln!(
             cost_json,
-            "    {{ \"schedule\": \"{}\", \"total_tasks\": {}, \"wall_ms\": {wall_ms:.1}, \
-             \"wall_ms_cache_off\": {:.1}, \"wall_ms_cold\": {:.1}, \"wall_us_warm\": {:.1}, \
-             \"pso_evaluations\": {}, \"p_all\": {p} }}{sep}",
+            "    {{ \"schedule\": \"{}\", \"total_tasks\": {}, \"pso_evaluations\": {}, \
+             \"p_all\": {p} }}{sep}",
             json_escape(&r.name),
             r.total_m,
-            r.off_ms,
-            r.cold_ms,
-            r.warm_ms * 1e3,
             r.pso_evals,
         )?;
     }
     writeln!(cost_json, "  ],")?;
-    writeln!(cost_json, "  \"matmul\": {{")?;
-    writeln!(cost_json, "    \"sizes\": [")?;
-    for (i, r) in matmul_rows.iter().enumerate() {
-        let sep = if i + 1 == matmul_rows.len() { "" } else { "," };
-        writeln!(
-            cost_json,
-            "      {{ \"n\": {}, \"ns_blocked\": {:.0}, \"ns_naive\": {:.0}, \
-             \"speedup\": {:.3} }}{sep}",
-            r.n,
-            r.ns_blocked,
-            r.ns_naive,
-            r.ns_naive / r.ns_blocked.max(1e-9),
-        )?;
-    }
-    writeln!(cost_json, "    ],")?;
-    writeln!(
-        cost_json,
-        "    \"bitwise_identical_to_naive\": {matmul_identical}"
-    )?;
-    writeln!(cost_json, "  }},")?;
     writeln!(cost_json, "  \"two_stage\": {{")?;
     writeln!(
         cost_json,
@@ -739,35 +491,42 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The cacs-obs contract measured: a full stage-1 evaluation with the
     // recorder enabled must cost < OBS_OVERHEAD_LIMIT_PCT more than with
     // it disabled, and must produce bit-identical scientific results.
-    // Min-of-N on both sides cancels scheduler noise; the warmup rep
-    // keeps cold caches out of the disabled (first-measured) side.
+    // The cache-off problem makes every rep a full synthesis; on a
+    // cached one each rep after the first is an app-memo hit. Disabled
+    // and enabled reps alternate, so drift in host load hits both sides
+    // alike, and min-of-N on each side cancels scheduler noise; the
+    // warmup rep keeps cold CPU caches and allocator pages out of the
+    // first disabled rep.
     let obs_schedule = Schedule::new(vec![4, 2, 2])?;
     eprintln!(
         "perf-baseline: obs overhead — {OBS_OVERHEAD_REPS}× {obs_schedule} with the recorder \
-         disabled, then enabled…"
+         disabled and enabled, alternating…"
     );
-    let time_eval = |reps: usize| -> Result<(f64, Option<u64>), Box<dyn std::error::Error>> {
-        let _ = problem.evaluate_schedule(&obs_schedule)?; // warmup
-        let mut min_ms = f64::INFINITY;
-        let mut bits = None;
-        for _ in 0..reps {
-            let t = cacs_obs::now();
-            let eval = problem.evaluate_schedule(&obs_schedule)?;
-            min_ms = min_ms.min(t.elapsed().as_secs_f64() * 1e3);
-            bits = eval.overall_performance.map(f64::to_bits);
-        }
-        Ok((min_ms, bits))
+    // One timed evaluation: (wall ms, P_all bit pattern).
+    let time_eval = || -> Result<(f64, Option<u64>), Box<dyn std::error::Error>> {
+        let t = cacs_obs::now();
+        let eval = uncached_problem.evaluate_schedule(&obs_schedule)?;
+        let ms = t.elapsed().as_secs_f64() * 1e3;
+        Ok((ms, eval.overall_performance.map(f64::to_bits)))
     };
     cacs_obs::reset();
-    let (disabled_ms, disabled_bits) = time_eval(OBS_OVERHEAD_REPS)?;
-    cacs_obs::enable();
-    let (enabled_ms, enabled_bits) = time_eval(OBS_OVERHEAD_REPS)?;
-    cacs_obs::disable();
+    let (_, reference_bits) = time_eval()?; // warmup, recorder disabled
+    let (mut disabled_ms, mut enabled_ms) = (f64::INFINITY, f64::INFINITY);
+    let mut digest_unchanged = reference_bits.is_some();
+    for _ in 0..OBS_OVERHEAD_REPS {
+        let (ms, bits) = time_eval()?;
+        disabled_ms = disabled_ms.min(ms);
+        digest_unchanged &= bits == reference_bits;
+        cacs_obs::enable();
+        let (ms, bits) = time_eval()?;
+        cacs_obs::disable();
+        enabled_ms = enabled_ms.min(ms);
+        digest_unchanged &= bits == reference_bits;
+    }
     let recorded_evals = cacs_obs::metrics::EVAL_SCHEDULES.get();
     let overhead_pct = (enabled_ms - disabled_ms) / disabled_ms.max(1e-9) * 100.0;
-    let digest_unchanged = disabled_bits.is_some() && disabled_bits == enabled_bits;
-    // The recorder only saw the enabled reps (plus their warmup).
-    let recorder_saw_all = recorded_evals == (OBS_OVERHEAD_REPS as u64) + 1;
+    // The recorder only saw the enabled reps.
+    let recorder_saw_all = recorded_evals == OBS_OVERHEAD_REPS as u64;
     let obs_overhead_ok = overhead_pct < OBS_OVERHEAD_LIMIT_PCT;
 
     let mut obs_json = String::new();
@@ -789,7 +548,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     writeln!(
         obs_json,
         "  \"p_all_bits\": \"{:016x}\",",
-        enabled_bits.unwrap_or(0)
+        reference_bits.unwrap_or(0)
     )?;
     writeln!(
         obs_json,
@@ -806,8 +565,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ----- streaming-sweep baseline ---------------------------------
     // The multi-million-schedule engine: a 128³ synthetic box streamed
-    // at constant memory, cross-checked bitwise against the forced
-    // sequential path and against a peak-RSS growth bound.
+    // at constant memory, checked against a peak-RSS growth bound.
     let eval = cacs_distrib::synthetic::surrogate(STREAMING_BOX.len());
     let space = ScheduleSpace::new(STREAMING_BOX.to_vec())?;
     let sweep = SweepConfig {
@@ -818,48 +576,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     eprintln!(
-        "perf-baseline: streaming sweep of {} schedules (parallel, {threads} threads)…",
+        "perf-baseline: streaming sweep of {} schedules ({threads} threads)…",
         space.len()
     );
     let rss_before_kib = peak_rss_kib();
-    let t = cacs_obs::now();
-    let stream_par = exhaustive_search_with(&eval, &space, &sweep)?;
-    let stream_par_ms = t.elapsed().as_secs_f64() * 1e3;
+    let stream = exhaustive_search_with(&eval, &space, &sweep)?;
     let rss_after_kib = peak_rss_kib();
-
-    eprintln!("perf-baseline: streaming sweep (forced sequential)…");
-    let t = cacs_obs::now();
-    let stream_seq = cacs_par::sequential(|| exhaustive_search_with(&eval, &space, &sweep))?;
-    let stream_seq_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    let stream_identical = stream_par.bit_identical(&stream_seq);
-
-    // The next scaling rung: the same box sharded into rank-range leases
-    // across in-process workers through the full cacs-distrib wire
-    // protocol. Byte-equality is checked on the wire digest — exactly
-    // what a multi-process deployment exchanges.
-    eprintln!(
-        "perf-baseline: sharded sweep ({SHARDED_WORKERS} workers × {SHARDED_SHARD_SIZE}-rank leases)…"
-    );
-    let coord = CoordinatorConfig {
-        shard_size: SHARDED_SHARD_SIZE,
-        sweep: sweep.clone(),
-        ..CoordinatorConfig::default()
-    };
-    let t = cacs_obs::now();
-    let sharded = sweep_in_process(&eval, &space, SHARDED_WORKERS, &coord)?;
-    let sharded_ms = t.elapsed().as_secs_f64() * 1e3;
-    let sharded_digest = cacs_distrib::wire::report_to_lines(&space, 0, &sharded.report)?;
-    let single_digest = cacs_distrib::wire::report_to_lines(&space, 0, &stream_seq)?;
-    let sharded_identical =
-        sharded_digest == single_digest && sharded.report.bit_identical(&stream_seq);
 
     let rss_delta_kib = match (rss_before_kib, rss_after_kib) {
         (Some(before), Some(after)) => Some(after.saturating_sub(before)),
         _ => None,
     };
     let constant_memory_ok = rss_delta_kib.is_none_or(|d| d <= STREAMING_RSS_LIMIT_KIB);
-    let stream_best = stream_par
+    let stream_best = stream
         .best
         .clone()
         .ok_or("streaming sweep found nothing feasible")?;
@@ -871,11 +600,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     writeln!(stream_json, "  \"host\": {host},")?;
     writeln!(
         stream_json,
-        "  \"pool_workers\": {},",
-        cacs_par::pool_workers()
-    )?;
-    writeln!(
-        stream_json,
         "  \"box\": \"{}x{}x{}\",",
         STREAMING_BOX[0], STREAMING_BOX[1], STREAMING_BOX[2]
     )?;
@@ -885,27 +609,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  \"dispatch_grain\": {},",
         sweep.dispatch_grain
     )?;
-    writeln!(stream_json, "  \"enumerated\": {},", stream_par.enumerated)?;
-    writeln!(stream_json, "  \"evaluated\": {},", stream_par.evaluated)?;
-    writeln!(stream_json, "  \"feasible\": {},", stream_par.feasible)?;
+    writeln!(stream_json, "  \"enumerated\": {},", stream.enumerated)?;
+    writeln!(stream_json, "  \"evaluated\": {},", stream.evaluated)?;
+    writeln!(stream_json, "  \"feasible\": {},", stream.feasible)?;
     writeln!(stream_json, "  \"best_schedule\": \"{stream_best}\",")?;
-    writeln!(
-        stream_json,
-        "  \"best_value\": {:.12},",
-        stream_par.best_value
-    )?;
-    writeln!(stream_json, "  \"wall_ms_parallel\": {stream_par_ms:.1},")?;
-    writeln!(stream_json, "  \"wall_ms_sequential\": {stream_seq_ms:.1},")?;
-    writeln!(
-        stream_json,
-        "  \"speedup\": {:.3},",
-        stream_seq_ms / stream_par_ms.max(1e-9)
-    )?;
-    writeln!(
-        stream_json,
-        "  \"schedules_per_sec_parallel\": {:.0},",
-        stream_par.enumerated as f64 / (stream_par_ms / 1e3).max(1e-9)
-    )?;
+    writeln!(stream_json, "  \"best_value\": {:.12},", stream.best_value)?;
     match rss_delta_kib {
         Some(d) => writeln!(stream_json, "  \"peak_rss_delta_kib\": {d},")?,
         None => writeln!(stream_json, "  \"peak_rss_delta_kib\": null,")?,
@@ -916,44 +624,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     writeln!(
         stream_json,
-        "  \"constant_memory_ok\": {constant_memory_ok},"
+        "  \"constant_memory_ok\": {constant_memory_ok}"
     )?;
-    writeln!(
-        stream_json,
-        "  \"parallel_matches_sequential_bitwise\": {stream_identical},"
-    )?;
-    writeln!(stream_json, "  \"sharded\": {{")?;
-    writeln!(stream_json, "    \"workers\": {SHARDED_WORKERS},")?;
-    writeln!(stream_json, "    \"shard_size\": {SHARDED_SHARD_SIZE},")?;
-    writeln!(
-        stream_json,
-        "    \"leases_completed\": {},",
-        sharded.stats.leases_completed
-    )?;
-    writeln!(stream_json, "    \"wall_ms\": {sharded_ms:.1},")?;
-    writeln!(
-        stream_json,
-        "    \"matches_single_process_bytes\": {sharded_identical}"
-    )?;
-    writeln!(stream_json, "  }}")?;
     writeln!(stream_json, "}}")?;
     let stream_path = out_dir.join("BENCH_streaming_sweep.json");
     std::fs::write(&stream_path, &stream_json)?;
     eprintln!("perf-baseline: wrote {}", stream_path.display());
 
-    if !results_identical {
-        return Err("parallel exhaustive sweep diverged from sequential".into());
-    }
-    if !resume_identical {
-        return Err("store-resumed hybrid multistart diverged from the storeless run".into());
-    }
-    if !resume_strictly_fewer {
-        return Err(format!(
-            "store resume saved no evaluations ({} fresh on resume vs {} first run)",
-            resumed.stats.fresh_evaluations, first.stats.fresh_evaluations
-        )
-        .into());
-    }
     if !shootout_ok {
         let broken: Vec<&str> = shootout_rows
             .iter()
@@ -977,18 +654,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
         .into());
     }
-    if !matmul_identical {
-        let broken: Vec<String> = matmul_rows
-            .iter()
-            .filter(|r| !r.identical)
-            .map(|r| r.n.to_string())
-            .collect();
-        return Err(format!(
-            "blocked matmul diverged bitwise from the naive kernel at n = {}",
-            broken.join(", ")
-        )
-        .into());
-    }
     if !two_stage_identical {
         return Err(format!(
             "two-stage pipeline changed the final answer: exact-only {exact_best:?} \
@@ -1004,12 +669,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
         .into());
     }
-    if !stream_identical {
-        return Err("streaming parallel sweep diverged from sequential".into());
-    }
-    if !sharded_identical {
-        return Err("sharded coordinator sweep diverged from the single-process sweep".into());
-    }
     if !constant_memory_ok {
         return Err(format!(
             "streaming sweep peak RSS grew by {} KiB (limit {} KiB) — not constant-memory",
@@ -1020,14 +679,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     if !digest_unchanged {
         return Err(format!(
-            "recorder-enabled evaluation changed the result bits: {disabled_bits:?} vs {enabled_bits:?}"
+            "an evaluation diverged from the recorder-off reference bits {reference_bits:?}"
         )
         .into());
     }
     if !recorder_saw_all {
         return Err(format!(
-            "recorder missed evaluations: saw {recorded_evals}, expected {}",
-            OBS_OVERHEAD_REPS + 1
+            "recorder missed evaluations: saw {recorded_evals}, expected {OBS_OVERHEAD_REPS}"
         )
         .into());
     }

@@ -1,12 +1,14 @@
-//! The synthetic µs-scale sweep objective shared by the perf baseline
-//! and the distributed-sweep binaries.
+//! The synthetic µs-scale sweep objective shared by the benchmarks and
+//! the distributed-sweep binaries.
 //!
 //! Coordinator and workers must construct **the same** evaluator for a
 //! byte-identical merged report, so the function lives here — one
-//! definition, used by `cacs-bench`'s streaming baseline, the
-//! `cacs-sweep-worker` binary's `synthetic:` problem mode, and the
+//! definition, used by perfbench's `synthetic-sweep` workload (which
+//! times it), `perf-baseline`'s constant-memory check and chaos-soak,
+//! the `cacs-sweep-worker` binary's `synthetic:` problem mode, and the
 //! integration tests. For the historical 3-dimensional box it computes
-//! exactly the objective recorded in `BENCH_streaming_sweep.json`.
+//! exactly the objective whose answers `BENCH_streaming_sweep.json`
+//! records.
 
 use cacs_sched::Schedule;
 use cacs_search::FnEvaluator;

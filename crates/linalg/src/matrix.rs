@@ -267,12 +267,12 @@ impl Matrix {
     /// wide, plus fast paths for column vectors (the `u = K x` products
     /// of the simulation loop) and the small square matrices the lifted
     /// discretisations feed to `expm`. It is **bitwise identical** to
-    /// the naive triple loop ([`Matrix::matmul_into_naive`]): for every
-    /// output element the reduction still runs over `k` ascending,
-    /// skipping exact-zero `self[i][k]` terms, with one `+=` per term —
-    /// the blocking reorders *loops*, never a *reduction*. The equality
-    /// is proven exhaustively in tests and re-checked at bench time
-    /// (perf-baseline exits non-zero on any divergence).
+    /// the naive triple loop: for every output element the reduction
+    /// still runs over `k` ascending, skipping exact-zero `self[i][k]`
+    /// terms, with one `+=` per term — the blocking reorders *loops*,
+    /// never a *reduction*. The unit tests prove the equality against a
+    /// reference triple loop over exhaustive small shapes, panel
+    /// boundaries and non-finite inputs.
     ///
     /// `rhs` may alias `self` (squaring: `a.matmul_into(&a, &mut sq)`);
     /// `out` must be a distinct matrix, which `&mut` already enforces.
@@ -284,7 +284,9 @@ impl Matrix {
     /// rhs.cols()`.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<()> {
         self.validate_matmul(rhs, out)?;
-        let _t = cacs_obs::time_sampled(&cacs_obs::metrics::MATMUL_NS, cacs_obs::HOT_PATH_SAMPLE);
+        // Deliberately untimed: one schedule evaluation makes ~300k
+        // calls, so even a 1-in-64 sampled recorder timer here cost more
+        // than the whole 3% observability budget.
         let n = rhs.cols;
         if n == 1 {
             // Column-vector fast path: one sequential dot per row. A
@@ -326,34 +328,6 @@ impl Matrix {
                         let rhs_row = &rhs.data[(k0 + k) * n..(k0 + k + 1) * n];
                         axpy_row(out_row, rhs_row, aik);
                     }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Reference triple-loop product: the bitwise ground truth the
-    /// blocked [`Matrix::matmul_into`] kernel is proven against (unit
-    /// tests and the perf-baseline self-check both compare every output
-    /// bit). Plain i-k-j with the same ascending-`k`, zero-skipping
-    /// reduction per output element — kept deliberately naive.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Matrix::matmul_into`].
-    pub fn matmul_into_naive(&self, rhs: &Matrix, out: &mut Matrix) -> Result<()> {
-        self.validate_matmul(rhs, out)?;
-        out.data.fill(0.0);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self.data[i * self.cols + k];
-                if aik == 0.0 {
-                    continue;
-                }
-                let out_row = i * rhs.cols;
-                let rhs_row = k * rhs.cols;
-                for j in 0..rhs.cols {
-                    out.data[out_row + j] += aik * rhs.data[rhs_row + j];
                 }
             }
         }
@@ -907,6 +881,31 @@ mod tests {
             6 => (splitmix64(&mut state) % 1000) as f64,
             _ => -((splitmix64(&mut state) % 97) as f64) / 7.0,
         })
+    }
+
+    impl Matrix {
+        /// Reference triple-loop product: the bitwise ground truth the
+        /// blocked [`Matrix::matmul_into`] kernel is proven against.
+        /// Plain i-k-j with the same ascending-`k`, zero-skipping
+        /// reduction per output element — kept deliberately naive.
+        fn matmul_into_naive(&self, rhs: &Matrix, out: &mut Matrix) -> Result<()> {
+            self.validate_matmul(rhs, out)?;
+            out.data.fill(0.0);
+            for i in 0..self.rows {
+                for k in 0..self.cols {
+                    let aik = self.data[i * self.cols + k];
+                    if aik == 0.0 {
+                        continue;
+                    }
+                    let out_row = i * rhs.cols;
+                    let rhs_row = k * rhs.cols;
+                    for j in 0..rhs.cols {
+                        out.data[out_row + j] += aik * rhs.data[rhs_row + j];
+                    }
+                }
+            }
+            Ok(())
+        }
     }
 
     fn assert_bitwise_eq(blocked: &Matrix, naive: &Matrix, ctx: &str) {

@@ -479,8 +479,6 @@ registry! {
         LEASE_NS => "distrib.lease_ns",
         EVAL_SCHEDULE_NS => "eval.schedule_ns",
         EXPM_NS => "linalg.expm_ns",
-        // Dense blocked matmul micro-kernel (1-in-64 sampled).
-        MATMUL_NS => "linalg.matmul_ns",
         // Pool telemetry: items per parallel batch, enqueue→claim
         // latency, and per-task busy time (worker utilisation).
         PAR_BATCH_ITEMS => "par.batch_items",

@@ -13,9 +13,13 @@ lint:
     cargo clippy --workspace --all-targets -- -D warnings
     cargo run --release -p cacs-lint -- --deny-all --json BENCH_lint.json
 
-# Regenerate the perf-trajectory baselines (BENCH_*.json at the repo
-# root). Uses the reduced synthesis budget; pass FLAGS="--full" for the
-# paper-accuracy budget. CACS_THREADS caps the worker threads.
+# Run the perf-baseline self-checks and rewrite their BENCH_*.json at
+# the repo root: the strategy shootout's answers and resume check, the
+# eval-cache and two-stage speed-up floors, the <3% recorder overhead
+# and the streaming sweep's constant memory. Exits non-zero when a gate
+# fails. Timings come from perfbench (python3 perfbench/run.py), not
+# from here. Uses the reduced synthesis budget; pass FLAGS="--full" for
+# the paper-accuracy budget. CACS_THREADS caps the worker threads.
 bench FLAGS="":
     cargo run --release -p cacs-bench --bin perf-baseline -- {{FLAGS}}
 
@@ -31,7 +35,8 @@ microbench:
 # histograms (synthesis phases, expm, full evaluations), cache
 # hit/miss and PSO call counts on stderr, plus the byte-stable metrics
 # JSON at OUT. Digests are unchanged by profiling — the recorder is
-# reporting-only (see BENCH_obs_overhead.json for the <3% proof).
+# reporting-only (BENCH_obs_overhead.json gates its cost on a full,
+# cache-off evaluation at <3%).
 profile PROBLEM="paper-fast" STRATEGY="hybrid" OUT="/tmp/cacs-profile.json" FLAGS="":
     cargo build --release --bin cacs-opt
     target/release/cacs-opt --problem {{PROBLEM}} --strategy {{STRATEGY}} \

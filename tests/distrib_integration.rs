@@ -32,7 +32,10 @@ fn assert_reports_identical(a: &ExhaustiveReport, b: &ExhaustiveReport, context:
 /// single-process exhaustive verification bit for bit. The single
 /// report also pins the scientific anchor of the cold, schedule-seeded
 /// pipeline: 192 enumerated / 77 evaluated / 54 feasible, best
-/// `(1,4,3)` at a fixed `P_all` bit pattern.
+/// `(1,4,3)` at a fixed `P_all` bit pattern, and a CRC-32 of the full
+/// report digest (every retained objective's bits). The constant is
+/// the same under `CACS_THREADS=1`, so a parallel run that drifts from
+/// the sequential one fails here without a second sweep.
 #[test]
 fn sharded_paper_sweep_is_bit_identical() {
     let study = cacs::apps::paper_case_study().unwrap();
@@ -44,6 +47,13 @@ fn sharded_paper_sweep_is_bit_identical() {
     );
     assert_eq!(single.best, Some(Schedule::new(vec![1, 4, 3]).unwrap()));
     assert_eq!(single.best_value.to_bits(), 0x3fc7_65a0_7803_13c0);
+    assert_eq!(single.results.len(), 77);
+    let digest = report_digest(&problem.schedule_space().unwrap(), &single).unwrap();
+    assert_eq!(
+        cacs::search::integrity::crc32(digest.as_bytes()),
+        0xfac3_0933,
+        "paper report digest:\n{digest}"
+    );
     let sharded = problem
         .optimize_exhaustive_sharded(
             2,
