@@ -3,8 +3,8 @@
 //! objective evaluation).
 
 use cacs_linalg::{
-    characteristic_polynomial, expm, expm_with_integral, spectral_radius, LuDecomposition, Matrix,
-    Polynomial, QrDecomposition,
+    characteristic_polynomial, expm, expm_with_integral, spectral_radius, EigWorkspace,
+    LuDecomposition, Matrix, Polynomial, QrDecomposition,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -46,6 +46,24 @@ fn bench_kernels(c: &mut Criterion) {
         let p = Polynomial::new(vec![0.5, -1.2, 2.0, 0.3, -0.7, 1.1, -0.2, 0.05, 1.0]);
         b.iter(|| black_box(&p).roots())
     });
+    // The PSO objective's stability test at the lifted shapes (2l × 2l
+    // period maps of the l = 2, 3 plants): exact ρ on a reused workspace
+    // (compare `spectral_radius`, same matrix), against the Schur–Cohn
+    // certificate on the same coefficients.
+    for n in [4usize, 6] {
+        let a = test_matrix(n);
+        let mut ws = EigWorkspace::new();
+        group.bench_with_input(BenchmarkId::new("spectral_radius_ws", n), &n, |b, _| {
+            b.iter(|| ws.spectral_radius(black_box(&a)))
+        });
+        let rho = ws.spectral_radius(&a).unwrap_or(1.0);
+        group.bench_with_input(BenchmarkId::new("schur_cohn", n), &n, |b, _| {
+            b.iter(|| ws.roots_within(black_box(rho * 1.01)))
+        });
+        group.bench_with_input(BenchmarkId::new("char_poly_ws", n), &n, |b, _| {
+            b.iter(|| ws.characteristic_polynomial(black_box(&a)).map(|c| c.len()))
+        });
+    }
     group.finish();
 }
 

@@ -3,7 +3,9 @@
 //!
 //! One controller synthesis evaluates its objective thousands of times;
 //! every call needs candidate gain matrices, the period-map product
-//! buffers, the worst-case simulation trace and a feedforward vector.
+//! buffers, the characteristic-polynomial and root-finder buffers of the
+//! stability test, the worst-case simulation trace and a feedforward
+//! vector.
 //! [`SynthCtx`] keeps finished [`SynthScratch`] sets in a pool behind a
 //! poison-tolerant mutex ([`cacs_par::sync::lock_recover`]): each
 //! objective call pops one (or builds a fresh one on first use /
@@ -17,7 +19,7 @@
 use crate::lifted::PeriodMapWorkspace;
 use crate::simulate::SimWorkspace;
 use crate::Response;
-use cacs_linalg::Matrix;
+use cacs_linalg::{EigWorkspace, Matrix};
 use cacs_par::sync::lock_recover;
 use std::sync::Mutex;
 
@@ -32,6 +34,8 @@ pub struct SynthScratch {
     pub(crate) gains: Vec<Matrix>,
     /// Period-map product buffers.
     pub(crate) pm: PeriodMapWorkspace,
+    /// Characteristic-polynomial, Schur–Cohn and root-finder buffers.
+    pub(crate) eig: EigWorkspace,
     /// Worst-case simulation trace (vectors reused, capacity kept).
     pub(crate) response: Response,
     /// Simulation state-column buffers.
@@ -41,10 +45,11 @@ pub struct SynthScratch {
 }
 
 impl SynthScratch {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SynthScratch {
             gains: Vec::new(),
             pm: PeriodMapWorkspace::new(),
+            eig: EigWorkspace::new(),
             response: Response {
                 times: Vec::new(),
                 outputs: Vec::new(),

@@ -24,7 +24,7 @@
 //! step-by-step simulation, which is unambiguous.
 
 use crate::{discretize_delayed_cached, ContinuousLti, ControlError, DelayedStep, Result};
-use cacs_linalg::{spectral_radius, ExpmCache, ExpmWorkspace, Matrix};
+use cacs_linalg::{spectral_radius, EigWorkspace, ExpmCache, ExpmWorkspace, Matrix};
 
 /// Reusable buffers for [`LiftedPlant::period_map_into`] — the four
 /// fixed matrices of the product chain, sized lazily to the plant and
@@ -314,7 +314,16 @@ impl LiftedPlant {
         self.closed_loop_spectral_radius_ws(gains, &mut PeriodMapWorkspace::new())
     }
 
-    /// [`LiftedPlant::closed_loop_spectral_radius`] on reusable buffers.
+    /// [`LiftedPlant::closed_loop_spectral_radius`] with the period map
+    /// built on reusable buffers: the exact `ρ(Φ)`, by Faddeev–LeVerrier
+    /// and Durand–Kerner ([`cacs_linalg::spectral_radius`]).
+    ///
+    /// The PSO objective does not call this. It only needs to know
+    /// whether `ρ(Φ)` is below the stability margin, which
+    /// [`LiftedPlant::closed_loop_stability_ws`] certifies from the
+    /// characteristic polynomial on pooled buffers, root-finding only
+    /// when it cannot certify. Whenever it does return a radius, it is
+    /// this function's, bit for bit.
     ///
     /// # Errors
     ///
@@ -326,6 +335,46 @@ impl LiftedPlant {
     ) -> Result<f64> {
         self.period_map_into(gains, ws)?;
         Ok(spectral_radius(&ws.phi)?)
+    }
+
+    /// The PSO objective's stability test, allocation-free: is
+    /// `ρ(Φ) < certify_below`, and if that cannot be certified, what is
+    /// `ρ(Φ)` exactly?
+    ///
+    /// Builds `Φ` into `pm` and its characteristic polynomial into `eig`
+    /// once. A Schur–Cohn pass on those coefficients
+    /// ([`EigWorkspace::roots_within`]) that puts every root inside
+    /// `certify_below` returns `Ok(None)` without finding a root. Any
+    /// other outcome (a root at or beyond `certify_below`, or non-finite
+    /// coefficients) returns `Ok(Some(ρ))`, the exact Durand–Kerner
+    /// radius, bit-identical to
+    /// [`LiftedPlant::closed_loop_spectral_radius`]. The exact value is
+    /// kept on that side because callers score unstable designs by it.
+    /// `eig` keeps the coefficients afterwards, so
+    /// [`EigWorkspace::root_radius`] yields the exact `ρ` of a certified
+    /// design on demand.
+    ///
+    /// Pass a `certify_below` a safety band under the real bound: the
+    /// test is exact only in exact arithmetic (see the `cacs_linalg`
+    /// eigen module docs).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`LiftedPlant::closed_loop_spectral_radius`];
+    /// a root-finder failure can only occur on the uncertified side.
+    pub fn closed_loop_stability_ws(
+        &self,
+        gains: &[Matrix],
+        pm: &mut PeriodMapWorkspace,
+        eig: &mut EigWorkspace,
+        certify_below: f64,
+    ) -> Result<Option<f64>> {
+        self.period_map_into(gains, pm)?;
+        eig.characteristic_polynomial(&pm.phi)?;
+        if eig.roots_within(certify_below) {
+            return Ok(None);
+        }
+        Ok(Some(eig.root_radius()?))
     }
 
     /// The paper's explicit two-task `A_hol` (eq. (16), with the missing

@@ -25,12 +25,20 @@ use crate::{
     feedforward_gain, settling_time, simulate_worst_case, simulate_worst_case_into, ControlError,
     LiftedPlant, Response, Result, SettlingSpec,
 };
-use cacs_linalg::{characteristic_polynomial, BitKey, LuDecomposition, Matrix};
+use cacs_linalg::{BitKey, LuDecomposition, Matrix};
 use cacs_pso::{Bounds, Pso, PsoConfig};
 
 /// Penalty scale for unstable / infeasible candidate designs. Settling
 /// times are fractions of a second, so anything at this scale dominates.
 const PENALTY: f64 = 1.0e4;
+
+/// Relative safety band of the certified stability pre-test. The
+/// objective certifies a candidate stable by a Schur–Cohn test at radius
+/// `stability_margin·(1 − CERTIFY_BAND)` and root-finds only when that
+/// fails. Rounding in the test can only misjudge roots very close to its
+/// radius, so the band keeps a certified root clear of the margin; it is
+/// a property of the test's arithmetic, not a tuning knob.
+const CERTIFY_BAND: f64 = 1e-3;
 
 /// How many deterministic restarts [`synthesize`] attempts when a PSO
 /// run ends without a feasible design. Each retry re-seeds the swarm
@@ -185,7 +193,10 @@ struct Evaluation {
     score: f64,
     settling: f64,
     max_input: f64,
-    rho: f64,
+    /// Exact `ρ(Φ)`, or `None` when the pre-test certified the candidate
+    /// stable and no root was found. The scratch's eigen workspace then
+    /// still holds the characteristic polynomial to compute it from.
+    rho: Option<f64>,
 }
 
 /// Scores one gain set on reusable buffers. Always returns a finite
@@ -202,18 +213,44 @@ fn evaluate_gains_ws(
         score,
         settling: f64::INFINITY,
         max_input: f64::INFINITY,
-        rho: f64::INFINITY,
+        rho: Some(f64::INFINITY),
     };
     scratch.feedforwards.clear();
 
-    // Stability first — cheap rejection of divergent designs.
-    let rho = match lifted.closed_loop_spectral_radius_ws(gains, &mut scratch.pm) {
-        Ok(r) => r,
+    // Stability first — cheap rejection of divergent designs. A stable
+    // candidate's score never reads ρ, so the certified pre-test skips
+    // root-finding; the unstable penalty does read it, so that side (and
+    // anything the test cannot certify) gets the exact ρ. Pole placement
+    // targets poles on the edges of its box (angle 0, radius 0), i.e.
+    // near-repeated poles, where Durand–Kerner does not converge and the
+    // score is the root-finder penalty. Certifying those stable designs
+    // would change its scores, so it tests at radius 0, which certifies
+    // nothing.
+    let certify_below = match config.strategy {
+        SynthesisStrategy::DirectGain => config.stability_margin * (1.0 - CERTIFY_BAND),
+        SynthesisStrategy::PolePlacement => 0.0,
+    };
+    let rho = match lifted.closed_loop_stability_ws(
+        gains,
+        &mut scratch.pm,
+        &mut scratch.eig,
+        certify_below,
+    ) {
+        Ok(None) => {
+            // Debug builds hold every certificate to the exact path.
+            debug_assert!(
+                matches!(scratch.eig.root_radius(), Ok(r) if r < config.stability_margin),
+                "certified below {certify_below} but exact ρ is {:?}",
+                scratch.eig.root_radius()
+            );
+            None
+        }
+        Ok(Some(rho)) if !rho.is_finite() || rho >= config.stability_margin => {
+            return infeasible(PENALTY * (1.0 + rho.min(1e6)));
+        }
+        Ok(Some(rho)) => Some(rho),
         Err(_) => return infeasible(10.0 * PENALTY),
     };
-    if !rho.is_finite() || rho >= config.stability_margin {
-        return infeasible(PENALTY * (1.0 + rho.min(1e6)));
-    }
 
     // Feedforward gains per task (paper eq. (17)), with the precomputed
     // per-interval total input matrices.
@@ -539,15 +576,16 @@ fn finish(
 ) -> AttemptResult {
     let mut scratch = ctx.take();
     let eval = evaluate_gains_ws(lifted, gains, config, &mut scratch);
+    // The design reports its exact ρ even when the objective certified it.
+    let rho = eval
+        .rho
+        .unwrap_or_else(|| scratch.eig.root_radius().unwrap_or(f64::INFINITY));
     let feedforwards = scratch.feedforwards.clone();
     ctx.put(scratch);
-    if !eval.rho.is_finite() || eval.rho >= config.stability_margin {
+    if !rho.is_finite() || rho >= config.stability_margin {
         return Err(AttemptError::seed_dependent(
             ControlError::SynthesisFailed {
-                reason: format!(
-                    "no stabilising design found (best spectral radius {:.4})",
-                    eval.rho
-                ),
+                reason: format!("no stabilising design found (best spectral radius {rho:.4})"),
             },
         ));
     }
@@ -575,7 +613,7 @@ fn finish(
         feedforwards,
         settling_time: eval.settling,
         max_input: eval.max_input,
-        spectral_radius: eval.rho,
+        spectral_radius: rho,
         evaluations,
     })
 }
@@ -602,30 +640,53 @@ fn desired_charpoly(params: &[f64]) -> Vec<f64> {
 }
 
 /// Characteristic-polynomial coefficients of the closed-loop period map
-/// for a flat gain vector (ascending, without the leading 1).
-fn charpoly_of_gains(lifted: &LiftedPlant, params: &[f64], m: usize, l: usize) -> Result<Vec<f64>> {
-    let phi = lifted.period_map(&params_to_gains(params, m, l))?;
-    let p = characteristic_polynomial(&phi)?;
-    let mut coeffs = p.coeffs().to_vec();
-    coeffs.pop();
-    Ok(coeffs)
+/// for a flat gain vector (ascending, without the leading 1), built on
+/// the gain, period-map and eigen buffers of `scratch`.
+fn charpoly_of_gains_ws<'s>(
+    lifted: &LiftedPlant,
+    params: &[f64],
+    m: usize,
+    l: usize,
+    scratch: &'s mut SynthScratch,
+) -> Result<&'s [f64]> {
+    write_gain_rows(&mut scratch.gains, params, m, l);
+    lifted.period_map_into(&scratch.gains, &mut scratch.pm)?;
+    let coeffs = scratch.eig.characteristic_polynomial(scratch.pm.phi())?;
+    Ok(&coeffs[..coeffs.len() - 1])
 }
 
-/// Damped Newton iteration matching `charpoly(Φ(K))` to `target`.
-/// Returns the flat gain vector on success.
+#[cfg(test)]
+fn charpoly_of_gains(lifted: &LiftedPlant, params: &[f64], m: usize, l: usize) -> Result<Vec<f64>> {
+    Ok(charpoly_of_gains_ws(lifted, params, m, l, &mut SynthScratch::new())?.to_vec())
+}
+
+#[cfg(test)]
 fn newton_match_gains(
     lifted: &LiftedPlant,
     target: &[f64],
     m: usize,
     l: usize,
 ) -> Option<Vec<f64>> {
+    newton_match_gains_ws(lifted, target, m, l, &mut SynthScratch::new())
+}
+
+/// Damped Newton iteration matching `charpoly(Φ(K))` to `target`.
+/// Returns the flat gain vector on success. Every residual (`dim + 25`
+/// per iteration at most) reuses `scratch`'s buffers.
+fn newton_match_gains_ws(
+    lifted: &LiftedPlant,
+    target: &[f64],
+    m: usize,
+    l: usize,
+    scratch: &mut SynthScratch,
+) -> Option<Vec<f64>> {
     let dim = m * l;
     let n_eq = 2 * l;
     let mut k = vec![0.0; dim];
     let scale: f64 = target.iter().map(|c| c.abs()).sum::<f64>().max(1.0);
 
-    let residual = |k: &[f64]| -> Option<Vec<f64>> {
-        let c = charpoly_of_gains(lifted, k, m, l).ok()?;
+    let mut residual = |k: &[f64]| -> Option<Vec<f64>> {
+        let c = charpoly_of_gains_ws(lifted, k, m, l, scratch).ok()?;
         Some(c.iter().zip(target).map(|(a, b)| a - b).collect())
     };
 
@@ -728,7 +789,10 @@ fn synthesize_poles(
     let result = pso
         .minimize_parallel(&bounds, |pole_params| {
             let target = desired_charpoly(pole_params);
-            match newton_match_gains(lifted, &target, m, l) {
+            let mut scratch = ctx.take();
+            let k = newton_match_gains_ws(lifted, &target, m, l, &mut scratch);
+            ctx.put(scratch);
+            match k {
                 Some(k) => {
                     // Respect the gain box like the direct strategy does.
                     if k.iter().any(|g| g.abs() > config.gain_bound) {
@@ -746,7 +810,10 @@ fn synthesize_poles(
         })?;
 
     let target = desired_charpoly(&result.best_position);
-    let k = newton_match_gains(lifted, &target, m, l).ok_or_else(|| {
+    let mut scratch = ctx.take();
+    let k = newton_match_gains_ws(lifted, &target, m, l, &mut scratch);
+    ctx.put(scratch);
+    let k = k.ok_or_else(|| {
         AttemptError::seed_dependent(ControlError::SynthesisFailed {
             reason: "pole-placement gain matching failed for the best pole set".into(),
         })

@@ -20,7 +20,10 @@
 //! * [`Polynomial`] and Durand–Kerner [`Polynomial::roots`] —
 //!   characteristic polynomials and pole computations,
 //! * [`eigenvalues`] / [`spectral_radius`] — via Faddeev–LeVerrier and the
-//!   root finder (the matrices in this domain are tiny: 2–12 rows),
+//!   root finder (the matrices in this domain are tiny: 2–12 rows), with
+//!   [`EigWorkspace`] for allocation-free reuse and a Schur–Cohn test
+//!   that certifies "every eigenvalue inside a radius" without root
+//!   finding,
 //! * [`controllability_matrix`] / [`is_controllable`] — Kalman rank test.
 //!
 //! # Example
@@ -54,7 +57,7 @@ mod qr;
 
 pub use complex::Complex;
 pub use ctrb::{controllability_matrix, is_controllable};
-pub use eig::{characteristic_polynomial, eigenvalues, spectral_radius};
+pub use eig::{characteristic_polynomial, eigenvalues, spectral_radius, EigWorkspace};
 pub use error::LinalgError;
 pub use expm::{expm, expm_into, expm_with_integral, expm_with_integral_ws, ExpmWorkspace};
 pub use expm_cache::ExpmCache;

@@ -1,4 +1,5 @@
-//! Real-coefficient polynomials and a Durand–Kerner root finder.
+//! Real-coefficient polynomials, a Durand–Kerner root finder and a
+//! Schur–Cohn root-location test.
 
 use crate::{Complex, LinalgError, Result};
 use serde::{Deserialize, Serialize};
@@ -230,75 +231,159 @@ impl Polynomial {
                 reason: "zero polynomial has every point as a root",
             });
         }
-        let n = self.degree();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        // Monic complex coefficients.
-        let lead = self.leading_coefficient();
-        let coeffs: Vec<Complex> = self
-            .coeffs
-            .iter()
-            .map(|&c| Complex::from_real(c / lead))
-            .collect();
-
-        // Initial guesses on a circle whose radius bounds the roots
-        // (Cauchy bound), with an irrational angle offset to break symmetry.
-        let radius = 1.0
-            + self.coeffs[..n]
-                .iter()
-                .map(|c| (c / lead).abs())
-                .fold(0.0_f64, f64::max);
-        let mut z: Vec<Complex> = (0..n)
-            .map(|k| {
-                Complex::from_polar(
-                    radius.min(2.0 + 0.5 * k as f64 / n as f64),
-                    0.4 + 2.0 * std::f64::consts::PI * k as f64 / n as f64,
-                )
-            })
-            .collect();
-
-        const MAX_SWEEPS: usize = 1000;
-        const TOL: f64 = 1e-13;
-        for _sweep in 0..MAX_SWEEPS {
-            let mut max_step = 0.0_f64;
-            for i in 0..n {
-                let zi = z[i];
-                let p_zi = coeffs
-                    .iter()
-                    .rev()
-                    .fold(Complex::ZERO, |acc, &c| acc * zi + c);
-                let mut denom = Complex::ONE;
-                for (j, &zj) in z.iter().enumerate() {
-                    if j != i {
-                        denom = denom * (zi - zj);
-                    }
-                }
-                if denom.abs_sq() < 1e-300 {
-                    // Perturb coincident guesses.
-                    z[i] = zi + Complex::new(1e-8, 1e-8);
-                    max_step = f64::MAX.min(1.0);
-                    continue;
-                }
-                let step = p_zi / denom;
-                z[i] = zi - step;
-                max_step = max_step.max(step.abs());
-                if z[i].is_nan() {
-                    return Err(LinalgError::NotConverged {
-                        algorithm: "durand-kerner",
-                        iterations: _sweep,
-                    });
-                }
-            }
-            if max_step < TOL * radius.max(1.0) {
-                return Ok(z);
-            }
-        }
-        Err(LinalgError::NotConverged {
-            algorithm: "durand-kerner",
-            iterations: MAX_SWEEPS,
-        })
+        let mut z = Vec::new();
+        durand_kerner(&self.coeffs, &mut Vec::new(), &mut z)?;
+        Ok(z)
     }
+
+    /// Schur–Cohn test: `true` only if every root lies strictly inside
+    /// the disk `|x| < radius`.
+    ///
+    /// Decides from the coefficients alone, without finding a root. It
+    /// is `false` for the zero polynomial, a non-positive or non-finite
+    /// radius and any non-finite coefficient. Constants have no roots, so
+    /// a non-zero constant passes.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use cacs_linalg::Polynomial;
+    ///
+    /// let p = Polynomial::new(vec![0.125, -0.75, 1.0]); // roots 0.25, 0.5
+    /// assert!(p.roots_within(0.6));
+    /// assert!(!p.roots_within(0.5)); // a root on the circle is not inside
+    /// ```
+    pub fn roots_within(&self, radius: f64) -> bool {
+        schur_cohn_within(&self.coeffs, radius, &mut Vec::new(), &mut Vec::new())
+    }
+}
+
+/// Durand–Kerner (Weierstrass) iteration: all complex roots of the
+/// polynomial with ascending coefficients `coeffs` (leading coefficient
+/// non-zero) land in `z`. `monic` is scratch for the monic complex
+/// coefficients. Both buffers are fully overwritten, so reusing them is
+/// bit-identical to fresh ones. A constant leaves `z` empty.
+///
+/// This is the one implementation behind [`Polynomial::roots`] and the
+/// pooled [`crate::EigWorkspace`] root finder.
+pub(crate) fn durand_kerner(
+    coeffs: &[f64],
+    monic: &mut Vec<Complex>,
+    z: &mut Vec<Complex>,
+) -> Result<()> {
+    z.clear();
+    let n = coeffs.len().saturating_sub(1);
+    if n == 0 {
+        return Ok(());
+    }
+    let lead = coeffs[n];
+    monic.clear();
+    monic.extend(coeffs.iter().map(|&c| Complex::from_real(c / lead)));
+
+    // Initial guesses on a circle whose radius bounds the roots
+    // (Cauchy bound), with an irrational angle offset to break symmetry.
+    let radius = 1.0
+        + coeffs[..n]
+            .iter()
+            .map(|c| (c / lead).abs())
+            .fold(0.0_f64, f64::max);
+    z.extend((0..n).map(|k| {
+        Complex::from_polar(
+            radius.min(2.0 + 0.5 * k as f64 / n as f64),
+            0.4 + 2.0 * std::f64::consts::PI * k as f64 / n as f64,
+        )
+    }));
+
+    const MAX_SWEEPS: usize = 1000;
+    const TOL: f64 = 1e-13;
+    for sweep in 0..MAX_SWEEPS {
+        let mut max_step = 0.0_f64;
+        for i in 0..n {
+            let zi = z[i];
+            let p_zi = monic
+                .iter()
+                .rev()
+                .fold(Complex::ZERO, |acc, &c| acc * zi + c);
+            let mut denom = Complex::ONE;
+            for (j, &zj) in z.iter().enumerate() {
+                if j != i {
+                    denom = denom * (zi - zj);
+                }
+            }
+            if denom.abs_sq() < 1e-300 {
+                // Perturb coincident guesses.
+                z[i] = zi + Complex::new(1e-8, 1e-8);
+                max_step = f64::MAX.min(1.0);
+                continue;
+            }
+            let step = p_zi / denom;
+            z[i] = zi - step;
+            max_step = max_step.max(step.abs());
+            if z[i].is_nan() {
+                return Err(LinalgError::NotConverged {
+                    algorithm: "durand-kerner",
+                    iterations: sweep,
+                });
+            }
+        }
+        if max_step < TOL * radius.max(1.0) {
+            return Ok(());
+        }
+    }
+    Err(LinalgError::NotConverged {
+        algorithm: "durand-kerner",
+        iterations: MAX_SWEEPS,
+    })
+}
+
+/// Schur–Cohn recursion on `p(radius·x)`: `true` only if every root of
+/// the polynomial with ascending coefficients `coeffs` lies strictly
+/// inside `|x| < radius`.
+///
+/// With `q(x) = p(radius·x)` of degree `d` and `k = q₀/q_d`, all roots
+/// of `q` lie in the open unit disk iff `|k| < 1` and all roots of the
+/// degree-`d−1` reduction `(q(x) − k·x^d·q(1/x))/x` do too (Marden,
+/// *Geometry of Polynomials*, §42). The reduction's coefficients are
+/// `q_{i+1} − k·q_{d−1−i}`. Any non-finite coefficient, a vanishing
+/// leading coefficient or a non-positive radius answers `false`, as
+/// does `|k| ≥ 1` (so a root on the circle is rejected). `cur`/`next`
+/// are reduction scratch, fully overwritten.
+///
+/// This is the one implementation behind [`Polynomial::roots_within`]
+/// and [`crate::EigWorkspace::roots_within`].
+pub(crate) fn schur_cohn_within(
+    coeffs: &[f64],
+    radius: f64,
+    cur: &mut Vec<f64>,
+    next: &mut Vec<f64>,
+) -> bool {
+    if !(radius > 0.0 && radius.is_finite()) || coeffs.iter().any(|c| !c.is_finite()) {
+        return false;
+    }
+    cur.clear();
+    let mut power = 1.0;
+    for &c in coeffs {
+        cur.push(c * power);
+        power *= radius;
+    }
+    match cur.len() {
+        0 => return false,
+        // A constant has no roots unless it is the zero polynomial.
+        1 => return cur[0] != 0.0,
+        _ => {}
+    }
+    while cur.len() > 1 {
+        let d = cur.len() - 1;
+        let k = cur[0] / cur[d];
+        // 0/0 (a vanished leading coefficient) gives NaN, which fails too.
+        if k.is_nan() || k.abs() >= 1.0 {
+            return false;
+        }
+        next.clear();
+        next.extend((0..d).map(|i| cur[i + 1] - k * cur[d - 1 - i]));
+        std::mem::swap(cur, next);
+    }
+    true
 }
 
 impl fmt::Display for Polynomial {
@@ -445,6 +530,83 @@ mod tests {
         for r in roots {
             assert!((r.re - 1.0).abs() < 1e-4);
             assert!(r.im.abs() < 1e-4);
+        }
+    }
+
+    #[test]
+    fn schur_cohn_accepts_roots_strictly_inside() {
+        // Roots 0.5, -0.25 and 0.5 ± 0.5i (modulus √0.5 ≈ 0.7071).
+        let p =
+            Polynomial::new(vec![-0.125, -0.25, 1.0]).mul(&Polynomial::new(vec![0.5, -1.0, 1.0]));
+        assert!(p.roots_within(0.75));
+        assert!(p.roots_within(1.0));
+        assert!(!p.roots_within(0.7));
+    }
+
+    #[test]
+    fn schur_cohn_rejects_a_root_on_or_outside_the_circle() {
+        // (x - 0.5)(x + 0.25): the root 0.5 sits exactly on |x| = 0.5.
+        let on = Polynomial::new(vec![-0.125, -0.25, 1.0]);
+        assert!(!on.roots_within(0.5));
+        assert!(on.roots_within(0.5 + 1e-9));
+        // (x - 2)(x - 0.1): one root far outside the unit circle.
+        let outside = Polynomial::new(vec![0.2, -2.1, 1.0]);
+        assert!(!outside.roots_within(1.0));
+        assert!(outside.roots_within(2.5));
+    }
+
+    #[test]
+    fn schur_cohn_rejects_non_finite_input() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(!Polynomial::new(vec![bad, 0.0, 1.0]).roots_within(1.0));
+            assert!(!Polynomial::new(vec![0.1, bad, 1.0]).roots_within(1.0));
+            assert!(!Polynomial::new(vec![0.1, 0.2, bad]).roots_within(1.0));
+        }
+        let p = Polynomial::new(vec![0.1, 1.0]);
+        for radius in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(!p.roots_within(radius), "radius {radius}");
+        }
+    }
+
+    #[test]
+    fn schur_cohn_degrees_zero_and_one() {
+        // A non-zero constant has no roots; the zero polynomial has all.
+        assert!(Polynomial::one().roots_within(1e-3));
+        assert!(!Polynomial::zero().roots_within(1e3));
+        // -0.3 + x: root 0.3.
+        let p = Polynomial::new(vec![-0.3, 1.0]);
+        assert!(p.roots_within(0.31));
+        assert!(!p.roots_within(0.3));
+        assert!(!p.roots_within(0.29));
+        // Leading coefficient other than one: 0.6 + 2x, root -0.3.
+        let q = Polynomial::new(vec![0.6, 2.0]);
+        assert!(q.roots_within(0.31));
+        assert!(!q.roots_within(0.29));
+    }
+
+    #[test]
+    fn schur_cohn_handles_repeated_roots() {
+        // (x - 0.9)² (x - 0.05)²: Durand–Kerner converges slowly here,
+        // the Schur–Cohn decision is unaffected.
+        let r = [0.9, 0.9, 0.05, 0.05].map(Complex::from_real);
+        let p = Polynomial::from_roots(&r);
+        assert!(p.roots_within(0.91));
+        assert!(!p.roots_within(0.89));
+    }
+
+    #[test]
+    fn reused_root_buffers_match_fresh_ones() {
+        let big = Polynomial::new(vec![0.5, -1.2, 2.0, 0.3, -0.7, 1.0]);
+        let small = Polynomial::new(vec![2.0, -3.0, 1.0]);
+        let (mut monic, mut z) = (Vec::new(), Vec::new());
+        for p in [&big, &small, &big] {
+            durand_kerner(p.coeffs(), &mut monic, &mut z).unwrap();
+            let fresh = p.roots().unwrap();
+            assert_eq!(z.len(), fresh.len());
+            for (a, b) in z.iter().zip(&fresh) {
+                assert_eq!(a.re.to_bits(), b.re.to_bits());
+                assert_eq!(a.im.to_bits(), b.im.to_bits());
+            }
         }
     }
 

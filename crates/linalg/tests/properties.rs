@@ -2,7 +2,7 @@
 
 use cacs_linalg::{
     characteristic_polynomial, expm, expm_with_integral, spectral_radius, BitKey, Complex,
-    LuDecomposition, Matrix, Polynomial, QrDecomposition,
+    EigWorkspace, LuDecomposition, Matrix, Polynomial, QrDecomposition,
 };
 use proptest::prelude::*;
 
@@ -119,6 +119,41 @@ proptest! {
                 let scale: f64 = p.coeffs().iter().map(|c| c.abs()).sum::<f64>().max(1.0);
                 prop_assert!(v < 1e-6 * scale, "p(eig) = {v}");
             }
+        }
+    }
+
+    #[test]
+    fn schur_cohn_agrees_with_root_finder_away_from_the_band(
+        real in prop::collection::vec(-1.5f64..1.5, 0..4),
+        pairs in prop::collection::vec((0.0f64..1.5, 0.05f64..3.1), 0..3),
+        radius in 0.2f64..1.6,
+    ) {
+        let mut roots: Vec<Complex> = real.iter().map(|&r| Complex::from_real(r)).collect();
+        for &(r, theta) in &pairs {
+            roots.push(Complex::from_polar(r, theta));
+            roots.push(Complex::from_polar(r, -theta));
+        }
+        prop_assume!(!roots.is_empty());
+        let p = Polynomial::from_roots(&roots);
+        if let Ok(found) = p.roots() {
+            let rho = found.iter().map(|z| z.abs()).fold(0.0, f64::max);
+            prop_assume!((rho / radius - 1.0).abs() > 1e-3);
+            prop_assert_eq!(p.roots_within(radius), rho < radius, "rho {}", rho);
+        }
+    }
+
+    #[test]
+    fn workspace_stability_test_agrees_with_spectral_radius(
+        a in square_matrix(5),
+        radius in 0.5f64..8.0,
+    ) {
+        let mut ws = EigWorkspace::new();
+        let coeffs = ws.characteristic_polynomial(&a).unwrap().to_vec();
+        prop_assert_eq!(&coeffs, characteristic_polynomial(&a).unwrap().coeffs());
+        if let Ok(rho) = spectral_radius(&a) {
+            prop_assert_eq!(ws.root_radius().unwrap().to_bits(), rho.to_bits());
+            prop_assume!((rho / radius - 1.0).abs() > 1e-3);
+            prop_assert_eq!(ws.roots_within(radius), rho < radius, "rho {}", rho);
         }
     }
 
