@@ -5,8 +5,8 @@
 
 use cacs_sched::Schedule;
 use cacs_search::{
-    exhaustive_search, hybrid_search, simulated_annealing, AnnealConfig, FnEvaluator, HybridConfig,
-    ScheduleSpace,
+    exhaustive_search, run_multistart, AnnealConfig, FnEvaluator, HybridConfig, ScheduleSpace,
+    StrategyConfig,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -35,14 +35,11 @@ fn print_eval_counts() {
         ex.evaluated,
         ex.best.as_ref().expect("feasible")
     );
+    let hybrid = StrategyConfig::Hybrid(HybridConfig::default());
     for start in [vec![4, 2, 2], vec![1, 2, 1]] {
-        let report = hybrid_search(
-            &eval,
-            &space,
-            &Schedule::new(start.clone()).expect("start"),
-            &HybridConfig::default(),
-        )
-        .expect("search runs");
+        let starts = [Schedule::new(start.clone()).expect("start")];
+        let outcome = run_multistart(&eval, &space, &starts, &hybrid, None).expect("search runs");
+        let report = &outcome.reports[0];
         println!(
             "hybrid from {start:?}: {} evaluations ({}% of exhaustive), best {}",
             report.evaluations,
@@ -60,13 +57,15 @@ fn bench_search(c: &mut Criterion) {
     let mut group = c.benchmark_group("schedule_search");
     group.bench_function("hybrid_from_422", |b| {
         let eval = surrogate();
-        let start = Schedule::new(vec![4, 2, 2]).expect("start");
+        let starts = [Schedule::new(vec![4, 2, 2]).expect("start")];
+        let hybrid = StrategyConfig::Hybrid(HybridConfig::default());
         b.iter(|| {
-            hybrid_search(
+            run_multistart(
                 black_box(&eval),
                 black_box(&space),
-                black_box(&start),
-                &HybridConfig::default(),
+                black_box(&starts),
+                &hybrid,
+                None,
             )
         })
     });
@@ -74,15 +73,17 @@ fn bench_search(c: &mut Criterion) {
         let eval = surrogate();
         b.iter(|| exhaustive_search(black_box(&eval), black_box(&space)))
     });
-    group.bench_function("simulated_annealing", |b| {
+    group.bench_function("anneal_from_121", |b| {
         let eval = surrogate();
-        let start = Schedule::new(vec![1, 2, 1]).expect("start");
+        let starts = [Schedule::new(vec![1, 2, 1]).expect("start")];
+        let anneal = StrategyConfig::Anneal(AnnealConfig::default());
         b.iter(|| {
-            simulated_annealing(
+            run_multistart(
                 black_box(&eval),
                 black_box(&space),
-                black_box(&start),
-                &AnnealConfig::default(),
+                black_box(&starts),
+                &anneal,
+                None,
             )
         })
     });

@@ -10,8 +10,8 @@
 
 use cacs_sched::Schedule;
 use cacs_search::{
-    exhaustive_search, genetic_search, hybrid_search, run_multistart, tabu_search, FnEvaluator,
-    GeneticConfig, HybridConfig, ScheduleSpace, StrategyConfig, TabuConfig,
+    exhaustive_search, run_multistart, FnEvaluator, GeneticConfig, HybridConfig, ScheduleSpace,
+    SearchReport, StrategyConfig, TabuConfig,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -31,6 +31,19 @@ fn space() -> ScheduleSpace {
     ScheduleSpace::new(vec![4, 8, 6]).expect("space")
 }
 
+/// One search of `strategy` from `start`: a one-start engine run.
+fn one_start(
+    eval: &impl cacs_search::ScheduleEvaluator,
+    space: &ScheduleSpace,
+    start: &Schedule,
+    strategy: StrategyConfig,
+) -> SearchReport {
+    run_multistart(eval, space, std::slice::from_ref(start), &strategy, None)
+        .expect("search runs")
+        .reports
+        .remove(0)
+}
+
 /// Tolerance ablation: tolerance 0 (strict ascent) is cheaper but can get
 /// trapped; the paper's tolerance trick buys optimum recovery for a few
 /// extra evaluations.
@@ -48,13 +61,8 @@ fn print_tolerance_ablation() {
         let mut worst_gap = 0.0f64;
         let mut total_evals = 0usize;
         for start in [vec![4, 2, 2], vec![1, 2, 1], vec![1, 1, 1], vec![4, 8, 6]] {
-            let report = hybrid_search(
-                &eval,
-                &space,
-                &Schedule::new(start).expect("start"),
-                &config,
-            )
-            .expect("search runs");
+            let start = Schedule::new(start).expect("start");
+            let report = one_start(&eval, &space, &start, StrategyConfig::Hybrid(config));
             worst_gap = worst_gap.max(optimum - report.best_value);
             total_evals += report.evaluations;
         }
@@ -106,24 +114,18 @@ fn print_baseline_comparison() {
         ex.evaluated
     );
     let start = Schedule::new(vec![1, 2, 1]).expect("start");
-    let hybrid = hybrid_search(&eval, &space, &start, &HybridConfig::default()).expect("runs");
-    println!(
-        "hybrid: {:>3} evaluations, gap {:.4}",
-        hybrid.evaluations,
-        ex.best_value - hybrid.best_value
-    );
-    let tabu = tabu_search(&eval, &space, &start, &TabuConfig::default()).expect("runs");
-    println!(
-        "tabu:   {:>3} evaluations, gap {:.4}",
-        tabu.evaluations,
-        ex.best_value - tabu.best_value
-    );
-    let ga = genetic_search(&eval, &space, &GeneticConfig::default()).expect("runs");
-    println!(
-        "GA:     {:>3} evaluations, gap {:.4}",
-        ga.evaluations,
-        ex.best_value - ga.best_value
-    );
+    for (label, strategy) in [
+        ("hybrid:", StrategyConfig::Hybrid(HybridConfig::default())),
+        ("tabu:", StrategyConfig::Tabu(TabuConfig::default())),
+        ("GA:", StrategyConfig::Genetic(GeneticConfig::default())),
+    ] {
+        let report = one_start(&eval, &space, &start, strategy);
+        println!(
+            "{label:<7} {:>3} evaluations, gap {:.4}",
+            report.evaluations,
+            ex.best_value - report.best_value
+        );
+    }
 }
 
 fn bench_ablation(c: &mut Criterion) {
@@ -141,11 +143,11 @@ fn bench_ablation(c: &mut Criterion) {
             |b, &tolerance| {
                 let eval = surrogate();
                 let start = Schedule::new(vec![1, 2, 1]).expect("start");
-                let config = HybridConfig {
+                let hybrid = StrategyConfig::Hybrid(HybridConfig {
                     tolerance,
                     ..HybridConfig::default()
-                };
-                b.iter(|| hybrid_search(black_box(&eval), &space, &start, &config))
+                });
+                b.iter(|| one_start(black_box(&eval), &space, &start, hybrid))
             },
         );
     }
@@ -155,11 +157,14 @@ fn bench_ablation(c: &mut Criterion) {
     group.bench_function("tabu", |b| {
         let eval = surrogate();
         let start = Schedule::new(vec![1, 2, 1]).expect("start");
-        b.iter(|| tabu_search(black_box(&eval), &space, &start, &TabuConfig::default()))
+        let tabu = StrategyConfig::Tabu(TabuConfig::default());
+        b.iter(|| one_start(black_box(&eval), &space, &start, tabu))
     });
     group.bench_function("genetic", |b| {
         let eval = surrogate();
-        b.iter(|| genetic_search(black_box(&eval), &space, &GeneticConfig::default()))
+        let start = Schedule::new(vec![1, 2, 1]).expect("start");
+        let genetic = StrategyConfig::Genetic(GeneticConfig::default());
+        b.iter(|| one_start(black_box(&eval), &space, &start, genetic))
     });
     group.finish();
 }

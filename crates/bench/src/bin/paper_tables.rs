@@ -13,7 +13,7 @@
 use cacs_apps::paper_case_study;
 use cacs_core::{fig6_series, table1_rows, table3_rows, CodesignProblem, EvaluationConfig};
 use cacs_sched::Schedule;
-use cacs_search::HybridConfig;
+use cacs_search::{HybridConfig, StrategyConfig};
 use std::fs;
 use std::path::PathBuf;
 
@@ -57,7 +57,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Search: hybrid from the paper's two starts, then exhaustive.
     let starts = [Schedule::new(vec![4, 2, 2])?, Schedule::new(vec![1, 2, 1])?];
-    let outcome = problem.optimize(&starts, &HybridConfig::default())?;
+    let outcome = problem.optimize_with_strategy(
+        &starts,
+        &StrategyConfig::Hybrid(HybridConfig::default()),
+        None,
+    )?;
     println!("search,start,best,p_all,evaluations");
     for s in &outcome.searches {
         println!(

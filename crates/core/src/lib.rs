@@ -8,9 +8,10 @@
 //! overall control performance `P_all = Σ w_i (1 − s_i/s_i^max)`
 //! (paper eq. (2)).
 //!
-//! Stage 2 ([`CodesignProblem::optimize`]): search the discrete schedule
-//! space for the performance-maximising schedule with the hybrid
-//! algorithm, verified by [`CodesignProblem::optimize_exhaustive`].
+//! Stage 2 ([`CodesignProblem::optimize_with_strategy`]): search the
+//! discrete schedule space for the performance-maximising schedule with
+//! the hybrid algorithm, verified by
+//! [`CodesignProblem::optimize_exhaustive`].
 //!
 //! Every evaluation runs on an [`EvalCtx`] — a scratch-buffer pool plus
 //! bit-pattern-keyed memo caches (matrix exponentials, whole app

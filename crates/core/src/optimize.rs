@@ -5,8 +5,8 @@ use crate::{CodesignProblem, Result};
 use cacs_distrib::{CoordinatorConfig, ShardedSweep};
 use cacs_sched::Schedule;
 use cacs_search::{
-    exhaustive_search_with, run_multistart, EvalStore, ExhaustiveReport, HybridConfig,
-    ScheduleSpace, SearchReport, StrategyConfig, SweepConfig,
+    exhaustive_search, run_multistart, EvalStore, ExhaustiveReport, ScheduleSpace, SearchReport,
+    StrategyConfig,
 };
 
 /// One search run with its start point.
@@ -93,21 +93,12 @@ impl CodesignProblem {
         }
     }
 
-    /// Runs the hybrid search from the given start points in parallel
-    /// (paper Section IV / Section V: two random starts).
-    ///
-    /// # Errors
-    ///
-    /// Propagates search errors (e.g. a start outside the space).
-    pub fn optimize(&self, starts: &[Schedule], config: &HybridConfig) -> Result<OptimizeOutcome> {
-        self.optimize_with_strategy(starts, &StrategyConfig::Hybrid(*config), None)
-    }
-
     /// Runs any search strategy (hybrid, annealing, genetic, tabu) from
     /// the given start points in parallel through the unified strategy
     /// engine ([`cacs_search::run_multistart`]) — one shared evaluation
     /// cache across starts, deterministic per-start seeding for the
-    /// randomised strategies.
+    /// randomised strategies. The paper's Section IV/V search is
+    /// [`StrategyConfig::Hybrid`] from two starts.
     ///
     /// With a persistent [`EvalStore`] attached, the run warm-starts
     /// from every evaluation the store already holds and writes every
@@ -171,30 +162,18 @@ impl CodesignProblem {
     ///
     /// Propagates search errors.
     pub fn optimize_exhaustive(&self) -> Result<ExhaustiveReport> {
-        self.optimize_exhaustive_with(&SweepConfig::default())
-    }
-
-    /// [`CodesignProblem::optimize_exhaustive`] with explicit streaming
-    /// knobs: chunk size and per-schedule result retention. Huge spaces
-    /// should pass [`SweepConfig::constant_memory`] so neither the sweep
-    /// nor the report materialises the box.
-    ///
-    /// # Errors
-    ///
-    /// Propagates search errors.
-    pub fn optimize_exhaustive_with(&self, sweep: &SweepConfig) -> Result<ExhaustiveReport> {
         let space = self.schedule_space()?;
-        Ok(exhaustive_search_with(self, &space, sweep)?)
+        Ok(exhaustive_search(self, &space)?)
     }
 
-    /// [`CodesignProblem::optimize_exhaustive_with`] sharded over
-    /// `workers` in-process workers via the `cacs-distrib` coordinator:
-    /// the space is partitioned into rank-range leases, each worker
-    /// sweeps its leases through the full wire protocol, and the shard
-    /// reports are merged back together. The merged report is
-    /// **bit-identical** to the single-process sweep under the same
-    /// [`SweepConfig`] (`config.sweep`) — sharding, lease scheduling and
-    /// fault recovery are invisible in the result.
+    /// An exhaustive sweep sharded over `workers` in-process workers via
+    /// the `cacs-distrib` coordinator: the space is partitioned into
+    /// rank-range leases, each worker sweeps its leases through the full
+    /// wire protocol, and the shard reports are merged back together.
+    /// The merged report is **bit-identical** to the single-process
+    /// sweep under the same [`cacs_search::SweepConfig`]
+    /// (`config.sweep`) — sharding, lease scheduling and fault recovery
+    /// are invisible in the result.
     ///
     /// For multi-process or cross-host deployments, use the
     /// `cacs-sweep-coord` / `cacs-sweep-worker` binaries (or

@@ -1,10 +1,7 @@
 //! Classical simulated annealing — the baseline the paper's hybrid
 //! algorithm borrows its tolerance feature from (Section IV).
 
-use crate::{
-    CountingScheduleEvaluator, Result, ScheduleEvaluator, ScheduleSpace, SearchError, SearchReport,
-    SharedEvalCache,
-};
+use crate::{CacheSession, Result, ScheduleEvaluator, ScheduleSpace, SearchError, SearchReport};
 use cacs_sched::Schedule;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,7 +31,7 @@ impl Default for AnnealConfig {
 }
 
 impl AnnealConfig {
-    fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if !self.initial_temperature.is_finite() || self.initial_temperature <= 0.0 {
             return Err(SearchError::InvalidConfig {
                 parameter: "initial_temperature must be positive",
@@ -54,64 +51,21 @@ impl AnnealConfig {
     }
 }
 
-/// Runs simulated annealing from `start` over the space.
+/// One annealing walk from `start` against one search's session of
+/// the run's cache, seeded with the engine-derived per-start `seed`
+/// ([`crate::derive_start_seed`]). The engine ([`crate::run_multistart`])
+/// has already validated `config`, the app count and `start`.
 ///
 /// Proposals are unit steps in a random dimension; acceptance follows the
 /// Metropolis criterion on the (maximised) objective. Infeasible proposals
 /// are always rejected.
-///
-/// # Errors
-///
-/// Same conditions as [`crate::hybrid_search`].
-///
-/// # Example
-///
-/// ```
-/// use cacs_search::{simulated_annealing, AnnealConfig, FnEvaluator, ScheduleSpace};
-/// use cacs_sched::Schedule;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let eval = FnEvaluator::new(1, |s: &Schedule| Some(-(s.counts()[0] as f64 - 4.0).powi(2)));
-/// let space = ScheduleSpace::new(vec![8])?;
-/// let report = simulated_annealing(
-///     &eval, &space, &Schedule::new(vec![1])?, &AnnealConfig::default())?;
-/// assert_eq!(report.best.as_ref().unwrap().counts(), &[4]);
-/// # Ok(())
-/// # }
-/// ```
-pub fn simulated_annealing<E: ScheduleEvaluator + ?Sized>(
-    evaluator: &E,
-    space: &ScheduleSpace,
-    start: &Schedule,
-    config: &AnnealConfig,
-) -> Result<SearchReport> {
-    let memo = SharedEvalCache::new(evaluator);
-    anneal_core(&memo, space, start, config, config.seed)
-}
-
-/// The annealing walk proper, generic over the caching layer so one
-/// search can run against its own memo ([`simulated_annealing`]) or a
-/// per-search session of a shared cache (via the
-/// [`crate::run_multistart`] engine, which also derives the per-start
-/// `seed`).
-pub(crate) fn anneal_core<E: CountingScheduleEvaluator>(
-    memo: &E,
+pub(crate) fn anneal_core<E: ScheduleEvaluator + ?Sized>(
+    memo: &CacheSession<'_, '_, E>,
     space: &ScheduleSpace,
     start: &Schedule,
     config: &AnnealConfig,
     seed: u64,
-) -> Result<SearchReport> {
-    config.validate()?;
-    if memo.app_count() != space.app_count() {
-        return Err(SearchError::AppCountMismatch {
-            expected: memo.app_count(),
-            actual: space.app_count(),
-        });
-    }
-    if !space.contains(start) || !memo.idle_feasible(start) {
-        return Err(SearchError::StartOutOfSpace);
-    }
-
+) -> SearchReport {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = space.app_count();
 
@@ -150,7 +104,7 @@ pub(crate) fn anneal_core<E: CountingScheduleEvaluator>(
         temperature *= config.cooling;
     }
 
-    Ok(SearchReport {
+    SearchReport {
         best: if best_value.is_finite() {
             Some(best)
         } else {
@@ -159,13 +113,22 @@ pub(crate) fn anneal_core<E: CountingScheduleEvaluator>(
         best_value,
         evaluations: memo.unique_evaluations(),
         trajectory,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FnEvaluator;
+    use crate::{strategy::run_one, FnEvaluator, StrategyConfig};
+
+    fn anneal<E: ScheduleEvaluator>(
+        eval: &E,
+        space: &ScheduleSpace,
+        start: &Schedule,
+        config: &AnnealConfig,
+    ) -> Result<SearchReport> {
+        run_one(eval, space, start, &StrategyConfig::Anneal(*config))
+    }
 
     #[test]
     fn finds_peak_of_simple_objective() {
@@ -174,7 +137,7 @@ mod tests {
             Some(-((c[0] as f64 - 3.0).powi(2) + (c[1] as f64 - 2.0).powi(2)))
         });
         let space = ScheduleSpace::new(vec![6, 6]).unwrap();
-        let report = simulated_annealing(
+        let report = anneal(
             &eval,
             &space,
             &Schedule::new(vec![6, 6]).unwrap(),
@@ -192,7 +155,7 @@ mod tests {
         let values = [0.0, 0.5, 1.0, 0.2, 1.1, 2.0, 0.1];
         let eval = FnEvaluator::new(1, move |s: &Schedule| Some(values[s.counts()[0] as usize]));
         let space = ScheduleSpace::new(vec![6]).unwrap();
-        let report = simulated_annealing(
+        let report = anneal(
             &eval,
             &space,
             &Schedule::new(vec![2]).unwrap(), // start on the local peak
@@ -209,7 +172,7 @@ mod tests {
 
     #[test]
     fn typically_needs_more_evaluations_than_hybrid() {
-        use crate::{hybrid_search, HybridConfig};
+        use crate::HybridConfig;
         let eval = FnEvaluator::new(3, |s: &Schedule| {
             let c = s.counts();
             Some(
@@ -220,8 +183,14 @@ mod tests {
         });
         let space = ScheduleSpace::new(vec![6, 6, 6]).unwrap();
         let start = Schedule::new(vec![1, 1, 1]).unwrap();
-        let hybrid = hybrid_search(&eval, &space, &start, &HybridConfig::default()).unwrap();
-        let sa = simulated_annealing(
+        let hybrid = run_one(
+            &eval,
+            &space,
+            &start,
+            &StrategyConfig::Hybrid(HybridConfig::default()),
+        )
+        .unwrap();
+        let sa = anneal(
             &eval,
             &space,
             &start,
@@ -243,8 +212,8 @@ mod tests {
         let space = ScheduleSpace::new(vec![5]).unwrap();
         let start = Schedule::new(vec![3]).unwrap();
         let config = AnnealConfig::default();
-        let a = simulated_annealing(&eval, &space, &start, &config).unwrap();
-        let b = simulated_annealing(&eval, &space, &start, &config).unwrap();
+        let a = anneal(&eval, &space, &start, &config).unwrap();
+        let b = anneal(&eval, &space, &start, &config).unwrap();
         assert_eq!(a.best_value, b.best_value);
         assert_eq!(a.evaluations, b.evaluations);
     }
@@ -258,12 +227,12 @@ mod tests {
             cooling: 1.5,
             ..AnnealConfig::default()
         };
-        assert!(simulated_annealing(&eval, &space, &start, &c).is_err());
+        assert!(anneal(&eval, &space, &start, &c).is_err());
         c = AnnealConfig::default();
         c.initial_temperature = 0.0;
-        assert!(simulated_annealing(&eval, &space, &start, &c).is_err());
+        assert!(anneal(&eval, &space, &start, &c).is_err());
         c = AnnealConfig::default();
         c.steps = 0;
-        assert!(simulated_annealing(&eval, &space, &start, &c).is_err());
+        assert!(anneal(&eval, &space, &start, &c).is_err());
     }
 }

@@ -37,18 +37,6 @@ pub trait ScheduleEvaluator: Sync {
     fn evaluate(&self, schedule: &Schedule) -> Option<f64>;
 }
 
-/// A [`ScheduleEvaluator`] that additionally reports how many *distinct*
-/// schedules it has fully evaluated — the paper's Section-V cost metric
-/// (9 resp. 18 of 76 schedules).
-///
-/// Implemented by [`SharedEvalCache`] (distinct schedules requested
-/// through the whole cache — a solo search's cost) and [`CacheSession`]
-/// (the distinct schedules one search of a multistart run requested).
-pub trait CountingScheduleEvaluator: ScheduleEvaluator {
-    /// Number of distinct schedules fully evaluated so far.
-    fn unique_evaluations(&self) -> usize;
-}
-
 /// A [`ScheduleEvaluator`] built from closures — handy for tests and toy
 /// objectives.
 pub struct FnEvaluator<F, G = fn(&Schedule) -> bool>
@@ -342,16 +330,16 @@ const SHARED_CACHE_SHARDS: usize = 16;
 type WriteThrough<'a> = Box<dyn Fn(&Schedule, Option<f64>) + Sync + 'a>;
 
 /// The concurrent, sharded memo cache around a [`ScheduleEvaluator`]:
-/// every search evaluates through one — a solo search (e.g.
-/// [`crate::hybrid_search`]) directly, each start of
-/// [`crate::run_multistart`] through its own [`CacheSession`].
+/// every search evaluates through one — each start of
+/// [`crate::run_multistart`] through its own [`CacheSession`] of the
+/// run's cache.
 ///
 /// Repeated requests for a schedule are served from the cache, and
 /// concurrent requests for the same uncached schedule are deduplicated:
 /// one thread evaluates (outside the lock) while the others wait for
 /// its result. So distinct searches probing the same schedule pay for
 /// it **once** globally, and the cache's
-/// [`CountingScheduleEvaluator::unique_evaluations`] is the paper's
+/// [`SharedEvalCache::unique_evaluations`] is the paper's
 /// Section-V cost metric (9 resp. 18 of 76 schedules). Per-search
 /// sessions keep that metric exact inside a multistart run: a session
 /// counts the distinct schedules *it* requested — the number that
@@ -360,7 +348,7 @@ type WriteThrough<'a> = Box<dyn Fn(&Schedule, Option<f64>) + Sync + 'a>;
 /// # Example
 ///
 /// ```
-/// use cacs_search::{CountingScheduleEvaluator, FnEvaluator, ScheduleEvaluator, SharedEvalCache};
+/// use cacs_search::{FnEvaluator, ScheduleEvaluator, SharedEvalCache};
 /// use cacs_sched::Schedule;
 ///
 /// let inner = FnEvaluator::new(1, |s: &Schedule| Some(f64::from(s.counts()[0])));
@@ -446,6 +434,12 @@ impl<'a, E: ScheduleEvaluator + ?Sized> SharedEvalCache<'a, E> {
         self.cache.fresh_evaluations()
     }
 
+    /// Total distinct schedules *requested* across all sessions
+    /// (warm-started entries count once requested, like any other hit).
+    pub fn unique_evaluations(&self) -> usize {
+        self.cache.completed()
+    }
+
     /// Opens a per-search view with its own unique-evaluation counter.
     pub fn session(&self) -> CacheSession<'_, 'a, E> {
         CacheSession {
@@ -462,14 +456,6 @@ impl<'a, E: ScheduleEvaluator + ?Sized> SharedEvalCache<'a, E> {
             .into_iter()
             .map(|(counts, v)| (Schedule::new(counts).expect("cached key valid"), v))
             .collect()
-    }
-}
-
-impl<E: ScheduleEvaluator + ?Sized> CountingScheduleEvaluator for SharedEvalCache<'_, E> {
-    /// Total distinct schedules *requested* across all sessions
-    /// (warm-started entries count once requested, like any other hit).
-    fn unique_evaluations(&self) -> usize {
-        self.cache.completed()
     }
 }
 
@@ -522,8 +508,11 @@ impl<E: ScheduleEvaluator + ?Sized> ScheduleEvaluator for CacheSession<'_, '_, E
     }
 }
 
-impl<E: ScheduleEvaluator + ?Sized> CountingScheduleEvaluator for CacheSession<'_, '_, E> {
-    fn unique_evaluations(&self) -> usize {
+impl<E: ScheduleEvaluator + ?Sized> CacheSession<'_, '_, E> {
+    /// Number of distinct schedules this session requested — the
+    /// search's own Section-V cost, whether the cache served them or
+    /// not.
+    pub fn unique_evaluations(&self) -> usize {
         lock_recover(&self.requested).len()
     }
 }

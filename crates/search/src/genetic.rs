@@ -3,15 +3,12 @@
 //! The paper compares its hybrid search only against exhaustive
 //! enumeration; a GA is the stock population-based alternative for
 //! nonlinear discrete optimisation, so it is provided here as a second
-//! baseline. Like [`crate::simulated_annealing`] it typically needs far
-//! more full evaluations than the hybrid gradient search to reach the same
+//! baseline. Like simulated annealing it typically needs far more full
+//! evaluations than the hybrid gradient search to reach the same
 //! optimum — which is exactly the paper's argument for the hybrid design
 //! (Section IV: each evaluation costs seconds to hours).
 
-use crate::{
-    CountingScheduleEvaluator, Result, ScheduleEvaluator, ScheduleSpace, SearchError, SearchReport,
-    SharedEvalCache,
-};
+use crate::{CacheSession, Result, ScheduleEvaluator, ScheduleSpace, SearchError, SearchReport};
 use cacs_sched::Schedule;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -51,7 +48,7 @@ impl Default for GeneticConfig {
 }
 
 impl GeneticConfig {
-    fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.population < 2 {
             return Err(SearchError::InvalidConfig {
                 parameter: "population must be at least 2",
@@ -102,8 +99,16 @@ fn random_schedule(space: &ScheduleSpace, rng: &mut StdRng) -> Schedule {
     Schedule::new(counts).expect("counts within a valid space are valid")
 }
 
-/// Runs a generational GA over the schedule space, maximising the
-/// evaluator's objective.
+/// One generational GA run over the schedule space, maximising the
+/// evaluator's objective, against one search's session of the run's
+/// cache and seeded with the engine-derived per-start `seed`
+/// ([`crate::derive_start_seed`]). The engine ([`crate::run_multistart`])
+/// has already validated `config`, the app count and `start`.
+///
+/// `start` joins the initial population as individual 0 (the rest are
+/// random draws) — the GA's reading of "a search from this start
+/// point", which keeps the engine's start-based interface uniform
+/// across strategies.
 ///
 /// Idle-infeasible individuals are never submitted to the expensive
 /// evaluator (they score `−∞` directly, mirroring how the other searches
@@ -111,69 +116,17 @@ fn random_schedule(space: &ScheduleSpace, rng: &mut StdRng) -> Schedule {
 /// returns `None`) also score `−∞` but *do* count as evaluations, exactly
 /// like the paper's exhaustive count of 76 schedules including 2
 /// deadline-infeasible ones.
-///
-/// # Errors
-///
-/// * [`SearchError::InvalidConfig`] for out-of-range GA parameters.
-/// * [`SearchError::AppCountMismatch`] if the evaluator and space disagree.
-///
-/// # Example
-///
-/// ```
-/// use cacs_search::{genetic_search, FnEvaluator, GeneticConfig, ScheduleSpace};
-/// use cacs_sched::Schedule;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let eval = FnEvaluator::new(1, |s: &Schedule| Some(-(s.counts()[0] as f64 - 4.0).powi(2)));
-/// let space = ScheduleSpace::new(vec![8])?;
-/// let report = genetic_search(&eval, &space, &GeneticConfig::default())?;
-/// assert_eq!(report.best.as_ref().unwrap().counts(), &[4]);
-/// # Ok(())
-/// # }
-/// ```
-pub fn genetic_search<E: ScheduleEvaluator + ?Sized>(
-    evaluator: &E,
+pub(crate) fn genetic_core<E: ScheduleEvaluator + ?Sized>(
+    memo: &CacheSession<'_, '_, E>,
     space: &ScheduleSpace,
-    config: &GeneticConfig,
-) -> Result<SearchReport> {
-    let memo = SharedEvalCache::new(evaluator);
-    genetic_core(&memo, space, None, config, config.seed)
-}
-
-/// The generational loop proper, generic over the caching layer so one
-/// search can run against its own memo ([`genetic_search`]) or a
-/// per-search session of a shared cache (via the
-/// [`crate::run_multistart`] engine, which also derives the per-start
-/// `seed`).
-///
-/// When `start` is given it joins the initial population as individual
-/// 0 (the rest stay random draws) — the GA's reading of "a search from
-/// this start point", keeping the engine's start-based interface
-/// uniform across strategies.
-pub(crate) fn genetic_core<E: CountingScheduleEvaluator>(
-    memo: &E,
-    space: &ScheduleSpace,
-    start: Option<&Schedule>,
+    start: &Schedule,
     config: &GeneticConfig,
     seed: u64,
-) -> Result<SearchReport> {
-    config.validate()?;
-    if memo.app_count() != space.app_count() {
-        return Err(SearchError::AppCountMismatch {
-            expected: memo.app_count(),
-            actual: space.app_count(),
-        });
-    }
-    if let Some(start) = start {
-        if !space.contains(start) || !memo.idle_feasible(start) {
-            return Err(SearchError::StartOutOfSpace);
-        }
-    }
-
+) -> SearchReport {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = space.app_count();
 
-    let fitness_of = |s: &Schedule, memo: &E| -> f64 {
+    let fitness_of = |s: &Schedule| -> f64 {
         if !memo.idle_feasible(s) {
             return f64::NEG_INFINITY;
         }
@@ -182,11 +135,12 @@ pub(crate) fn genetic_core<E: CountingScheduleEvaluator>(
 
     let mut population: Vec<Individual> = (0..config.population)
         .map(|i| {
-            let schedule = match (i, start) {
-                (0, Some(start)) => start.clone(),
-                _ => random_schedule(space, &mut rng),
+            let schedule = if i == 0 {
+                start.clone()
+            } else {
+                random_schedule(space, &mut rng)
             };
-            let fitness = fitness_of(&schedule, memo);
+            let fitness = fitness_of(&schedule);
             Individual { schedule, fitness }
         })
         .collect();
@@ -231,7 +185,7 @@ pub(crate) fn genetic_core<E: CountingScheduleEvaluator>(
             }
 
             let schedule = Schedule::new(counts).expect("clamped counts are valid");
-            let fitness = fitness_of(&schedule, memo);
+            let fitness = fitness_of(&schedule);
             next.push(Individual { schedule, fitness });
         }
 
@@ -247,7 +201,7 @@ pub(crate) fn genetic_core<E: CountingScheduleEvaluator>(
         }
     }
 
-    Ok(SearchReport {
+    SearchReport {
         best: if best.fitness.is_finite() {
             Some(best.schedule)
         } else {
@@ -256,7 +210,7 @@ pub(crate) fn genetic_core<E: CountingScheduleEvaluator>(
         best_value: best.fitness,
         evaluations: memo.unique_evaluations(),
         trajectory,
-    })
+    }
 }
 
 fn tournament<'a>(population: &'a [Individual], size: usize, rng: &mut StdRng) -> &'a Individual {
@@ -273,7 +227,18 @@ fn tournament<'a>(population: &'a [Individual], size: usize, rng: &mut StdRng) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FnEvaluator;
+    use crate::{strategy::run_one, FnEvaluator, StrategyConfig};
+
+    /// One engine run from the round-robin start `(1, …, 1)`, which
+    /// joins the initial population.
+    fn genetic<E: ScheduleEvaluator>(
+        eval: &E,
+        space: &ScheduleSpace,
+        config: &GeneticConfig,
+    ) -> Result<SearchReport> {
+        let start = Schedule::round_robin(space.app_count()).unwrap();
+        run_one(eval, space, &start, &StrategyConfig::Genetic(*config))
+    }
 
     fn quadratic_eval() -> FnEvaluator<impl Fn(&Schedule) -> Option<f64> + Sync> {
         FnEvaluator::new(3, |s: &Schedule| {
@@ -290,7 +255,7 @@ mod tests {
     fn finds_global_optimum_of_separable_objective() {
         let eval = quadratic_eval();
         let space = ScheduleSpace::new(vec![7, 7, 7]).unwrap();
-        let report = genetic_search(&eval, &space, &GeneticConfig::default()).unwrap();
+        let report = genetic(&eval, &space, &GeneticConfig::default()).unwrap();
         assert_eq!(report.best.unwrap().counts(), &[3, 2, 4]);
         assert!((report.best_value - 0.0).abs() < 1e-12);
     }
@@ -299,8 +264,8 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let eval = quadratic_eval();
         let space = ScheduleSpace::new(vec![7, 7, 7]).unwrap();
-        let a = genetic_search(&eval, &space, &GeneticConfig::default()).unwrap();
-        let b = genetic_search(&eval, &space, &GeneticConfig::default()).unwrap();
+        let a = genetic(&eval, &space, &GeneticConfig::default()).unwrap();
+        let b = genetic(&eval, &space, &GeneticConfig::default()).unwrap();
         assert_eq!(a.best_value, b.best_value);
         assert_eq!(a.evaluations, b.evaluations);
         assert_eq!(
@@ -324,7 +289,7 @@ mod tests {
             |s: &Schedule| s.counts()[0] <= 3,
         );
         let space = ScheduleSpace::new(vec![6, 6]).unwrap();
-        let report = genetic_search(&eval, &space, &GeneticConfig::default()).unwrap();
+        let report = genetic(&eval, &space, &GeneticConfig::default()).unwrap();
         let best = report.best.unwrap();
         assert!(best.counts()[0] <= 3);
         assert_eq!(best.counts(), &[2, 2]);
@@ -334,7 +299,7 @@ mod tests {
     fn all_infeasible_population_reports_none() {
         let eval = FnEvaluator::new(1, |_: &Schedule| None);
         let space = ScheduleSpace::new(vec![4]).unwrap();
-        let report = genetic_search(&eval, &space, &GeneticConfig::default()).unwrap();
+        let report = genetic(&eval, &space, &GeneticConfig::default()).unwrap();
         assert!(report.best.is_none());
         assert_eq!(report.best_value, f64::NEG_INFINITY);
     }
@@ -345,7 +310,7 @@ mod tests {
         // schedules in the box.
         let eval = quadratic_eval();
         let space = ScheduleSpace::new(vec![3, 3, 3]).unwrap();
-        let report = genetic_search(&eval, &space, &GeneticConfig::default()).unwrap();
+        let report = genetic(&eval, &space, &GeneticConfig::default()).unwrap();
         assert!(report.evaluations <= 27);
     }
 
@@ -379,7 +344,7 @@ mod tests {
                 ..GeneticConfig::default()
             },
         ] {
-            assert!(genetic_search(&eval, &space, &bad).is_err(), "{bad:?}");
+            assert!(genetic(&eval, &space, &bad).is_err(), "{bad:?}");
         }
     }
 
@@ -388,7 +353,7 @@ mod tests {
         let eval = FnEvaluator::new(2, |_: &Schedule| Some(0.0));
         let space = ScheduleSpace::new(vec![3]).unwrap();
         assert!(matches!(
-            genetic_search(&eval, &space, &GeneticConfig::default()),
+            genetic(&eval, &space, &GeneticConfig::default()),
             Err(SearchError::AppCountMismatch { .. })
         ));
     }
@@ -397,7 +362,7 @@ mod tests {
     fn trajectory_is_monotone_improving() {
         let eval = quadratic_eval();
         let space = ScheduleSpace::new(vec![7, 7, 7]).unwrap();
-        let report = genetic_search(&eval, &space, &GeneticConfig::default()).unwrap();
+        let report = genetic(&eval, &space, &GeneticConfig::default()).unwrap();
         let values: Vec<f64> = report
             .trajectory
             .iter()

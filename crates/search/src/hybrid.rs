@@ -8,28 +8,14 @@
 //! a *tolerance* that accepts bounded worsening, and *parallel
 //! multistart*.
 //!
-//! # Parallelism
-//!
-//! Two independent levels, both deterministic:
-//!
-//! * within one search, the ≤ 2n unit-neighbour probes of each step are
-//!   evaluated in parallel (`cacs_par::par_map`); the memo cache
-//!   deduplicates against earlier steps, so the set of evaluated
-//!   schedules — and hence the Section-V cost metric — is identical to
-//!   the sequential order;
-//! * across starts, [`crate::run_multistart`] with
-//!   [`crate::StrategyConfig::Hybrid`] runs one OS thread per start over
-//!   a [`SharedEvalCache`], so schedules probed by several searches are
-//!   evaluated once globally while each report still carries that
-//!   search's own unique-evaluation count.
-//!
-//! Set `CACS_THREADS=1` (or wrap the call in [`cacs_par::sequential`])
-//! to force the exact sequential execution order when debugging.
+//! The multistart is [`crate::run_multistart`] with
+//! [`crate::StrategyConfig::Hybrid`]: one OS thread per start over a
+//! [`crate::SharedEvalCache`], so schedules probed by several searches
+//! are evaluated once globally while each report still carries that
+//! search's own unique-evaluation count. Each search walks sequentially
+//! inside its start's thread.
 
-use crate::{
-    CountingScheduleEvaluator, Result, ScheduleEvaluator, ScheduleSpace, SearchError, SearchReport,
-    SharedEvalCache,
-};
+use crate::{CacheSession, Result, ScheduleEvaluator, ScheduleSpace, SearchError, SearchReport};
 use cacs_sched::Schedule;
 use std::collections::HashSet;
 
@@ -54,7 +40,7 @@ impl Default for HybridConfig {
 }
 
 impl HybridConfig {
-    fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if !self.tolerance.is_finite() || self.tolerance < 0.0 {
             return Err(SearchError::InvalidConfig {
                 parameter: "tolerance must be finite and non-negative",
@@ -69,66 +55,16 @@ impl HybridConfig {
     }
 }
 
-/// Runs one hybrid search from `start`.
-///
-/// # Errors
-///
-/// * [`SearchError::StartOutOfSpace`] if `start` is outside `space`.
-/// * [`SearchError::AppCountMismatch`] if the evaluator's application
-///   count differs from the space's.
-/// * [`SearchError::InvalidConfig`] for bad configuration values.
-///
-/// # Example
-///
-/// ```
-/// use cacs_search::{hybrid_search, FnEvaluator, HybridConfig, ScheduleSpace};
-/// use cacs_sched::Schedule;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let eval = FnEvaluator::new(2, |s: &Schedule| {
-///     let (a, b) = (s.counts()[0] as f64, s.counts()[1] as f64);
-///     Some(-(a - 3.0).powi(2) - (b - 2.0).powi(2))
-/// });
-/// let space = ScheduleSpace::new(vec![6, 6])?;
-/// let start = Schedule::new(vec![1, 1])?;
-/// let report = hybrid_search(&eval, &space, &start, &HybridConfig::default())?;
-/// assert_eq!(report.best.as_ref().unwrap().counts(), &[3, 2]);
-/// // Far fewer evaluations than the 36-schedule box.
-/// assert!(report.evaluations < 20);
-/// # Ok(())
-/// # }
-/// ```
-pub fn hybrid_search<E: ScheduleEvaluator + ?Sized>(
-    evaluator: &E,
+/// The search proper: one hybrid walk from `start` against one
+/// search's session of the run's cache. The engine
+/// ([`crate::run_multistart`]) has already validated `config`, the app
+/// count and `start`.
+pub(crate) fn hybrid_search_core<E: ScheduleEvaluator + ?Sized>(
+    memo: &CacheSession<'_, '_, E>,
     space: &ScheduleSpace,
     start: &Schedule,
     config: &HybridConfig,
-) -> Result<SearchReport> {
-    let memo = SharedEvalCache::new(evaluator);
-    hybrid_search_core(&memo, space, start, config)
-}
-
-/// The search proper, generic over the caching layer so one search can
-/// run against its own cache ([`hybrid_search`]) or a per-search session
-/// of a multistart run's cache (via the [`crate::run_multistart`]
-/// engine).
-pub(crate) fn hybrid_search_core<E: CountingScheduleEvaluator>(
-    memo: &E,
-    space: &ScheduleSpace,
-    start: &Schedule,
-    config: &HybridConfig,
-) -> Result<SearchReport> {
-    config.validate()?;
-    if memo.app_count() != space.app_count() {
-        return Err(SearchError::AppCountMismatch {
-            expected: memo.app_count(),
-            actual: space.app_count(),
-        });
-    }
-    if !space.contains(start) || !memo.idle_feasible(start) {
-        return Err(SearchError::StartOutOfSpace);
-    }
-
+) -> SearchReport {
     let n = space.app_count();
 
     // Objective as a total function: -inf marks infeasible points so the
@@ -150,16 +86,15 @@ pub(crate) fn hybrid_search_core<E: CountingScheduleEvaluator>(
 
     for _ in 0..config.max_steps {
         // Build the 1-D quadratic model per dimension from the two unit
-        // neighbours. All ≤ 2n probes are independent full evaluations,
-        // so they run as one parallel batch; the memo deduplicates
-        // against earlier steps, keeping the evaluation *set* (and the
-        // cost metric) identical to the sequential order.
+        // neighbours; the memo serves probes earlier steps already paid
+        // for.
         let neighbours: Vec<Option<Schedule>> = (0..n)
             .flat_map(|dim| [current.step(dim, 1), current.step(dim, -1)])
             .collect();
-        let scores: Vec<f64> = cacs_par::par_map(&neighbours, |_, cand| {
-            cand.as_ref().map_or(f64::NEG_INFINITY, score)
-        });
+        let scores: Vec<f64> = neighbours
+            .iter()
+            .map(|cand| cand.as_ref().map_or(f64::NEG_INFINITY, score))
+            .collect();
 
         let mut moves: Vec<(f64, Schedule, f64)> = Vec::new(); // (gradient, candidate, value)
         for (dim, pair) in neighbours.chunks_exact(2).enumerate() {
@@ -218,7 +153,7 @@ pub(crate) fn hybrid_search_core<E: CountingScheduleEvaluator>(
         }
     }
 
-    Ok(SearchReport {
+    SearchReport {
         best: if best_value.is_finite() {
             Some(best)
         } else {
@@ -227,13 +162,22 @@ pub(crate) fn hybrid_search_core<E: CountingScheduleEvaluator>(
         best_value,
         evaluations: memo.unique_evaluations(),
         trajectory,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FnEvaluator;
+    use crate::{strategy::run_one, FnEvaluator, StrategyConfig};
+
+    fn search<E: ScheduleEvaluator>(
+        eval: &E,
+        space: &ScheduleSpace,
+        start: &Schedule,
+        config: &HybridConfig,
+    ) -> Result<SearchReport> {
+        run_one(eval, space, start, &StrategyConfig::Hybrid(*config))
+    }
 
     /// Concave paraboloid peaking at (3, 2, 3) — loosely the paper's
     /// optimal schedule shape.
@@ -250,7 +194,7 @@ mod tests {
         let eval = paraboloid();
         let space = ScheduleSpace::new(vec![6, 6, 6]).unwrap();
         for start in [vec![4, 2, 2], vec![1, 2, 1], vec![6, 6, 6]] {
-            let report = hybrid_search(
+            let report = search(
                 &eval,
                 &space,
                 &Schedule::new(start.clone()).unwrap(),
@@ -270,7 +214,7 @@ mod tests {
     fn uses_far_fewer_evaluations_than_exhaustive() {
         let eval = paraboloid();
         let space = ScheduleSpace::new(vec![6, 6, 6]).unwrap();
-        let report = hybrid_search(
+        let report = search(
             &eval,
             &space,
             &Schedule::new(vec![4, 2, 2]).unwrap(),
@@ -294,7 +238,7 @@ mod tests {
         let start = Schedule::new(vec![1]).unwrap();
 
         // Strict ascent gets stuck on the local peak at 2.
-        let strict = hybrid_search(
+        let strict = search(
             &eval,
             &space,
             &start,
@@ -307,7 +251,7 @@ mod tests {
         assert_eq!(strict.best.as_ref().unwrap().counts(), &[2]);
 
         // A tolerance of 0.1 crosses the 0.05-deep dip and reaches 5.
-        let tolerant = hybrid_search(
+        let tolerant = search(
             &eval,
             &space,
             &start,
@@ -330,7 +274,7 @@ mod tests {
             |s: &Schedule| s.counts()[0] <= 3,
         );
         let space = ScheduleSpace::new(vec![8, 2]).unwrap();
-        let report = hybrid_search(
+        let report = search(
             &eval,
             &space,
             &Schedule::new(vec![1, 1]).unwrap(),
@@ -345,7 +289,7 @@ mod tests {
         let eval = paraboloid();
         let space = ScheduleSpace::new(vec![6, 6, 6]).unwrap();
         let start = Schedule::new(vec![1, 2, 1]).unwrap();
-        let report = hybrid_search(&eval, &space, &start, &HybridConfig::default()).unwrap();
+        let report = search(&eval, &space, &start, &HybridConfig::default()).unwrap();
         assert_eq!(report.trajectory[0], start);
         // Consecutive trajectory points differ by exactly one unit step.
         for w in report.trajectory.windows(2) {
@@ -365,7 +309,7 @@ mod tests {
         let space = ScheduleSpace::new(vec![2, 2, 2]).unwrap();
         let start = Schedule::new(vec![3, 1, 1]).unwrap();
         assert!(matches!(
-            hybrid_search(&eval, &space, &start, &HybridConfig::default()),
+            search(&eval, &space, &start, &HybridConfig::default()),
             Err(SearchError::StartOutOfSpace)
         ));
     }
@@ -375,7 +319,7 @@ mod tests {
         let eval = paraboloid();
         let space = ScheduleSpace::new(vec![2, 2, 2]).unwrap();
         let start = Schedule::new(vec![1, 1, 1]).unwrap();
-        assert!(hybrid_search(
+        assert!(search(
             &eval,
             &space,
             &start,
@@ -385,7 +329,7 @@ mod tests {
             }
         )
         .is_err());
-        assert!(hybrid_search(
+        assert!(search(
             &eval,
             &space,
             &start,

@@ -23,11 +23,6 @@
 //! * [`ScheduleSpace`] — the bounded box of candidate schedules, with
 //!   bounds derived from the idle-time constraint and indexed access
 //!   (`unrank` / `iter_from`) into its lexicographic enumeration,
-//! * [`hybrid_search`] — the paper's hybrid algorithm: per-dimension
-//!   1-D quadratic gradient models, unit steps along the best feasible
-//!   direction, a simulated-annealing style tolerance that accepts
-//!   bounded worsening and parallel neighbour probes (its parallel
-//!   multistart is [`run_multistart`] with [`StrategyConfig::Hybrid`]),
 //! * [`exhaustive_search`] / [`exhaustive_search_with`] — the
 //!   brute-force baseline, streamed chunk-by-chunk at constant memory
 //!   with a deterministic lexicographic-order reduction (see
@@ -36,16 +31,23 @@
 //!   sharding primitives: sweep one rank range of the enumeration in
 //!   isolation and fold partial reports back together bit-identically
 //!   (the substrate of the `cacs-distrib` multi-process coordinator),
-//! * [`simulated_annealing`] / [`genetic_search`] / [`tabu_search`] —
-//!   classical metaheuristic baselines for evaluation-count
-//!   comparisons, and
 //! * [`run_multistart`] + [`StrategyConfig`] — the **unified strategy
-//!   engine**: one multistart driver that runs any strategy (hybrid,
-//!   annealing, genetic, tabu) over the shared cache with store-backed
-//!   warm-start/write-through, deterministic per-start seeding
-//!   ([`derive_start_seed`]) and typed panic surfacing — every
-//!   strategy inherits caching, kill→resume and the bit-identical
-//!   determinism contract from the same code path.
+//!   engine** and the one way to run a search: a multistart driver
+//!   that checks the run once up front, then runs any strategy over the
+//!   shared cache with store-backed warm-start/write-through,
+//!   deterministic per-start seeding ([`derive_start_seed`]) and typed
+//!   panic surfacing — every strategy inherits caching, kill→resume and
+//!   the bit-identical determinism contract from the same code path.
+//!   The strategies are the paper's hybrid algorithm
+//!   ([`HybridConfig`]: per-dimension 1-D quadratic gradient models,
+//!   unit steps along the best feasible direction, a simulated-annealing
+//!   style tolerance that accepts bounded worsening) and the classical
+//!   metaheuristic baselines for evaluation-count comparisons —
+//!   simulated annealing ([`AnnealConfig`]), a genetic algorithm
+//!   ([`GeneticConfig`]) and tabu search ([`TabuConfig`]). A single
+//!   search is a one-start run; [`run_multistart_sequential`] is the
+//!   in-order reference engine and [`run_multistart_screened`] the
+//!   two-stage (screen, then exact) pipeline.
 //!
 //! # Parallelism knobs
 //!
@@ -92,24 +94,22 @@ pub mod store;
 mod strategy;
 mod tabu;
 
-pub use anneal::{simulated_annealing, AnnealConfig};
+pub use anneal::AnnealConfig;
 pub use error::SearchError;
-pub use evaluator::{
-    CacheSession, CountingScheduleEvaluator, FnEvaluator, ScheduleEvaluator, SharedEvalCache,
-};
+pub use evaluator::{CacheSession, FnEvaluator, ScheduleEvaluator, SharedEvalCache};
 pub use exhaustive::{
     exhaustive_search, exhaustive_search_range, exhaustive_search_with, ExhaustiveReport,
     SweepConfig,
 };
-pub use genetic::{genetic_search, GeneticConfig};
-pub use hybrid::{hybrid_search, HybridConfig};
+pub use genetic::GeneticConfig;
+pub use hybrid::HybridConfig;
 pub use space::ScheduleSpace;
 pub use store::{CompactionPolicy, EvalStore, StoreError};
 pub use strategy::{
     derive_start_seed, run_multistart, run_multistart_screened, run_multistart_sequential,
     MultistartOutcome, ScreenConfig, SearchReport, StrategyConfig, TwoStageOutcome,
 };
-pub use tabu::{tabu_search, TabuConfig};
+pub use tabu::TabuConfig;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, SearchError>;

@@ -27,19 +27,21 @@
 //! * **Typed panic surfacing** — a panicking evaluator kills only its
 //!   own search ([`SearchError::SearchPanicked`]); siblings finish and
 //!   their work is already durable.
+//! * **One preamble** — the strategy's config, the evaluator's app
+//!   count and every start (inside the space and idle-feasible) are
+//!   checked once, before any search thread is spawned or any
+//!   evaluation is paid for.
 //!
 //! The strategy-specific logic stays in its own module
 //! (`hybrid.rs` / `anneal.rs` / `genetic.rs` / `tabu.rs`) as a core
-//! function over a [`CountingScheduleEvaluator`]; this module only
-//! dispatches. The single-search entry points
-//! ([`crate::hybrid_search`], [`crate::simulated_annealing`],
-//! [`crate::genetic_search`], [`crate::tabu_search`]) run the same
-//! cores directly against their own [`SharedEvalCache`].
+//! function over one search's [`CacheSession`]; this module only
+//! checks and dispatches. The engine is the only way to run a
+//! strategy: a single search is a one-start [`run_multistart`].
 
 use crate::{
     anneal::anneal_core, genetic::genetic_core, hybrid::hybrid_search_core, tabu::tabu_core,
-    AnnealConfig, CountingScheduleEvaluator, EvalStore, GeneticConfig, HybridConfig, Result,
-    ScheduleEvaluator, ScheduleSpace, SearchError, SharedEvalCache, StoreError, TabuConfig,
+    AnnealConfig, CacheSession, EvalStore, GeneticConfig, HybridConfig, Result, ScheduleEvaluator,
+    ScheduleSpace, SearchError, SharedEvalCache, StoreError, TabuConfig,
 };
 use cacs_sched::Schedule;
 
@@ -111,6 +113,16 @@ impl StrategyConfig {
             StrategyConfig::Tabu(_) => "tabu",
         }
     }
+
+    /// Checks the strategy's knobs ([`SearchError::InvalidConfig`]).
+    fn validate(&self) -> Result<()> {
+        match self {
+            StrategyConfig::Hybrid(config) => config.validate(),
+            StrategyConfig::Anneal(config) => config.validate(),
+            StrategyConfig::Genetic(config) => config.validate(),
+            StrategyConfig::Tabu(config) => config.validate(),
+        }
+    }
 }
 
 /// Screening knobs for [`run_multistart_screened`] — the two-stage
@@ -177,15 +189,15 @@ pub fn derive_start_seed(base: u64, start_index: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs one search of `strategy` from `start` against a counting
-/// evaluator layer — the per-start dispatch of [`run_multistart`].
-fn run_single<E: CountingScheduleEvaluator>(
-    memo: &E,
+/// Runs one search of `strategy` from `start` against its session of
+/// the run's cache — the per-start dispatch of [`run_multistart`].
+fn run_single<E: ScheduleEvaluator + ?Sized>(
+    memo: &CacheSession<'_, '_, E>,
     space: &ScheduleSpace,
     start: &Schedule,
     strategy: &StrategyConfig,
     start_index: usize,
-) -> Result<SearchReport> {
+) -> SearchReport {
     match strategy {
         StrategyConfig::Hybrid(config) => hybrid_search_core(memo, space, start, config),
         StrategyConfig::Anneal(config) => anneal_core(
@@ -198,7 +210,7 @@ fn run_single<E: CountingScheduleEvaluator>(
         StrategyConfig::Genetic(config) => genetic_core(
             memo,
             space,
-            Some(start),
+            start,
             config,
             derive_start_seed(config.seed, start_index),
         ),
@@ -230,19 +242,55 @@ fn run_single<E: CountingScheduleEvaluator>(
 ///
 /// Within each start's thread the strategy runs sequentially (the
 /// cross-start fan-out already owns the thread budget); results are
-/// bit-identical at any `CACS_THREADS` setting.
+/// bit-identical at any `CACS_THREADS` setting. A single search is a
+/// one-start run.
 ///
 /// # Errors
 ///
-/// * the first per-start error in start order (e.g.
-///   [`SearchError::StartOutOfSpace`], [`SearchError::InvalidConfig`]),
-/// * [`SearchError::Store`] — the store belongs to a different space,
-///   or a write-through append failed (checked at the end of the run;
-///   the store latches the first failure),
+/// Checked before any thread is spawned or any evaluation is paid for:
+///
+/// * [`SearchError::InvalidConfig`] — no starts, or bad strategy knobs,
+/// * [`SearchError::AppCountMismatch`] — the evaluator's application
+///   count differs from the space's,
+/// * [`SearchError::StartOutOfSpace`] — a start lies outside the space
+///   or is idle-infeasible,
+/// * [`SearchError::Store`] — the store belongs to a different space.
+///
+/// During or after the run:
+///
+/// * [`SearchError::Store`] — a write-through append failed (checked at
+///   the end of the run; the store latches the first failure),
 /// * [`SearchError::SearchPanicked`] — a search thread panicked
 ///   (typically a panicking evaluator). Sibling searches complete and
 ///   their evaluations are already persisted; resuming after fixing the
 ///   evaluator re-pays only what was lost.
+///
+/// # Example
+///
+/// The Section-V frugality claim in miniature: the hybrid search finds
+/// the peak of a 36-schedule box in far fewer evaluations than the box
+/// holds.
+///
+/// ```
+/// use cacs_search::{run_multistart, FnEvaluator, HybridConfig, ScheduleSpace, StrategyConfig};
+/// use cacs_sched::Schedule;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let eval = FnEvaluator::new(2, |s: &Schedule| {
+///     let (a, b) = (s.counts()[0] as f64, s.counts()[1] as f64);
+///     Some(-(a - 3.0).powi(2) - (b - 2.0).powi(2))
+/// });
+/// let space = ScheduleSpace::new(vec![6, 6])?;
+/// let starts = [Schedule::new(vec![1, 1])?];
+/// let strategy = StrategyConfig::Hybrid(HybridConfig::default());
+/// let outcome = run_multistart(&eval, &space, &starts, &strategy, None)?;
+/// let report = &outcome.reports[0];
+/// assert_eq!(report.best.as_ref().unwrap().counts(), &[3, 2]);
+/// // Far fewer evaluations than the 36-schedule box.
+/// assert!(report.evaluations < 20);
+/// # Ok(())
+/// # }
+/// ```
 pub fn run_multistart<E: ScheduleEvaluator + ?Sized>(
     evaluator: &E,
     space: &ScheduleSpace,
@@ -408,6 +456,19 @@ fn run_multistart_indexed<E: ScheduleEvaluator + ?Sized>(
             parameter: "multistart needs at least one start point",
         });
     }
+    strategy.validate()?;
+    if evaluator.app_count() != space.app_count() {
+        return Err(SearchError::AppCountMismatch {
+            expected: evaluator.app_count(),
+            actual: space.app_count(),
+        });
+    }
+    if starts
+        .iter()
+        .any(|&(_, start)| !space.contains(start) || !evaluator.idle_feasible(start))
+    {
+        return Err(SearchError::StartOutOfSpace);
+    }
     let mut shared = SharedEvalCache::new(evaluator);
     if let Some(store) = store {
         if store.space().max_counts() != space.max_counts() {
@@ -429,26 +490,25 @@ fn run_multistart_indexed<E: ScheduleEvaluator + ?Sized>(
     }
     let shared = shared;
 
-    let mut results: Vec<Option<Result<SearchReport>>> = Vec::new();
-    results.resize_with(starts.len(), || None);
-
-    if sequential {
+    let results: Vec<Result<SearchReport>> = if sequential {
         // In-order execution on the calling thread (the reference
         // engine): same per-start sessions, seeds and accounting, no
         // cross-start interleaving.
-        for (slot, &(seed_index, start)) in starts.iter().enumerate() {
-            let session = shared.session();
-            results[slot] = Some(cacs_par::sequential(|| {
-                run_single(&session, space, start, strategy, seed_index)
-            }));
-        }
+        starts
+            .iter()
+            .map(|&(seed_index, start)| {
+                let session = shared.session();
+                Ok(cacs_par::sequential(|| {
+                    run_single(&session, space, start, strategy, seed_index)
+                }))
+            })
+            .collect()
     } else {
         std::thread::scope(|scope| {
             let shared = &shared;
-            let mut handles = Vec::new();
-            for (slot, &(seed_index, start)) in starts.iter().enumerate() {
-                handles.push((
-                    slot,
+            let handles: Vec<_> = starts
+                .iter()
+                .map(|&(seed_index, start)| {
                     scope.spawn(move || {
                         let session = shared.session();
                         // The strategy runs sequentially inside each search
@@ -457,20 +517,24 @@ fn run_multistart_indexed<E: ScheduleEvaluator + ?Sized>(
                         cacs_par::sequential(|| {
                             run_single(&session, space, start, strategy, seed_index)
                         })
-                    }),
-                ));
-            }
-            for (slot, handle) in handles {
-                // A panicked search becomes a typed error instead of
-                // re-panicking here: the sibling searches have already run
-                // to completion (the shared cache recovers poisoned locks),
-                // and with a store attached their work is already durable.
-                results[slot] = Some(handle.join().unwrap_or(Err(SearchError::SearchPanicked {
-                    start_index: starts[slot].0,
-                })));
-            }
-        });
-    }
+                    })
+                })
+                .collect();
+            // A panicked search becomes a typed error instead of
+            // re-panicking here: the sibling searches have already run
+            // to completion (the shared cache recovers poisoned locks),
+            // and with a store attached their work is already durable.
+            handles
+                .into_iter()
+                .zip(starts)
+                .map(|(handle, &(start_index, _))| {
+                    handle
+                        .join()
+                        .map_err(|_| SearchError::SearchPanicked { start_index })
+                })
+                .collect()
+        })
+    };
 
     if let Some(store) = store {
         if let Some(e) = store.take_write_error() {
@@ -498,16 +562,32 @@ fn run_multistart_indexed<E: ScheduleEvaluator + ?Sized>(
         }
     }
 
-    let reports = results
-        .into_iter()
-        .map(|r| r.expect("every slot filled"))
-        .collect::<Result<Vec<SearchReport>>>()?;
+    let reports = results.into_iter().collect::<Result<Vec<SearchReport>>>()?;
     Ok(MultistartOutcome {
         reports,
         fresh_evaluations: shared.fresh_evaluations(),
         unique_evaluations: shared.unique_evaluations(),
         warm_started: shared.warm_started(),
     })
+}
+
+/// One storeless one-start engine run, for the strategy modules' unit
+/// tests.
+#[cfg(test)]
+pub(crate) fn run_one<E: ScheduleEvaluator + ?Sized>(
+    evaluator: &E,
+    space: &ScheduleSpace,
+    start: &Schedule,
+    strategy: &StrategyConfig,
+) -> Result<SearchReport> {
+    let mut outcome = run_multistart(
+        evaluator,
+        space,
+        std::slice::from_ref(start),
+        strategy,
+        None,
+    )?;
+    Ok(outcome.reports.remove(0))
 }
 
 #[cfg(test)]
@@ -590,6 +670,74 @@ mod tests {
                 "{}",
                 strategy.name()
             );
+        }
+    }
+
+    /// The engine's preamble rejects a bad run before paying for a
+    /// single evaluation, for every strategy: a wrong app count, bad
+    /// knobs, and a bad *second* start (the first one is fine, so a
+    /// per-thread check would already have evaluated it).
+    #[test]
+    fn preamble_rejects_bad_runs_before_any_evaluation() {
+        let calls = AtomicUsize::new(0);
+        let eval = FnEvaluator::new(3, |s: &Schedule| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            Some(f64::from(s.counts()[0]))
+        });
+        let space = ScheduleSpace::new(vec![6, 6, 6]).unwrap();
+        let flat = ScheduleSpace::new(vec![6, 6]).unwrap();
+        let flat_start = [Schedule::new(vec![1, 1]).unwrap()];
+        let outside = vec![
+            Schedule::new(vec![4, 2, 2]).unwrap(),
+            Schedule::new(vec![7, 1, 1]).unwrap(),
+        ];
+        let invalid = [
+            StrategyConfig::Hybrid(HybridConfig {
+                max_steps: 0,
+                ..HybridConfig::default()
+            }),
+            StrategyConfig::Anneal(AnnealConfig {
+                steps: 0,
+                ..AnnealConfig::default()
+            }),
+            StrategyConfig::Genetic(GeneticConfig {
+                population: 1,
+                ..GeneticConfig::default()
+            }),
+            StrategyConfig::Tabu(TabuConfig {
+                iterations: 0,
+                ..TabuConfig::default()
+            }),
+        ];
+        for (strategy, bad) in all_strategies().iter().zip(&invalid) {
+            let name = strategy.name();
+            assert!(
+                matches!(
+                    run_multistart(&eval, &flat, &flat_start, strategy, None),
+                    Err(SearchError::AppCountMismatch {
+                        expected: 3,
+                        actual: 2
+                    })
+                ),
+                "{name}"
+            );
+            assert!(
+                matches!(
+                    run_multistart(&eval, &space, &starts(), bad, None),
+                    Err(SearchError::InvalidConfig { .. })
+                ),
+                "{name}"
+            );
+            for run in [run_multistart, run_multistart_sequential] {
+                assert!(
+                    matches!(
+                        run(&eval, &space, &outside, strategy, None),
+                        Err(SearchError::StartOutOfSpace)
+                    ),
+                    "{name}"
+                );
+            }
+            assert_eq!(calls.load(Ordering::SeqCst), 0, "{name} evaluated");
         }
     }
 

@@ -8,10 +8,7 @@
 //! the tabu memory lets it walk *through* local optima deterministically,
 //! without the annealing lottery.
 
-use crate::{
-    CountingScheduleEvaluator, Result, ScheduleEvaluator, ScheduleSpace, SearchError, SearchReport,
-    SharedEvalCache,
-};
+use crate::{CacheSession, Result, ScheduleEvaluator, ScheduleSpace, SearchError, SearchReport};
 use cacs_sched::Schedule;
 use std::collections::HashMap;
 
@@ -37,7 +34,7 @@ impl Default for TabuConfig {
 }
 
 impl TabuConfig {
-    fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.iterations == 0 {
             return Err(SearchError::InvalidConfig {
                 parameter: "iterations must be at least 1",
@@ -57,66 +54,21 @@ impl TabuConfig {
     }
 }
 
-/// Runs tabu search from `start`, maximising the evaluator's objective.
+/// One tabu walk from `start`, maximising the evaluator's objective,
+/// against one search's session of the run's cache. The engine
+/// ([`crate::run_multistart`]) has already validated `config`, the app
+/// count and `start`.
 ///
 /// Each iteration evaluates all feasible ±1 neighbours of the current
 /// schedule and moves to the best one that is not tabu — or to a tabu one
 /// if it beats the global best (aspiration criterion). Visited schedules
 /// become tabu for [`TabuConfig::tenure`] iterations.
-///
-/// # Errors
-///
-/// * [`SearchError::InvalidConfig`] for zero iteration/tenure/stall
-///   parameters.
-/// * [`SearchError::AppCountMismatch`] if the evaluator and space disagree.
-/// * [`SearchError::StartOutOfSpace`] if `start` is outside the space or
-///   idle-infeasible.
-///
-/// # Example
-///
-/// ```
-/// use cacs_search::{tabu_search, FnEvaluator, ScheduleSpace, TabuConfig};
-/// use cacs_sched::Schedule;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let eval = FnEvaluator::new(1, |s: &Schedule| Some(-(s.counts()[0] as f64 - 4.0).powi(2)));
-/// let space = ScheduleSpace::new(vec![8])?;
-/// let report = tabu_search(&eval, &space, &Schedule::new(vec![1])?, &TabuConfig::default())?;
-/// assert_eq!(report.best.as_ref().unwrap().counts(), &[4]);
-/// # Ok(())
-/// # }
-/// ```
-pub fn tabu_search<E: ScheduleEvaluator + ?Sized>(
-    evaluator: &E,
+pub(crate) fn tabu_core<E: ScheduleEvaluator + ?Sized>(
+    memo: &CacheSession<'_, '_, E>,
     space: &ScheduleSpace,
     start: &Schedule,
     config: &TabuConfig,
-) -> Result<SearchReport> {
-    let memo = SharedEvalCache::new(evaluator);
-    tabu_core(&memo, space, start, config)
-}
-
-/// The tabu walk proper, generic over the caching layer so one search
-/// can run against its own memo ([`tabu_search`]) or a per-search
-/// session of a shared cache (via the [`crate::run_multistart`]
-/// engine).
-pub(crate) fn tabu_core<E: CountingScheduleEvaluator>(
-    memo: &E,
-    space: &ScheduleSpace,
-    start: &Schedule,
-    config: &TabuConfig,
-) -> Result<SearchReport> {
-    config.validate()?;
-    if memo.app_count() != space.app_count() {
-        return Err(SearchError::AppCountMismatch {
-            expected: memo.app_count(),
-            actual: space.app_count(),
-        });
-    }
-    if !space.contains(start) || !memo.idle_feasible(start) {
-        return Err(SearchError::StartOutOfSpace);
-    }
-
+) -> SearchReport {
     let n = space.app_count();
 
     let mut current = start.clone();
@@ -192,7 +144,7 @@ pub(crate) fn tabu_core<E: CountingScheduleEvaluator>(
         }
     }
 
-    Ok(SearchReport {
+    SearchReport {
         best: if best_value.is_finite() {
             Some(best)
         } else {
@@ -201,13 +153,22 @@ pub(crate) fn tabu_core<E: CountingScheduleEvaluator>(
         best_value,
         evaluations: memo.unique_evaluations(),
         trajectory,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FnEvaluator;
+    use crate::{strategy::run_one, FnEvaluator, StrategyConfig};
+
+    fn tabu<E: ScheduleEvaluator>(
+        eval: &E,
+        space: &ScheduleSpace,
+        start: &Schedule,
+        config: &TabuConfig,
+    ) -> Result<SearchReport> {
+        run_one(eval, space, start, &StrategyConfig::Tabu(*config))
+    }
 
     #[test]
     fn finds_peak_of_quadratic() {
@@ -216,7 +177,7 @@ mod tests {
             Some(-((c[0] as f64 - 3.0).powi(2) + (c[1] as f64 - 5.0).powi(2)))
         });
         let space = ScheduleSpace::new(vec![6, 6]).unwrap();
-        let report = tabu_search(
+        let report = tabu(
             &eval,
             &space,
             &Schedule::new(vec![1, 1]).unwrap(),
@@ -233,7 +194,7 @@ mod tests {
         let values = [0.0, 0.5, 1.0, 0.2, 1.1, 2.0, 0.1];
         let eval = FnEvaluator::new(1, move |s: &Schedule| Some(values[s.counts()[0] as usize]));
         let space = ScheduleSpace::new(vec![6]).unwrap();
-        let report = tabu_search(
+        let report = tabu(
             &eval,
             &space,
             &Schedule::new(vec![2]).unwrap(), // start on the local peak
@@ -251,8 +212,8 @@ mod tests {
         });
         let space = ScheduleSpace::new(vec![5, 5]).unwrap();
         let start = Schedule::new(vec![5, 5]).unwrap();
-        let a = tabu_search(&eval, &space, &start, &TabuConfig::default()).unwrap();
-        let b = tabu_search(&eval, &space, &start, &TabuConfig::default()).unwrap();
+        let a = tabu(&eval, &space, &start, &TabuConfig::default()).unwrap();
+        let b = tabu(&eval, &space, &start, &TabuConfig::default()).unwrap();
         assert_eq!(a.best_value, b.best_value);
         assert_eq!(a.evaluations, b.evaluations);
         assert_eq!(a.trajectory.len(), b.trajectory.len());
@@ -268,8 +229,7 @@ mod tests {
             tenure: 3,
             stall_limit: 4,
         };
-        let report =
-            tabu_search(&eval, &space, &Schedule::new(vec![15]).unwrap(), &config).unwrap();
+        let report = tabu(&eval, &space, &Schedule::new(vec![15]).unwrap(), &config).unwrap();
         // Start + at most stall_limit accepted moves.
         assert!(report.trajectory.len() <= 1 + 4 + 1);
     }
@@ -282,7 +242,7 @@ mod tests {
             |s: &Schedule| s.counts()[0] <= 4, // larger counts are infeasible
         );
         let space = ScheduleSpace::new(vec![9]).unwrap();
-        let report = tabu_search(
+        let report = tabu(
             &eval,
             &space,
             &Schedule::new(vec![1]).unwrap(),
@@ -301,7 +261,7 @@ mod tests {
         );
         let space = ScheduleSpace::new(vec![5]).unwrap();
         assert!(matches!(
-            tabu_search(
+            tabu(
                 &eval,
                 &space,
                 &Schedule::new(vec![4]).unwrap(),
@@ -330,7 +290,7 @@ mod tests {
                 ..TabuConfig::default()
             },
         ] {
-            assert!(tabu_search(&eval, &space, &start, &bad).is_err());
+            assert!(tabu(&eval, &space, &start, &bad).is_err());
         }
     }
 
@@ -338,7 +298,7 @@ mod tests {
     fn infeasible_objective_reports_none() {
         let eval = FnEvaluator::new(1, |_: &Schedule| None);
         let space = ScheduleSpace::new(vec![4]).unwrap();
-        let report = tabu_search(
+        let report = tabu(
             &eval,
             &space,
             &Schedule::new(vec![2]).unwrap(),

@@ -6,7 +6,7 @@
 
 use cacs_sched::Schedule;
 use cacs_search::{
-    exhaustive_search, hybrid_search, run_multistart, FnEvaluator, HybridConfig, ScheduleSpace,
+    exhaustive_search, run_multistart, FnEvaluator, HybridConfig, ScheduleSpace, SearchReport,
     StrategyConfig,
 };
 
@@ -67,25 +67,37 @@ fn exhaustive_check<E: cacs_search::ScheduleEvaluator>(eval: &E, space: &Schedul
     }
 }
 
+/// One hybrid search, as a one-start engine run.
+fn one_start(eval: &impl cacs_search::ScheduleEvaluator, start: &Schedule) -> SearchReport {
+    let space = ScheduleSpace::new(vec![6, 6, 6]).unwrap();
+    let strategy = StrategyConfig::Hybrid(HybridConfig::default());
+    run_multistart(eval, &space, std::slice::from_ref(start), &strategy, None)
+        .unwrap()
+        .reports
+        .remove(0)
+}
+
+/// A hybrid search walks the same path whatever the thread budget: the
+/// default run and the forced-sequential one agree bit for bit.
 #[test]
 fn hybrid_parallel_probes_match_sequential() {
     let eval = surrogate();
-    let space = ScheduleSpace::new(vec![6, 6, 6]).unwrap();
     for start in [vec![1, 1, 1], vec![4, 2, 2], vec![6, 6, 6]] {
         let start = Schedule::new(start).unwrap();
-        let config = HybridConfig::default();
-        let par = hybrid_search(&eval, &space, &start, &config).unwrap();
-        let seq = cacs_par::sequential(|| hybrid_search(&eval, &space, &start, &config).unwrap());
+        let par = one_start(&eval, &start);
+        let seq = cacs_par::sequential(|| one_start(&eval, &start));
         assert_eq!(par.best, seq.best);
         assert_eq!(par.best_value.to_bits(), seq.best_value.to_bits());
         assert_eq!(
             par.evaluations, seq.evaluations,
-            "parallel probing must not change the Section-V cost metric"
+            "the thread budget must not change the Section-V cost metric"
         );
         assert_eq!(par.trajectory, seq.trajectory);
     }
 }
 
+/// An N-start run over one shared cache reports, for each start,
+/// exactly what a one-start run from that start reports.
 #[test]
 fn multistart_shared_cache_reports_match_independent_searches() {
     let eval = surrogate();
@@ -95,15 +107,14 @@ fn multistart_shared_cache_reports_match_independent_searches() {
         Schedule::new(vec![1, 2, 1]).unwrap(),
         Schedule::new(vec![6, 6, 6]).unwrap(),
     ];
-    let config = HybridConfig::default();
-    let strategy = StrategyConfig::Hybrid(config);
+    let strategy = StrategyConfig::Hybrid(HybridConfig::default());
     let shared = run_multistart(&eval, &space, &starts, &strategy, None)
         .unwrap()
         .reports;
     assert_eq!(shared.len(), starts.len());
 
     for (start, report) in starts.iter().zip(&shared) {
-        let solo = cacs_par::sequential(|| hybrid_search(&eval, &space, start, &config).unwrap());
+        let solo = one_start(&eval, start);
         assert_eq!(report.best, solo.best);
         assert_eq!(report.best_value.to_bits(), solo.best_value.to_bits());
         assert_eq!(

@@ -5,11 +5,23 @@
 
 use cacs_sched::Schedule;
 use cacs_search::{
-    exhaustive_search, genetic_search, hybrid_search, simulated_annealing, tabu_search,
-    AnnealConfig, CountingScheduleEvaluator, FnEvaluator, GeneticConfig, HybridConfig,
-    ScheduleEvaluator, ScheduleSpace, SharedEvalCache, TabuConfig,
+    exhaustive_search, run_multistart, AnnealConfig, FnEvaluator, GeneticConfig, HybridConfig,
+    ScheduleEvaluator, ScheduleSpace, SearchReport, SharedEvalCache, StrategyConfig, TabuConfig,
 };
 use proptest::prelude::*;
+
+/// One storeless one-start engine run.
+fn one_start<E: ScheduleEvaluator>(
+    eval: &E,
+    space: &ScheduleSpace,
+    start: &Schedule,
+    strategy: StrategyConfig,
+) -> SearchReport {
+    run_multistart(eval, space, std::slice::from_ref(start), &strategy, None)
+        .unwrap()
+        .reports
+        .remove(0)
+}
 
 /// A deterministic pseudo-random objective derived from a seed: smooth
 /// concave bump + seeded ripple, so different seeds give different
@@ -38,13 +50,12 @@ proptest! {
         let eval = FnEvaluator::new(3, objective(seed));
         let space = ScheduleSpace::new(vec![5, 5, 5]).unwrap();
         let exhaustive = exhaustive_search(&eval, &space).unwrap();
-        let report = hybrid_search(
+        let report = one_start(
             &eval,
             &space,
             &Schedule::new(start).unwrap(),
-            &HybridConfig::default(),
-        )
-        .unwrap();
+            StrategyConfig::Hybrid(HybridConfig::default()),
+        );
         prop_assert!(report.best_value <= exhaustive.best_value + 1e-12);
         let best = report.best.expect("objective is total");
         prop_assert_eq!(eval.evaluate(&best).unwrap(), report.best_value);
@@ -57,7 +68,7 @@ proptest! {
         let space = ScheduleSpace::new(vec![6, 6, 6]).unwrap();
         let start = Schedule::new(start).unwrap();
         let start_value = eval.evaluate(&start).unwrap();
-        let report = hybrid_search(&eval, &space, &start, &HybridConfig::default()).unwrap();
+        let report = one_start(&eval, &space, &start, StrategyConfig::Hybrid(HybridConfig::default()));
         prop_assert!(report.best_value >= start_value - 1e-12);
     }
 
@@ -68,7 +79,7 @@ proptest! {
         let eval = FnEvaluator::new(3, objective(seed));
         let space = ScheduleSpace::new(vec![6, 6, 6]).unwrap();
         let start = Schedule::new(vec![3, 3, 3]).unwrap();
-        let report = hybrid_search(&eval, &space, &start, &HybridConfig::default()).unwrap();
+        let report = one_start(&eval, &space, &start, StrategyConfig::Hybrid(HybridConfig::default()));
         let moves = report.trajectory.len();
         prop_assert!(report.evaluations <= 7 * (moves + 1));
         prop_assert!(report.evaluations < 216);
@@ -80,7 +91,7 @@ proptest! {
         let eval = FnEvaluator::new(3, objective(seed));
         let space = ScheduleSpace::new(vec![5, 5, 5]).unwrap();
         let start = Schedule::new(vec![1, 5, 3]).unwrap();
-        let report = hybrid_search(&eval, &space, &start, &HybridConfig::default()).unwrap();
+        let report = one_start(&eval, &space, &start, StrategyConfig::Hybrid(HybridConfig::default()));
         for s in &report.trajectory {
             prop_assert!(space.contains(s));
         }
@@ -102,16 +113,15 @@ proptest! {
     fn annealing_result_is_on_its_trajectory(seed in 0u64..200) {
         let eval = FnEvaluator::new(3, objective(seed));
         let space = ScheduleSpace::new(vec![5, 5, 5]).unwrap();
-        let report = simulated_annealing(
+        let report = one_start(
             &eval,
             &space,
             &Schedule::new(vec![3, 3, 3]).unwrap(),
-            &AnnealConfig {
+            StrategyConfig::Anneal(AnnealConfig {
                 seed,
                 ..AnnealConfig::default()
-            },
-        )
-        .unwrap();
+            }),
+        );
         let best = report.best.expect("objective total");
         prop_assert!(report.trajectory.contains(&best));
     }
@@ -160,7 +170,8 @@ proptest! {
         let space = ScheduleSpace::new(vec![5, 5, 5]).unwrap();
         let exhaustive = exhaustive_search(&eval, &space).unwrap();
         let config = GeneticConfig { seed, ..GeneticConfig::default() };
-        let report = genetic_search(&eval, &space, &config).unwrap();
+        let start = Schedule::new(vec![1, 1, 1]).unwrap();
+        let report = one_start(&eval, &space, &start, StrategyConfig::Genetic(config));
         prop_assert!(report.best_value <= exhaustive.best_value + 1e-12);
         let best = report.best.expect("objective total");
         prop_assert_eq!(eval.evaluate(&best), Some(report.best_value));
@@ -178,7 +189,7 @@ proptest! {
         let exhaustive = exhaustive_search(&eval, &space).unwrap();
         let start = Schedule::new(start).unwrap();
         let start_value = eval.evaluate(&start).unwrap();
-        let report = tabu_search(&eval, &space, &start, &TabuConfig::default()).unwrap();
+        let report = one_start(&eval, &space, &start, StrategyConfig::Tabu(TabuConfig::default()));
         prop_assert!(report.best_value <= exhaustive.best_value + 1e-12);
         prop_assert!(report.best_value >= start_value - 1e-12);
     }
@@ -188,14 +199,15 @@ proptest! {
     fn baseline_trajectories_stay_in_space(seed in 0u64..200) {
         let eval = FnEvaluator::new(3, objective(seed));
         let space = ScheduleSpace::new(vec![4, 4, 4]).unwrap();
-        let ga = genetic_search(
-            &eval, &space, &GeneticConfig { seed, ..GeneticConfig::default() }).unwrap();
+        let start = Schedule::new(vec![1, 1, 1]).unwrap();
+        let ga = one_start(
+            &eval, &space, &start,
+            StrategyConfig::Genetic(GeneticConfig { seed, ..GeneticConfig::default() }));
         for s in &ga.trajectory {
             prop_assert!(space.contains(s));
         }
-        let tabu = tabu_search(
-            &eval, &space, &Schedule::new(vec![1, 1, 1]).unwrap(),
-            &TabuConfig::default()).unwrap();
+        let tabu = one_start(
+            &eval, &space, &start, StrategyConfig::Tabu(TabuConfig::default()));
         for s in &tabu.trajectory {
             prop_assert!(space.contains(s));
         }

@@ -10,8 +10,8 @@
 
 use cacs_sched::Schedule;
 use cacs_search::{
-    run_multistart, tabu_search, AnnealConfig, FnEvaluator, GeneticConfig, HybridConfig,
-    MultistartOutcome, ScheduleSpace, StrategyConfig, TabuConfig,
+    run_multistart, AnnealConfig, FnEvaluator, GeneticConfig, HybridConfig, MultistartOutcome,
+    ScheduleSpace, StrategyConfig, TabuConfig,
 };
 
 /// Concave paraboloid with a deterministic ripple so local optima and
@@ -102,18 +102,19 @@ fn repeated_runs_are_bit_identical_for_every_strategy() {
 }
 
 /// For the deterministic tabu strategy the engine's shared cache must
-/// be invisible: each multistart report equals the legacy solo search
+/// be invisible: each report of an N-start run equals a one-start run
 /// from the same start, including the per-search Section-V count.
 #[test]
 fn tabu_multistart_reports_match_legacy_solo_searches() {
     let eval = surrogate();
     let space = space();
     let starts = starts();
-    let config = TabuConfig::default();
-    let outcome =
-        run_multistart(&eval, &space, &starts, &StrategyConfig::Tabu(config), None).unwrap();
+    let strategy = StrategyConfig::Tabu(TabuConfig::default());
+    let outcome = run_multistart(&eval, &space, &starts, &strategy, None).unwrap();
     for (start, report) in starts.iter().zip(&outcome.reports) {
-        let solo = tabu_search(&eval, &space, start, &config).unwrap();
+        let solo = &run_multistart(&eval, &space, std::slice::from_ref(start), &strategy, None)
+            .unwrap()
+            .reports[0];
         assert_eq!(report.best, solo.best);
         assert_eq!(report.best_value.to_bits(), solo.best_value.to_bits());
         assert_eq!(

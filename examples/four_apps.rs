@@ -19,7 +19,7 @@
 use cacs::apps::{extended_case_study, paper_case_study};
 use cacs::core::{CodesignProblem, EvaluationConfig};
 use cacs::sched::Schedule;
-use cacs::search::HybridConfig;
+use cacs::search::{HybridConfig, StrategyConfig};
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -57,7 +57,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let starts = [Schedule::round_robin(4)?, Schedule::new(vec![3, 2, 3, 2])?];
     // cacs-lint: allow(wall-clock, reason = "example prints elapsed wall time; results never depend on it")
     let t0 = Instant::now();
-    let outcome = problem.optimize(&starts, &HybridConfig::default())?;
+    let outcome = problem.optimize_with_strategy(
+        &starts,
+        &StrategyConfig::Hybrid(HybridConfig::default()),
+        None,
+    )?;
     for s in &outcome.searches {
         println!(
             "  from {}: best {} (P_all = {:.3}) after {} evaluations",

@@ -9,7 +9,7 @@
 use cacs::apps::paper_case_study;
 use cacs::core::{fig6_series, table1_rows, table3_rows, CodesignProblem, EvaluationConfig};
 use cacs::sched::Schedule;
-use cacs::search::HybridConfig;
+use cacs::search::{HybridConfig, StrategyConfig};
 use std::fs;
 use std::time::Instant;
 
@@ -70,7 +70,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let starts = [Schedule::new(vec![4, 2, 2])?, Schedule::new(vec![1, 2, 1])?];
     // cacs-lint: allow(wall-clock, reason = "example prints elapsed wall time; results never depend on it")
     let t0 = Instant::now();
-    let outcome = problem.optimize(&starts, &HybridConfig::default())?;
+    let outcome = problem.optimize_with_strategy(
+        &starts,
+        &StrategyConfig::Hybrid(HybridConfig::default()),
+        None,
+    )?;
     for s in &outcome.searches {
         println!(
             "  from {}: best {} (P_all = {:.3}) after {} evaluations",

@@ -19,7 +19,7 @@
 use cacs::apps::paper_case_study;
 use cacs::core::{CodesignProblem, EvaluationConfig};
 use cacs::sched::Schedule;
-use cacs::search::HybridConfig;
+use cacs::search::{HybridConfig, StrategyConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let with_search = std::env::args().any(|a| a == "--search");
@@ -94,7 +94,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         let hybrid_best = if with_search {
             let starts = [Schedule::new(vec![4, 2, 2])?, Schedule::new(vec![1, 2, 1])?];
-            let outcome = problem.optimize(&starts, &HybridConfig::default())?;
+            let outcome = problem.optimize_with_strategy(
+                &starts,
+                &StrategyConfig::Hybrid(HybridConfig::default()),
+                None,
+            )?;
             outcome
                 .best
                 .map_or("<none>".to_string(), |(s, v)| format!("{s} ({v:.3})"))

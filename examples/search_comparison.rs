@@ -8,8 +8,7 @@ use cacs::apps::paper_case_study;
 use cacs::core::{CodesignProblem, EvaluationConfig};
 use cacs::sched::Schedule;
 use cacs::search::{
-    exhaustive_search, hybrid_search, simulated_annealing, AnnealConfig, CountingScheduleEvaluator,
-    HybridConfig, SharedEvalCache,
+    exhaustive_search, run_multistart, AnnealConfig, HybridConfig, SharedEvalCache, StrategyConfig,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -27,13 +26,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let memo = SharedEvalCache::new(&problem);
 
     println!("\n== Hybrid search (paper: 9 and 18 evaluations of 76) ==");
+    let hybrid = StrategyConfig::Hybrid(HybridConfig::default());
     for start in [vec![4, 2, 2], vec![1, 2, 1], vec![1, 1, 1], vec![2, 4, 3]] {
         let start = Schedule::new(start)?;
         if !problem.idle_feasible_schedule(&start) {
             println!("  start {start}: idle-infeasible, skipped");
             continue;
         }
-        let report = hybrid_search(&memo, &space, &start, &HybridConfig::default())?;
+        let outcome = run_multistart(&memo, &space, std::slice::from_ref(&start), &hybrid, None)?;
+        let report = &outcome.reports[0];
         println!(
             "  from {start}: best {} (P_all = {:.3}), {} evaluations, {} moves",
             report.best.as_ref().map_or("-".into(), |b| b.to_string()),
@@ -44,17 +45,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n== Simulated annealing baseline ==");
-    let sa = simulated_annealing(
+    let anneal = StrategyConfig::Anneal(AnnealConfig {
+        steps: 60,
+        initial_temperature: 0.05,
+        cooling: 0.95,
+        seed: 11,
+    });
+    let outcome = run_multistart(
         &memo,
         &space,
-        &Schedule::new(vec![1, 2, 1])?,
-        &AnnealConfig {
-            steps: 60,
-            initial_temperature: 0.05,
-            cooling: 0.95,
-            seed: 11,
-        },
+        &[Schedule::new(vec![1, 2, 1])?],
+        &anneal,
+        None,
     )?;
+    let sa = &outcome.reports[0];
     println!(
         "  best {} (P_all = {:.3}), {} evaluations",
         sa.best.as_ref().map_or("-".into(), |b| b.to_string()),

@@ -79,8 +79,8 @@ impl ProblemSpec {
     /// [`ProblemSpec::evaluator`] with the evaluation memo caches
     /// toggled explicitly (`--no-eval-cache` passes `false`). Disabling
     /// gives the reference cache-free path; results are bit-identical
-    /// either way — `tests/eval_cache_neutrality.rs` enforces it on the
-    /// digest bytes. Every application's PSO is seeded from the
+    /// either way — `tests/eval_cache_neutrality.rs`
+    /// enforce it on the digest bytes. Every application's PSO is seeded from the
     /// evaluated schedule alone, so results never depend on evaluation
     /// order. The synthetic surrogate has no caches, so the flag is a
     /// no-op there.

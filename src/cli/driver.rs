@@ -54,11 +54,10 @@ struct Args {
     selfcheck: bool,
     metrics: Option<PathBuf>,
     no_eval_cache: bool,
-    // Two-stage screening knobs: either enables screening; `--no-screen`
-    // spells the reference single-stage path explicitly.
+    // Two-stage screening knobs: either enables screening; with neither
+    // the run takes the reference single-stage path.
     screen_budget: Option<f64>,
     survivor_frac: Option<f64>,
-    no_screen: bool,
     // Strategy knobs; `None` keeps the strategy's default.
     tolerance: Option<f64>,
     max_steps: Option<usize>,
@@ -80,7 +79,7 @@ fn usage(bin: &str) -> ! {
          [--starts m1xm2x…[,m1xm2x…]] [--store FILE] [--resume] \
          [--kill-after-fresh-evals N] [--selfcheck] [--metrics FILE] \
          [--no-eval-cache] [--screen-budget F] [--survivor-frac F] \
-         [--no-screen] [--tolerance F] [--max-steps N] (hybrid) \
+         [--tolerance F] [--max-steps N] (hybrid) \
          [--seed N] [--steps N] [--initial-temperature F] [--cooling F] (anneal) \
          [--seed N] [--population N] [--generations N] (genetic) \
          [--iterations N] [--tenure N] [--stall-limit N] (tabu)"
@@ -102,7 +101,6 @@ fn parse_args(bin: &str) -> Args {
         no_eval_cache: false,
         screen_budget: None,
         survivor_frac: None,
-        no_screen: false,
         tolerance: None,
         max_steps: None,
         seed: None,
@@ -153,10 +151,6 @@ fn parse_args(bin: &str) -> Args {
             }
             "--screen-budget" => args.screen_budget = Some(parsed!(&mut i)),
             "--survivor-frac" => args.survivor_frac = Some(parsed!(&mut i)),
-            "--no-screen" => {
-                args.no_screen = true;
-                i += 1;
-            }
             "--tolerance" => args.tolerance = Some(parsed!(&mut i)),
             "--max-steps" => args.max_steps = Some(parsed!(&mut i)),
             "--seed" => args.seed = Some(parsed!(&mut i)),
@@ -252,16 +246,12 @@ fn build_strategy(args: &Args) -> StrategyConfig {
 }
 
 /// Resolves the two-stage screening knobs: `None` is the single-stage
-/// reference path (the default, also spelled `--no-screen`); either
-/// screening flag enables the pipeline, with the other knob defaulted.
-/// Exits 2 on contradictions and out-of-range fractions.
+/// reference path (the default); either screening flag enables the
+/// pipeline, with the other knob defaulted. Exits 2 on out-of-range
+/// fractions.
 fn screening_config(bin: &str, args: &Args) -> Option<(f64, f64)> {
     if args.screen_budget.is_none() && args.survivor_frac.is_none() {
         return None;
-    }
-    if args.no_screen {
-        eprintln!("{bin}: --no-screen conflicts with --screen-budget/--survivor-frac");
-        std::process::exit(2);
     }
     let budget = args.screen_budget.unwrap_or(DEFAULT_SCREEN_BUDGET);
     let frac = args.survivor_frac.unwrap_or(DEFAULT_SURVIVOR_FRAC);

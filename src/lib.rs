@@ -30,6 +30,7 @@
 //! use cacs::apps::paper_case_study;
 //! use cacs::core::{CodesignProblem, EvaluationConfig};
 //! use cacs::sched::Schedule;
+//! use cacs::search::{HybridConfig, StrategyConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let study = paper_case_study()?;
@@ -39,10 +40,12 @@
 //! let baseline = problem.evaluate_schedule(&Schedule::round_robin(3)?)?;
 //! println!("P_all(1,1,1) = {:?}", baseline.overall_performance);
 //!
-//! // Stage 2: find a better cache-aware schedule.
-//! let outcome = problem.optimize(
+//! // Stage 2: find a better cache-aware schedule with the paper's hybrid
+//! // search from two starts (no evaluation store).
+//! let outcome = problem.optimize_with_strategy(
 //!     &[Schedule::new(vec![4, 2, 2])?, Schedule::new(vec![1, 2, 1])?],
-//!     &cacs::search::HybridConfig::default(),
+//!     &StrategyConfig::Hybrid(HybridConfig::default()),
+//!     None,
 //! )?;
 //! if let Some((best, p_all)) = outcome.best {
 //!     println!("optimal schedule {best} with P_all = {p_all:.3}");
@@ -55,9 +58,9 @@
 //!
 //! The expensive layers of the pipeline — per-application controller
 //! synthesis inside one schedule evaluation, the PSO particle batches
-//! inside one synthesis, the exhaustive schedule sweep, and the hybrid
-//! search's unit-neighbour probes — all fan out through
-//! [`par::par_map`], an order-preserving scoped-thread map. Results are
+//! inside one synthesis and the exhaustive schedule sweep — all fan out
+//! through [`par::par_map`], an order-preserving scoped-thread map;
+//! multistart searches run one thread per start. Results are
 //! **deterministic at any thread count**: seeded runs are bit-identical
 //! whether they execute on one thread or many.
 //!

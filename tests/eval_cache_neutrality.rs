@@ -1,177 +1,49 @@
-//! Determinism-neutrality of the evaluation caches: enabling the
-//! [`cacs::core::EvalCtx`] memo layers (expm memo + app-synthesis
-//! cache) must not change a single byte of any digest nor a single
-//! Section-V evaluation count. These tests run the same search/sweep
-//! twice — caches off ([`ProblemSpec::evaluator_with_cache`] `false`,
-//! the reference path), then on — and compare bytes.
-//!
-//! Unlike the recorder switch in `obs_neutrality.rs`, the cache toggle
-//! is per-evaluator, so no global serialisation is needed; tests build
-//! two independent evaluators instead.
+//! Eval-cache neutrality: the `EvalCtx` memo layers (expm memo +
+//! app-synthesis cache) must not change a single byte of any digest nor
+//! a single Section-V evaluation count. Off is `--no-eval-cache`.
 
-use cacs::cli::{multistart_digest, ProblemSpec, StrategyKind};
-use cacs::distrib::{sweep_in_process, CoordinatorConfig};
-use cacs::sched::Schedule;
-use cacs::search::{
-    run_multistart, AnnealConfig, GeneticConfig, HybridConfig, StrategyConfig, TabuConfig,
+mod neutrality;
+
+use neutrality::{
+    all_strategies, check_rows, check_sharded_sweep, check_store_kill_resume_cycle, hybrid_only,
+    round_robin, run_opt, Toggle,
 };
-use std::path::Path;
-use std::process::Command;
 
-/// One multistart run against the spec's evaluator with the caches
-/// toggled as requested; returns the digest bytes and the per-search
-/// Section-V evaluation counts.
-fn strategy_digest(
-    spec: &str,
-    kind: StrategyKind,
-    strategy: &StrategyConfig,
-    eval_cache: bool,
-) -> (String, Vec<usize>) {
-    let spec = ProblemSpec::parse(spec).expect("problem spec");
-    let space = spec.space().expect("space");
-    let evaluator = spec.evaluator_with_cache(eval_cache).expect("evaluator");
-    let starts = vec![Schedule::round_robin(space.app_count()).expect("start")];
-    let outcome =
-        run_multistart(evaluator.as_ref(), &space, &starts, strategy, None).expect("search");
-    let digest = multistart_digest(kind, &space, &starts, &outcome.reports).expect("digest");
-    let evals = outcome.reports.iter().map(|r| r.evaluations).collect();
-    (digest, evals)
-}
-
+/// Every strategy on the synthetic surrogate, cached vs. uncached.
 #[test]
 fn every_strategy_digest_is_cache_neutral() {
-    let strategies: [(StrategyKind, StrategyConfig); 4] = [
-        (
-            StrategyKind::Hybrid,
-            StrategyConfig::Hybrid(HybridConfig::default()),
-        ),
-        (
-            StrategyKind::Anneal,
-            StrategyConfig::Anneal(AnnealConfig::default()),
-        ),
-        (
-            StrategyKind::Genetic,
-            StrategyConfig::Genetic(GeneticConfig::default()),
-        ),
-        (
-            StrategyKind::Tabu,
-            StrategyConfig::Tabu(TabuConfig::default()),
-        ),
-    ];
-    for (kind, strategy) in &strategies {
-        let off = strategy_digest("synthetic:5x5x5", *kind, strategy, false);
-        let on = strategy_digest("synthetic:5x5x5", *kind, strategy, true);
-        assert_eq!(
-            off.0.as_bytes(),
-            on.0.as_bytes(),
-            "{} digest changed with the eval caches on",
-            kind.name()
-        );
-        assert_eq!(
-            off.1,
-            on.1,
-            "{} Section-V evaluation counts changed with the eval caches on",
-            kind.name()
-        );
-    }
+    check_rows(&[(
+        Toggle::EvalCache,
+        "synthetic:5x5x5",
+        round_robin(),
+        all_strategies(),
+    )]);
 }
 
+/// The real evaluation pipeline against the paper problem, with expm
+/// and app-synthesis memo hits.
 #[test]
 fn paper_fast_hybrid_digest_is_cache_neutral() {
-    // The real evaluation pipeline — expm memo hits inside the lifted
-    // discretisations, app-synthesis memo hits on re-probed schedules —
-    // against the paper problem. The cached run and the reference
-    // cache-free run must print identical bytes.
-    let strategy = StrategyConfig::Hybrid(HybridConfig::default());
-    let off = strategy_digest("paper-fast", StrategyKind::Hybrid, &strategy, false);
-    let on = strategy_digest("paper-fast", StrategyKind::Hybrid, &strategy, true);
-    assert_eq!(off.0.as_bytes(), on.0.as_bytes());
-    assert_eq!(off.1, on.1);
+    check_rows(&[(
+        Toggle::EvalCache,
+        "paper-fast",
+        round_robin(),
+        hybrid_only(),
+    )]);
 }
 
+/// Two sweep workers share one `EvalCtx`: racing inserts must not
+/// change a byte of the merged report.
 #[test]
 fn sharded_sweep_digest_is_cache_neutral() {
-    // Two sweep workers share one evaluator — and with the caches on,
-    // one EvalCtx. Racing inserts must not change a byte of the merged
-    // report.
-    let spec = ProblemSpec::parse("paper-fast").expect("problem spec");
-    let space = spec.space().expect("space");
-    let config = CoordinatorConfig {
-        shard_size: 64,
-        ..CoordinatorConfig::default()
-    };
-    let digest_with = |eval_cache: bool| {
-        let evaluator = spec.evaluator_with_cache(eval_cache).expect("evaluator");
-        let sweep = sweep_in_process(evaluator.as_ref(), &space, 2, &config).expect("sweep");
-        cacs::cli::report_digest(&space, &sweep.report).expect("digest")
-    };
-    let off = digest_with(false);
-    let on = digest_with(true);
-    assert_eq!(off.as_bytes(), on.as_bytes());
+    check_sharded_sweep(Toggle::EvalCache, "paper-fast");
 }
 
-fn temp_store(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("cacs-evalcache-it-{}-{tag}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join("opt.store")
-}
-
-fn cleanup(path: &Path) {
-    let _ = std::fs::remove_dir_all(path.parent().unwrap());
-}
-
-fn run_opt(extra: &[&str]) -> (Option<i32>, String, String) {
-    let bin = env!("CARGO_BIN_EXE_cacs-opt");
-    let output = Command::new(bin)
-        .args(["--problem", "paper-fast"])
-        .args(extra)
-        .output()
-        .expect("run cacs-opt");
-    (
-        output.status.code(),
-        String::from_utf8_lossy(&output.stdout).into_owned(),
-        String::from_utf8_lossy(&output.stderr).into_owned(),
-    )
-}
-
-/// Kill → resume across real processes with the caches in play: phase 1
-/// (cached) is killed mid-run by the deterministic injection, phase 2
-/// resumes cached with `--selfcheck` (byte-identity and strictly fewer
-/// fresh evaluations against an uninterrupted in-memory rerun), and
-/// phase 3 cross-checks the resumed digest against a storeless
-/// `--no-eval-cache` run — cache-on resumed and cache-off fresh must
-/// print the same bytes.
+/// Kill → resume with the caches on; the resumed digest must equal a
+/// storeless `--no-eval-cache` run's bytes.
 #[test]
 fn store_kill_resume_cycle_is_cache_neutral() {
-    let store = temp_store("cycle");
-    let store_arg = store.to_str().unwrap();
-
-    let (code, _, stderr) = run_opt(&["--store", store_arg, "--kill-after-fresh-evals", "4"]);
-    assert_eq!(
-        code,
-        Some(9),
-        "expected the injected kill; stderr:\n{stderr}"
-    );
-
-    let (code, resumed_digest, stderr) =
-        run_opt(&["--store", store_arg, "--resume", "--selfcheck"]);
-    assert_eq!(code, Some(0), "resume/selfcheck failed; stderr:\n{stderr}");
-    assert!(
-        stderr.contains("selfcheck OK"),
-        "missing selfcheck confirmation; stderr:\n{stderr}"
-    );
-
-    let (code, uncached_digest, stderr) = run_opt(&["--no-eval-cache"]);
-    assert_eq!(
-        code,
-        Some(0),
-        "cache-off reference failed; stderr:\n{stderr}"
-    );
-    assert_eq!(
-        resumed_digest, uncached_digest,
-        "cache-on resumed digest differs from the cache-off fresh run's"
-    );
-    cleanup(&store);
+    check_store_kill_resume_cycle("eval-cache", &[], "4", &["--no-eval-cache"]);
 }
 
 /// `--no-eval-cache --selfcheck` must pass end to end: the cache-free

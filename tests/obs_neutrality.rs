@@ -1,123 +1,42 @@
-//! Determinism-neutrality of the observability layer: enabling the
-//! `cacs-obs` recorder must not change a single byte of any digest nor
-//! a single Section-V evaluation count. These tests run the same
-//! search/sweep twice — recorder off, then on — and compare.
-//!
-//! The recorder switch is process-global, so every test here serialises
-//! on one mutex (other integration-test binaries are separate
-//! processes and unaffected).
+//! Recorder neutrality: enabling the process-global `cacs-obs` recorder
+//! must not change a single byte of any digest nor a single Section-V
+//! evaluation count, and its JSON snapshot has a fixed schema.
 
-use cacs::cli::{multistart_digest, ProblemSpec, StrategyKind};
-use cacs::distrib::{sweep_in_process, CoordinatorConfig};
-use cacs::sched::Schedule;
-use cacs::search::{
-    run_multistart, AnnealConfig, GeneticConfig, HybridConfig, StrategyConfig, TabuConfig,
+mod neutrality;
+
+use neutrality::{
+    all_strategies, check_rows, check_sharded_sweep, hybrid_only, recorder_lock, round_robin,
+    Toggle,
 };
-use std::sync::Mutex;
 
-static RECORDER: Mutex<()> = Mutex::new(());
-
-/// Runs `f` twice — recorder disabled, then enabled — and returns both
-/// results, leaving the recorder off.
-fn with_and_without_recorder<R>(mut f: impl FnMut() -> R) -> (R, R) {
-    let _guard = cacs::par::sync::lock_recover(&RECORDER);
-    cacs::obs::disable();
-    cacs::obs::reset();
-    let off = f();
-    cacs::obs::enable();
-    let on = f();
-    cacs::obs::disable();
-    cacs::obs::reset();
-    (off, on)
-}
-
-fn strategy_digest(
-    spec: &str,
-    kind: StrategyKind,
-    strategy: &StrategyConfig,
-) -> (String, Vec<usize>) {
-    let spec = ProblemSpec::parse(spec).expect("problem spec");
-    let space = spec.space().expect("space");
-    let evaluator = spec.evaluator().expect("evaluator");
-    let starts = vec![Schedule::round_robin(space.app_count()).expect("start")];
-    let outcome =
-        run_multistart(evaluator.as_ref(), &space, &starts, strategy, None).expect("search");
-    let digest = multistart_digest(kind, &space, &starts, &outcome.reports).expect("digest");
-    let evals = outcome.reports.iter().map(|r| r.evaluations).collect();
-    (digest, evals)
-}
-
+/// Every strategy on the synthetic surrogate, recorder off vs. on.
 #[test]
 fn every_strategy_digest_is_recorder_neutral() {
-    let strategies: [(StrategyKind, StrategyConfig); 4] = [
-        (
-            StrategyKind::Hybrid,
-            StrategyConfig::Hybrid(HybridConfig::default()),
-        ),
-        (
-            StrategyKind::Anneal,
-            StrategyConfig::Anneal(AnnealConfig::default()),
-        ),
-        (
-            StrategyKind::Genetic,
-            StrategyConfig::Genetic(GeneticConfig::default()),
-        ),
-        (
-            StrategyKind::Tabu,
-            StrategyConfig::Tabu(TabuConfig::default()),
-        ),
-    ];
-    for (kind, strategy) in &strategies {
-        let (off, on) =
-            with_and_without_recorder(|| strategy_digest("synthetic:5x5x5", *kind, strategy));
-        assert_eq!(
-            off.0.as_bytes(),
-            on.0.as_bytes(),
-            "{} digest changed with the recorder on",
-            kind.name()
-        );
-        assert_eq!(
-            off.1,
-            on.1,
-            "{} Section-V evaluation counts changed with the recorder on",
-            kind.name()
-        );
-    }
+    check_rows(&[(
+        Toggle::Recorder,
+        "synthetic:5x5x5",
+        round_robin(),
+        all_strategies(),
+    )]);
 }
 
+/// The real evaluation pipeline against the paper problem, with the
+/// PSO/synthesis/expm timers all firing.
 #[test]
 fn paper_fast_hybrid_digest_is_recorder_neutral() {
-    // The real evaluation pipeline — PSO timers, synthesis phase
-    // timers, expm timers all firing — against the paper problem.
-    let strategy = StrategyConfig::Hybrid(HybridConfig::default());
-    let (off, on) = with_and_without_recorder(|| {
-        strategy_digest("paper-fast", StrategyKind::Hybrid, &strategy)
-    });
-    assert_eq!(off.0.as_bytes(), on.0.as_bytes());
-    assert_eq!(off.1, on.1);
+    check_rows(&[(Toggle::Recorder, "paper-fast", round_robin(), hybrid_only())]);
 }
 
+/// Two sweep workers recording concurrently must not change a byte of
+/// the merged report.
 #[test]
 fn sharded_sweep_digest_is_recorder_neutral() {
-    let spec = ProblemSpec::parse("synthetic:8x8x8").expect("problem spec");
-    let space = spec.space().expect("space");
-    let evaluator = spec.evaluator().expect("evaluator");
-    let config = CoordinatorConfig {
-        shard_size: 64,
-        ..CoordinatorConfig::default()
-    };
-    let (off, on) = with_and_without_recorder(|| {
-        let sweep = sweep_in_process(evaluator.as_ref(), &space, 2, &config).expect("sweep");
-        cacs::cli::report_digest(&space, &sweep.report).expect("digest")
-    });
-    assert_eq!(off.as_bytes(), on.as_bytes());
+    check_sharded_sweep(Toggle::Recorder, "synthetic:8x8x8");
 }
 
 #[test]
 fn metrics_json_schema_is_byte_stable() {
-    let _guard = cacs::par::sync::lock_recover(&RECORDER);
-    cacs::obs::disable();
-    cacs::obs::reset();
+    let _guard = recorder_lock();
     let idle = cacs::obs::snapshot_json();
 
     // Record a spread of activity; the schema must not grow or shrink.

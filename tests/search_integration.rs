@@ -3,13 +3,22 @@
 //! evaluation-count economy, multicore decomposition.
 
 use cacs::apps::paper_case_study;
+use cacs::core::OptimizeOutcome;
 use cacs::core::{optimize_multicore, CodesignProblem, CorePartition, EvaluationConfig};
 use cacs::sched::Schedule;
-use cacs::search::{CountingScheduleEvaluator, HybridConfig, ScheduleEvaluator, SharedEvalCache};
+use cacs::search::{HybridConfig, ScheduleEvaluator, SharedEvalCache, StrategyConfig};
 
 fn fast_problem() -> CodesignProblem {
     let study = paper_case_study().expect("case study builds");
     CodesignProblem::from_case_study(&study, EvaluationConfig::fast()).expect("problem builds")
+}
+
+/// The paper's hybrid search from `starts`, storeless.
+fn hybrid(problem: &CodesignProblem, starts: &[Schedule]) -> OptimizeOutcome {
+    let strategy = StrategyConfig::Hybrid(HybridConfig::default());
+    problem
+        .optimize_with_strategy(starts, &strategy, None)
+        .expect("search runs")
 }
 
 /// The hybrid search run on the real pipeline improves on its start and
@@ -18,12 +27,7 @@ fn fast_problem() -> CodesignProblem {
 #[test]
 fn hybrid_search_on_real_pipeline_is_frugal() {
     let problem = fast_problem();
-    let outcome = problem
-        .optimize(
-            &[Schedule::new(vec![1, 2, 1]).unwrap()],
-            &HybridConfig::default(),
-        )
-        .unwrap();
+    let outcome = hybrid(&problem, &[Schedule::new(vec![1, 2, 1]).unwrap()]);
     let (best, value) = outcome.best.expect("found something");
     let search = &outcome.searches[0];
     // Improvement over (or equality with) the start's own value.
@@ -59,9 +63,7 @@ fn optimizer_beats_round_robin() {
         .unwrap()
         .overall_performance
         .unwrap();
-    let outcome = problem
-        .optimize(std::slice::from_ref(&rr), &HybridConfig::default())
-        .unwrap();
+    let outcome = hybrid(&problem, std::slice::from_ref(&rr));
     let (best, value) = outcome.best.expect("search succeeds");
     assert!(
         value > baseline,
@@ -118,8 +120,8 @@ fn multicore_partition_beats_single_core() {
 fn optimization_is_deterministic() {
     let problem = fast_problem();
     let starts = [Schedule::new(vec![2, 2, 2]).unwrap()];
-    let a = problem.optimize(&starts, &HybridConfig::default()).unwrap();
-    let b = problem.optimize(&starts, &HybridConfig::default()).unwrap();
+    let a = hybrid(&problem, &starts);
+    let b = hybrid(&problem, &starts);
     match (a.best, b.best) {
         (Some((sa, va)), Some((sb, vb))) => {
             assert_eq!(sa, sb);
