@@ -60,8 +60,9 @@ fn peak_rss_kib() -> Option<u64> {
 }
 
 /// Peak-RSS growth allowed across the streaming sweep. Materialising the
-/// 2M-schedule box costs hundreds of MiB; the streaming path's chunk
-/// buffers are a few MiB, so 64 MiB is generous headroom.
+/// 2M-schedule box costs hundreds of MiB; the lane sweep buffers no
+/// candidates (each lane holds one schedule at a time), so 64 MiB is
+/// generous headroom.
 const STREAMING_RSS_LIMIT_KIB: u64 = 64 * 1024;
 
 /// Dimensions of the synthetic streaming box: 128³ = 2,097,152
@@ -564,12 +565,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ----- streaming-sweep baseline ---------------------------------
-    // The multi-million-schedule engine: a 128³ synthetic box streamed
+    // The multi-million-schedule engine: a 128³ synthetic box swept
     // at constant memory, checked against a peak-RSS growth bound.
     let eval = cacs_distrib::synthetic::surrogate(STREAMING_BOX.len());
     let space = ScheduleSpace::new(STREAMING_BOX.to_vec())?;
     let sweep = SweepConfig {
-        chunk_size: 65_536,
         // µs-scale objective: amortise the per-claim dispatch overhead.
         dispatch_grain: 1024,
         ..SweepConfig::constant_memory()
@@ -603,7 +603,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  \"box\": \"{}x{}x{}\",",
         STREAMING_BOX[0], STREAMING_BOX[1], STREAMING_BOX[2]
     )?;
-    writeln!(stream_json, "  \"chunk_size\": {},", sweep.chunk_size)?;
     writeln!(
         stream_json,
         "  \"dispatch_grain\": {},",

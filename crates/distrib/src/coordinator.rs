@@ -131,7 +131,7 @@ pub struct CoordinatorConfig {
     /// recovery and steadier checkpoints; larger shards amortise
     /// protocol overhead. Never affects the merged result.
     pub shard_size: u64,
-    /// Streaming knobs each worker sweeps its shard under.
+    /// Sweep knobs each worker sweeps its shard under.
     /// `max_results` is the *global* retention cap: workers retain at
     /// most that many results per shard and the coordinator re-applies
     /// the cap after the final merge, which reproduces a single capped
@@ -641,7 +641,6 @@ fn drive_worker(mut link: WorkerLink, shared: &Shared<'_>, consecutive: &mut u32
             lease: lease.id,
             start: range.start,
             end: range.end,
-            chunk: sweep.chunk_size,
             grain: sweep.dispatch_grain,
             retain: sweep.max_results,
         };
@@ -1267,16 +1266,17 @@ mod tests {
 
     #[test]
     fn framed_hello_with_an_old_version_is_refused() {
-        // A correctly framed HELLO naming protocol version 1 is refused
-        // at the handshake, whether or not a good worker stands by.
+        // A correctly framed HELLO naming an earlier protocol version
+        // (1, or 2 with its `<chunk>` SWEEP field) is refused at the
+        // handshake, whether or not a good worker stands by.
         let eval = gnarly();
         let space = ScheduleSpace::new(vec![4, 4, 4]).unwrap();
         let single = exhaustive_search_with(&eval, &space, &SweepConfig::default()).unwrap();
-        let old_peer = || {
+        let old_peer = |version: u32| {
             let (link, endpoint) = WorkerLink::channel_pair("old-peer");
             endpoint
                 .outgoing
-                .send(WorkerMsg::Hello { version: 1 }.encode_framed())
+                .send(WorkerMsg::Hello { version }.encode_framed())
                 .unwrap();
             link
         };
@@ -1285,14 +1285,19 @@ mod tests {
             ..CoordinatorConfig::default()
         };
 
-        let alone = run_coordinator(&space, vec![old_peer()], &config);
-        assert!(matches!(alone, Err(DistribError::WorkersExhausted { .. })));
+        for version in 1..PROTOCOL_VERSION {
+            let alone = run_coordinator(&space, vec![old_peer(version)], &config);
+            assert!(
+                matches!(alone, Err(DistribError::WorkersExhausted { .. })),
+                "version {version}"
+            );
+        }
 
         let sharded = std::thread::scope(|s| {
             let (link, endpoint) = WorkerLink::channel_pair("steady");
             let eval = &eval;
             s.spawn(move || endpoint.serve(eval, ChaosPlan::default()));
-            run_coordinator(&space, vec![old_peer(), link], &config)
+            run_coordinator(&space, vec![old_peer(PROTOCOL_VERSION - 1), link], &config)
         })
         .unwrap();
         assert_eq!(sharded.stats.faults.len(), 1);

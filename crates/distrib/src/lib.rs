@@ -1,5 +1,5 @@
 //! Sharded multi-process exhaustive sweeps with checkpoint/resume — the
-//! scaling rung above `cacs-search`'s in-process streaming engine.
+//! scaling rung above `cacs-search`'s in-process lane sweep.
 //!
 //! A sweep over a [`cacs_search::ScheduleSpace`] is partitioned into
 //! **rank-range leases** ([`ShardPlan`]): contiguous intervals of the

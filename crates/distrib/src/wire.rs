@@ -13,7 +13,7 @@
 //! ```text
 //! worker → coord   HELLO cacs-sweep <version>
 //! coord  → worker  SPACE <n> <m1> … <mn>
-//! coord  → worker  SWEEP <lease> <start> <end> <chunk> <grain> <retain>
+//! coord  → worker  SWEEP <lease> <start> <end> <grain> <retain>
 //! worker → coord   REPORT <lease> <enumerated> <evaluated> <feasible> <best> <truncated> <nresults>
 //! worker → coord   R <rank> <bits|none>          (× nresults)
 //! worker → coord   DONE <lease>
@@ -21,10 +21,12 @@
 //! ```
 //!
 //! where `<best>` is `none` or `<rank>:<bits>`, `<bits>` is the
-//! objective's `f64::to_bits` as 16 lower-case hex digits, and
-//! `<retain>` is `all` or a result-count cap.
+//! objective's `f64::to_bits` as 16 lower-case hex digits, `<grain>` is
+//! the ranks per lane claim of the worker's sweep
+//! ([`cacs_search::SweepConfig::dispatch_grain`]), and `<retain>` is
+//! `all` or a result-count cap.
 //!
-//! # Integrity (protocol version 2)
+//! # Integrity (since protocol version 2)
 //!
 //! Every line a peer emits is **framed** with a CRC-32 suffix (see
 //! [`cacs_search::integrity`]): `<payload> *<8 hex>`. The decoder
@@ -57,8 +59,9 @@ use cacs_search::{ExhaustiveReport, ScheduleSpace};
 /// Version tag exchanged in the `HELLO` handshake. Bump on any breaking
 /// change to the line formats documented in this module.
 ///
-/// Version 2 added the per-line CRC-32 framing.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// Version 2 added the per-line CRC-32 framing; version 3 dropped the
+/// `<chunk>` field of `SWEEP` (the sweep buffers no candidates).
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Magic token of the `HELLO` line, so a coordinator fails fast when
 /// pointed at something that is not a sweep worker at all.
@@ -69,8 +72,8 @@ pub const HELLO_MAGIC: &str = "cacs-sweep";
 pub enum CoordMsg {
     /// The shared schedule space: per-dimension maxima.
     Space(Vec<u32>),
-    /// Sweep the rank range `[start, end)` under the given streaming
-    /// knobs and report back.
+    /// Sweep the rank range `[start, end)` under the given sweep knobs
+    /// and report back.
     Sweep {
         /// Lease identifier, echoed back by the worker's report.
         lease: u64,
@@ -78,9 +81,7 @@ pub enum CoordMsg {
         start: u64,
         /// One past the last rank (exclusive).
         end: u64,
-        /// Chunk size for the worker's streaming sweep.
-        chunk: usize,
-        /// Dispatch granularity for the worker's parallel map.
+        /// Ranks per lane claim in the worker's sweep.
         grain: usize,
         /// Per-shard result retention cap (`None` = keep everything).
         retain: Option<usize>,
@@ -197,7 +198,6 @@ impl CoordMsg {
                 lease,
                 start,
                 end,
-                chunk,
                 grain,
                 retain,
             } => {
@@ -205,13 +205,13 @@ impl CoordMsg {
                     Some(k) => k.to_string(),
                     None => "all".to_string(),
                 };
-                format!("SWEEP {lease} {start} {end} {chunk} {grain} {retain}")
+                format!("SWEEP {lease} {start} {end} {grain} {retain}")
             }
             CoordMsg::Exit => "EXIT".to_string(),
         }
     }
 
-    /// Renders the message CRC-framed, as a version-2 peer puts it on
+    /// Renders the message CRC-framed, as a current-version peer puts it on
     /// the wire: [`CoordMsg::encode`] plus the integrity suffix.
     pub fn encode_framed(&self) -> String {
         append_crc(&self.encode())
@@ -249,7 +249,6 @@ impl CoordMsg {
                 let lease = parse_field(fields.next(), line, "lease id")?;
                 let start = parse_field(fields.next(), line, "range start")?;
                 let end = parse_field(fields.next(), line, "range end")?;
-                let chunk = parse_field(fields.next(), line, "chunk size")?;
                 let grain = parse_field(fields.next(), line, "dispatch grain")?;
                 let retain = match fields.next() {
                     Some("all") => None,
@@ -260,7 +259,6 @@ impl CoordMsg {
                     lease,
                     start,
                     end,
-                    chunk,
                     grain,
                     retain,
                 })
@@ -308,7 +306,7 @@ impl WorkerMsg {
         }
     }
 
-    /// Renders the message CRC-framed, as a version-2 peer puts it on
+    /// Renders the message CRC-framed, as a current-version peer puts it on
     /// the wire: [`WorkerMsg::encode`] plus the integrity suffix.
     pub fn encode_framed(&self) -> String {
         append_crc(&self.encode())
@@ -573,7 +571,6 @@ mod tests {
                 lease: 3,
                 start: 100,
                 end: 260,
-                chunk: 4096,
                 grain: 64,
                 retain: Some(12),
             },
@@ -581,7 +578,6 @@ mod tests {
                 lease: 0,
                 start: 0,
                 end: 1,
-                chunk: 1,
                 grain: 1,
                 retain: None,
             },
@@ -653,8 +649,9 @@ mod tests {
             "EXIT now",                 // trailing junk
             "DONE 3 x",                 // trailing junk
             "R 5 none extra",           // trailing junk
-            "HELLO cacs-sweep 2 !",     // trailing junk
-            "SWEEP 1 2 3 4 5 all 6",    // trailing junk
+            "HELLO cacs-sweep 3 !",     // trailing junk
+            "SWEEP 1 2 3 4 all 6",      // trailing junk
+            "SWEEP 1 2 3 4 5 all",      // version-2 field layout (with <chunk>)
         ] {
             let framed = append_crc(line);
             assert!(

@@ -174,7 +174,6 @@ pub fn serve_lines<E: ScheduleEvaluator + ?Sized>(
                 lease,
                 start,
                 end,
-                chunk,
                 grain,
                 retain,
             } => {
@@ -193,7 +192,6 @@ pub fn serve_lines<E: ScheduleEvaluator + ?Sized>(
                     continue;
                 }
                 let config = SweepConfig {
-                    chunk_size: chunk,
                     max_results: retain,
                     dispatch_grain: grain,
                 };
@@ -290,7 +288,6 @@ mod tests {
             lease,
             start,
             end,
-            chunk: 8,
             grain: 1,
             retain: None,
         }
@@ -306,8 +303,7 @@ mod tests {
                 lease: 1,
                 start: 2,
                 end: 9,
-                chunk: 3,
-                grain: 1,
+                grain: 3,
                 retain: None,
             }
             .encode_framed(),
@@ -350,9 +346,8 @@ mod tests {
             2,
             9,
             &cacs_search::SweepConfig {
-                chunk_size: 3,
                 max_results: None,
-                dispatch_grain: 1,
+                dispatch_grain: 3,
             },
         )
         .unwrap();

@@ -20,7 +20,6 @@ fn corpus() -> Vec<(bool, String)> {
                 lease: 42,
                 start: 1_000,
                 end: 2_000,
-                chunk: 512,
                 grain: 64,
                 retain: Some(8),
             }
@@ -32,14 +31,13 @@ fn corpus() -> Vec<(bool, String)> {
                 lease: 7,
                 start: 0,
                 end: 65_536,
-                chunk: 1024,
                 grain: 128,
                 retain: None,
             }
             .encode_framed(),
         ),
         (true, CoordMsg::Exit.encode_framed()),
-        (false, WorkerMsg::Hello { version: 2 }.encode_framed()),
+        (false, WorkerMsg::Hello { version: 3 }.encode_framed()),
         (
             false,
             WorkerMsg::Report {

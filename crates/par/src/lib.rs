@@ -1,19 +1,23 @@
 //! Deterministic parallelism for the co-design pipeline, built on a
 //! lazily-initialised **persistent worker pool**.
 //!
-//! The evaluation engine fans out at four independent levels (per-app
-//! synthesis, PSO particles, exhaustive sweeps, hybrid neighbour
-//! probes). This crate provides the primitives they all share:
-//! [`par_map`], an order-preserving parallel map over a slice, and
-//! [`par_map_chunked`], the same primitive with coarser dispatch
-//! granularity for µs-scale work items.
+//! The evaluation engine fans out at three independent levels. Per-app
+//! synthesis and PSO particle batches map over a slice; an exhaustive
+//! sweep opens **one** region of lanes (a [`par_map`] over lane slots),
+//! in which every lane claims rank blocks from a shared counter and
+//! enumerates, filters, evaluates and reduces them itself, so a sweep
+//! of millions of schedules costs one region, not one per batch. This
+//! crate provides the primitives they all share: [`par_map`], an
+//! order-preserving parallel map over a slice, and [`par_map_chunked`],
+//! the same primitive with coarser dispatch granularity for µs-scale
+//! work items.
 //!
 //! # Pool lifecycle
 //!
 //! The first parallel region spawns the worker threads; they live for
 //! the rest of the process, parked on a job queue. This replaces the
-//! per-call `std::thread::scope` spawning of earlier versions: a
-//! schedule sweep streaming millions of cheap batches pays the
+//! per-call `std::thread::scope` spawning of earlier versions: a PSO
+//! run issuing thousands of small particle batches pays the
 //! thread-creation cost **once**, not once per batch. The pool grows on
 //! demand up to the largest `min(thread_budget(), batch)` ever
 //! requested and never shrinks; [`pool_workers`] reports the current
@@ -35,8 +39,8 @@
 //! sequential loop it replaced — at any thread count, any pool size and
 //! any dispatch granularity. All parallel call sites in this workspace
 //! are structured that way (seeded PSO draws its random numbers
-//! *before* the parallel objective batch, the exhaustive sweep reduces
-//! in lexicographic enumeration order, etc.).
+//! *before* the parallel objective batch, the exhaustive sweep's lanes
+//! merge their partial reports in rank order, etc.).
 //!
 //! # Knobs
 //!
@@ -378,10 +382,12 @@ fn par_map_impl<T: Sync, R: Send>(
     cacs_obs::metrics::PAR_BATCH_ITEMS.record(items.len() as u64);
 
     let cursor = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
+    let slots: Mutex<Vec<Option<R>>> =
+        Mutex::new(std::iter::repeat_with(|| None).take(items.len()).collect());
     let drain = || {
         // Each participant keeps a local buffer so the shared lock is
-        // touched once per participant, not once per item.
+        // touched once per participant, not once per item; the buffer is
+        // then scattered into the pre-sized slots by index.
         let mut local: Vec<(usize, R)> = Vec::new();
         loop {
             let start = cursor.fetch_add(grain, Ordering::Relaxed);
@@ -394,7 +400,10 @@ fn par_map_impl<T: Sync, R: Send>(
             }
         }
         if !local.is_empty() {
-            relock(collected.lock()).extend(local);
+            let mut slots = relock(slots.lock());
+            for (i, r) in local {
+                slots[i] = Some(r);
+            }
         }
     };
 
@@ -402,12 +411,12 @@ fn par_map_impl<T: Sync, R: Send>(
         resume_unwind(payload);
     }
 
-    let mut pairs = collected
+    slots
         .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    debug_assert_eq!(pairs.len(), items.len());
-    pairs.sort_unstable_by_key(|(i, _)| *i);
-    pairs.into_iter().map(|(_, r)| r).collect()
+        .unwrap_or_else(PoisonError::into_inner)
+        .into_iter()
+        .map(|r| r.expect("the cursor hands every index to exactly one claim"))
+        .collect()
 }
 
 /// Order-preserving parallel map: returns `f(i, &items[i])` for every

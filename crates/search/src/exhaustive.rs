@@ -1,48 +1,55 @@
 //! Brute-force schedule search (the paper's verification baseline),
-//! streamed over the box in bounded chunks.
+//! swept over the box in one parallel region.
 //!
 //! The sweep is embarrassingly parallel: every idle-feasible schedule is
-//! an independent full evaluation. [`exhaustive_search`] walks the box
-//! in lexicographic order **one chunk at a time** — idle-filter the
-//! chunk, fan its evaluations out through [`cacs_par::par_map_chunked`]
-//! (dispatch granularity is a [`SweepConfig`] knob), reduce
-//! into the running best, drop the chunk — so memory stays constant no
-//! matter how many million schedules the box holds. The reduction is
-//! strict-improvement in enumeration order, which makes the selected
-//! best schedule (and its tie-breaking) bit-identical to the historical
-//! materialise-everything sequential sweep at any thread count and any
-//! chunk size. `CACS_THREADS=1` forces the sequential path entirely.
+//! an independent full evaluation. [`exhaustive_search_range`] opens a
+//! single parallel region of up to `thread_budget()` **lanes**. Each
+//! lane repeatedly claims the next block of
+//! [`SweepConfig::dispatch_grain`] consecutive ranks from a shared claim
+//! counter and, inside the block, enumerates, idle-filters, evaluates
+//! and folds each schedule into its own partial report — no candidate
+//! buffer, so memory stays constant no matter how many million schedules
+//! the box holds. Claims are handed out in increasing rank order, so
+//! each lane sees its ranks in enumeration order and its strict-`>`
+//! running best is the first-seen best of the ranks it swept. The
+//! caller folds the lane partials with [`ExhaustiveReport::merge_owned`]
+//! (the commutative, associative merge the distributed coordinator
+//! also relies on), which makes the selected best schedule, its
+//! tie-breaking, every counter and the retained results bit-identical
+//! to a plain sequential loop over the box at any thread count and any
+//! grain. Under `CACS_THREADS=1`, [`cacs_par::sequential`] or inside
+//! another parallel region the lanes run inline on the calling thread,
+//! one after another, so the first lane sweeps the whole range.
 
 use crate::{Result, ScheduleEvaluator, ScheduleSpace, SearchError};
 use cacs_sched::Schedule;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Tuning knobs for a streaming exhaustive sweep.
+/// Tuning knobs for an exhaustive sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepConfig {
-    /// Idle-feasible candidates buffered per evaluate/reduce batch. The
-    /// memory high-water mark of a sweep is `O(chunk_size)`, independent
-    /// of the box size; the value never affects the selected best or any
-    /// counter.
-    pub chunk_size: usize,
     /// Cap on how many evaluated `(schedule, objective)` pairs
     /// [`ExhaustiveReport::results`] retains (first-come in enumeration
     /// order). `None` keeps everything — fine for paper-sized boxes,
     /// an OOM for multi-million-schedule sweeps, which should pass
     /// `Some(0)` (counters and the best are always exact regardless).
+    /// Each lane retains at most this many results of its own, so the
+    /// memory high-water mark of a capped sweep is independent of the
+    /// box size.
     pub max_results: Option<usize>,
-    /// Consecutive evaluations claimed per worker dispatch inside a
-    /// chunk ([`cacs_par::par_map_chunked`]'s granularity). The default
-    /// of 1 load-balances expensive evaluators (full co-design runs);
-    /// µs-scale synthetic objectives should raise it so the per-claim
-    /// overhead is amortised. Never affects the outcome, only the
-    /// work-distribution granularity.
+    /// Ranks per lane claim: each lane takes this many consecutive
+    /// ranks from the shared claim counter at a time. The default of 1
+    /// load-balances expensive evaluators (full co-design runs, such as
+    /// the paper's 77 evaluations); µs-scale synthetic objectives
+    /// should raise it so the per-claim overhead (one atomic increment
+    /// and one unrank) is amortised. Never affects the outcome, only
+    /// the work-distribution granularity.
     pub dispatch_grain: usize,
 }
 
 impl Default for SweepConfig {
     fn default() -> Self {
         SweepConfig {
-            chunk_size: 4096,
             max_results: None,
             dispatch_grain: 1,
         }
@@ -50,8 +57,8 @@ impl Default for SweepConfig {
 }
 
 impl SweepConfig {
-    /// A constant-memory configuration for huge boxes: default chunking,
-    /// no per-schedule result retention.
+    /// A constant-memory configuration for huge boxes: no per-schedule
+    /// result retention.
     pub fn constant_memory() -> Self {
         SweepConfig {
             max_results: Some(0),
@@ -235,7 +242,7 @@ impl ExhaustiveReport {
     /// schedule, same objective bit patterns (`f64::to_bits`, so
     /// `0.0`/`-0.0` and NaN payloads are distinguished), same counters,
     /// same retained results in the same order, same truncation flag.
-    /// This is the equivalence the sharded/streaming sweep machinery
+    /// This is the equivalence the sharded and lane sweep machinery
     /// guarantees against the sequential sweep, and the single predicate
     /// every self-check and test asserts.
     pub fn bit_identical(&self, other: &ExhaustiveReport) -> bool {
@@ -271,7 +278,7 @@ impl ExhaustiveReport {
 
 /// Evaluates every idle-feasible schedule in the space and returns the
 /// best (paper Section V's brute-force verification), using the default
-/// [`SweepConfig`] — chunked streaming, full result retention.
+/// [`SweepConfig`] — one-rank claims, full result retention.
 ///
 /// # Errors
 ///
@@ -300,16 +307,17 @@ pub fn exhaustive_search<E: ScheduleEvaluator + ?Sized>(
     exhaustive_search_with(evaluator, space, &SweepConfig::default())
 }
 
-/// [`exhaustive_search`] with explicit streaming knobs.
+/// [`exhaustive_search`] with explicit sweep knobs.
 ///
-/// The box is enumerated lexicographically and consumed in batches of
-/// [`SweepConfig::chunk_size`] idle-feasible candidates: each batch is
-/// evaluated in parallel and folded into the running best before the
-/// next batch is generated, so peak memory is bounded by the chunk size
-/// (plus retained results, see [`SweepConfig::max_results`]) at any box
-/// size. Chunk boundaries and thread count provably cannot change the
-/// outcome: the reduction keeps the first-seen strict improvement in
-/// enumeration order, exactly like a sequential loop over the whole box.
+/// The box is swept in one parallel region: lanes claim blocks of
+/// [`SweepConfig::dispatch_grain`] consecutive ranks and enumerate,
+/// idle-filter, evaluate and reduce each block themselves, keeping no
+/// candidate buffer, so peak memory is bounded by the retained results
+/// (see [`SweepConfig::max_results`]) at any box size. The grain and
+/// the thread count provably cannot change the outcome: each lane keeps
+/// the first-seen strict improvement over its ranks, and the lane
+/// partials merge with ties going to the lower rank, exactly like a
+/// sequential loop over the whole box.
 ///
 /// # Errors
 ///
@@ -331,6 +339,11 @@ pub fn exhaustive_search_with<E: ScheduleEvaluator + ?Sized>(
 /// to what a full sweep contributes over those ranks; an empty range
 /// (`start >= end`) yields [`ExhaustiveReport::empty`].
 ///
+/// In-process the range is swept the same way, one level down: up to
+/// `thread_budget()` lanes claim rank blocks from a shared counter (see
+/// the module docs) and their partials are merged and re-capped with
+/// [`ExhaustiveReport::apply_retention`].
+///
 /// `end` is clamped to `space.len()`.
 ///
 /// # Errors
@@ -351,96 +364,63 @@ pub fn exhaustive_search_range<E: ScheduleEvaluator + ?Sized>(
         });
     }
     let end = end.min(space.len());
-    let mut remaining = end.saturating_sub(start);
-    let chunk_size = config.chunk_size.max(1);
+    let grain = u64::try_from(config.dispatch_grain.max(1)).unwrap_or(u64::MAX);
+    let blocks = end.saturating_sub(start).div_ceil(grain);
+    let lanes = cacs_par::thread_budget().min(usize::try_from(blocks).unwrap_or(usize::MAX));
     let retain = config.max_results.unwrap_or(usize::MAX);
+    // Block indices in increasing order. Relaxed: the counter publishes
+    // no data; the lanes' partials come back through `par_map`.
+    let next_block = AtomicU64::new(0);
 
-    let mut best: Option<Schedule> = None;
-    let mut best_value = f64::NEG_INFINITY;
-    let mut enumerated = 0u64;
-    let mut evaluated = 0u64;
-    let mut feasible = 0u64;
-    let mut results: Vec<(Schedule, Option<f64>)> = Vec::new();
-    let mut results_truncated = false;
-
-    // Enumerate and pre-filter cheaply (idle feasibility is a few
-    // arithmetic checks), buffering only one chunk of candidates at a
-    // time. The box iterator yields each schedule exactly once, so no
-    // memo layer is needed — every evaluation is unique by construction.
-    let mut iter = space.iter_from(start);
-    // Pre-size for the chunk, but never pre-reserve an absurd request
-    // (a "whole box" chunk on a huge space still grows incrementally).
-    let mut candidates: Vec<Schedule> = Vec::with_capacity(chunk_size.min(65_536));
-    let mut exhausted = remaining == 0;
-    while !exhausted {
-        candidates.clear();
-        while candidates.len() < chunk_size {
-            if remaining == 0 {
-                exhausted = true;
-                break;
-            }
-            match iter.next() {
-                Some(schedule) => {
-                    remaining -= 1;
-                    enumerated += 1;
-                    if evaluator.idle_feasible(&schedule) {
-                        candidates.push(schedule);
+    // One lane: claim blocks until the range is exhausted, folding every
+    // rank into one partial report. A lane's successive claims have
+    // increasing ranks, so the strict-`>` rule keeps its first-seen best
+    // and its retained results come out sorted; capping them at `retain`
+    // is safe because the sweep's first `retain` results are a subset of
+    // the lanes' first `retain`.
+    let run_lane = || {
+        let mut part = ExhaustiveReport::empty();
+        loop {
+            let block = next_block.fetch_add(1, Ordering::Relaxed);
+            // Checked: a range ending near u64::MAX must stop, not wrap.
+            let Some(lo) = block
+                .checked_mul(grain)
+                .and_then(|offset| start.checked_add(offset))
+                .filter(|&lo| lo < end)
+            else {
+                return part;
+            };
+            let len = usize::try_from(end.saturating_sub(lo).min(grain)).unwrap_or(usize::MAX);
+            for schedule in space.iter_from(lo).take(len) {
+                part.enumerated += 1;
+                if !evaluator.idle_feasible(&schedule) {
+                    continue;
+                }
+                part.evaluated += 1;
+                let value = evaluator.evaluate(&schedule);
+                if let Some(v) = value {
+                    part.feasible += 1;
+                    if v > part.best_value {
+                        part.best_value = v;
+                        part.best = Some(schedule.clone());
                     }
                 }
-                None => {
-                    exhausted = true;
-                    break;
+                if part.results.len() < retain {
+                    part.results.push((schedule, value));
                 }
             }
         }
-        if candidates.is_empty() {
-            continue;
-        }
+    };
 
-        let values =
-            cacs_par::par_map_chunked(&candidates, config.dispatch_grain.max(1), |_, s| {
-                evaluator.evaluate(s)
-            });
-
-        // Deterministic reduction in enumeration order: strict
-        // improvement keeps the first-seen best, so chunk boundaries are
-        // invisible in the outcome.
-        evaluated += candidates.len() as u64;
-        for (schedule, value) in candidates.iter().zip(&values) {
-            if let Some(v) = *value {
-                feasible += 1;
-                if v > best_value {
-                    best_value = v;
-                    best = Some(schedule.clone());
-                }
-            }
-        }
-        if results.len() < retain {
-            let room = retain - results.len();
-            if candidates.len() > room {
-                results_truncated = true;
-            }
-            results.extend(
-                candidates
-                    .iter()
-                    .cloned()
-                    .zip(values.iter().copied())
-                    .take(room),
-            );
-        } else if !candidates.is_empty() && retain < usize::MAX {
-            results_truncated = true;
-        }
-    }
-
-    Ok(ExhaustiveReport {
-        best,
-        best_value,
-        enumerated,
-        evaluated,
-        feasible,
-        results,
-        results_truncated,
-    })
+    // One parallel region for the whole range (inline when the budget
+    // is 1 or the caller is already inside a region).
+    let partials = cacs_par::par_map(&vec![(); lanes], |_, ()| run_lane());
+    let mut report = partials
+        .into_iter()
+        .reduce(|acc, part| acc.merge_owned(&part, space))
+        .unwrap_or_else(ExhaustiveReport::empty);
+    report.apply_retention(config.max_results);
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -509,7 +489,7 @@ mod tests {
     }
 
     #[test]
-    fn chunk_size_is_invisible_in_the_outcome() {
+    fn dispatch_grain_is_invisible_in_the_outcome() {
         let eval = FnEvaluator::with_idle_check(
             2,
             |s: &Schedule| {
@@ -524,24 +504,22 @@ mod tests {
             &eval,
             &space,
             &SweepConfig {
-                chunk_size: usize::MAX,
+                dispatch_grain: usize::MAX,
                 max_results: None,
-                ..SweepConfig::default()
             },
         )
         .unwrap();
-        for chunk_size in [1, 2, 3, 7, 36] {
+        for grain in [1, 2, 3, 7, 36] {
             let r = exhaustive_search_with(
                 &eval,
                 &space,
                 &SweepConfig {
-                    chunk_size,
+                    dispatch_grain: grain,
                     max_results: None,
-                    ..SweepConfig::default()
                 },
             )
             .unwrap();
-            assert_eq!(r.best, reference.best, "chunk {chunk_size}");
+            assert_eq!(r.best, reference.best, "grain {grain}");
             assert_eq!(r.best_value.to_bits(), reference.best_value.to_bits());
             assert_eq!(r.enumerated, reference.enumerated);
             assert_eq!(r.evaluated, reference.evaluated);
@@ -560,9 +538,8 @@ mod tests {
             &eval,
             &space,
             &SweepConfig {
-                chunk_size: 3,
+                dispatch_grain: 3,
                 max_results: Some(5),
-                ..SweepConfig::default()
             },
         )
         .unwrap();
@@ -583,14 +560,39 @@ mod tests {
             &eval,
             &space,
             &SweepConfig {
-                chunk_size: 4,
+                dispatch_grain: 4,
                 max_results: Some(100),
-                ..SweepConfig::default()
             },
         )
         .unwrap();
         assert_eq!(roomy.results, full.results);
         assert!(!roomy.results_truncated);
+    }
+
+    #[test]
+    fn a_range_ending_near_u64_max_stops_without_wrapping() {
+        // The box's true size overflows u64, so `len()` saturates and
+        // the last claims sit right below u64::MAX: block offsets past
+        // the end must stop the lane instead of wrapping to rank 0.
+        let eval = FnEvaluator::new(3, |s: &Schedule| Some(f64::from(s.counts()[2] % 3)));
+        let space = ScheduleSpace::new(vec![u32::MAX; 3]).unwrap();
+        assert_eq!(space.len(), u64::MAX);
+        for grain in [1, 2, 4, usize::MAX] {
+            let config = SweepConfig {
+                dispatch_grain: grain,
+                max_results: None,
+            };
+            let r =
+                exhaustive_search_range(&eval, &space, u64::MAX - 5, u64::MAX, &config).unwrap();
+            assert_eq!(r.enumerated, 5, "grain {grain}");
+            assert_eq!(r.results.len(), 5);
+            let ranks: Vec<u64> = r
+                .results
+                .iter()
+                .map(|(s, _)| space.rank(s).unwrap())
+                .collect();
+            assert_eq!(ranks, (u64::MAX - 5..u64::MAX).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //!   bounds derived from the idle-time constraint and indexed access
 //!   (`unrank` / `iter_from`) into its lexicographic enumeration,
 //! * [`exhaustive_search`] / [`exhaustive_search_with`] — the
-//!   brute-force baseline, streamed chunk-by-chunk at constant memory
-//!   with a deterministic lexicographic-order reduction (see
-//!   [`SweepConfig`] for the chunking and result-retention knobs),
+//!   brute-force baseline, swept by lanes claiming rank blocks in one
+//!   parallel region, at constant memory and with a deterministic
+//!   rank-order reduction (see [`SweepConfig`] for the claim-grain and
+//!   result-retention knobs),
 //! * [`exhaustive_search_range`] + [`ExhaustiveReport::merge`] — the
 //!   sharding primitives: sweep one rank range of the enumeration in
 //!   isolation and fold partial reports back together bit-identically
@@ -51,7 +52,8 @@
 //!
 //! # Parallelism knobs
 //!
-//! All parallel fan-outs go through [`cacs_par::par_map`]: set
+//! All parallel fan-outs go through `cacs-par` (an exhaustive sweep is
+//! one region of lanes sweeping their own rank blocks): set
 //! `CACS_THREADS=N` to cap the worker count, `CACS_THREADS=1` (or wrap
 //! the call in [`cacs_par::sequential`]) to force the exact sequential
 //! execution order when debugging. Results are deterministic at every

@@ -10,8 +10,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// Schedules are ordered lexicographically (last dimension fastest);
 /// [`ScheduleSpace::unrank`] and [`ScheduleSpace::iter_from`] give
-/// indexed access into that order, which is what lets sweeps stream the
-/// box in bounded chunks instead of materialising it.
+/// indexed access into that order, which is what lets a sweep's lanes
+/// start any claimed rank block in place instead of materialising the
+/// box.
 ///
 /// # Example
 ///
@@ -75,10 +76,11 @@ impl ScheduleSpace {
     /// dimension (raising `m_i` turns `C_i`'s own last task warm,
     /// shortening it), so the cheap axis-wise bound of
     /// [`ScheduleSpace::from_feasibility`] can miss feasible corners; this
-    /// scan is exact. The box is streamed in chunks of a few thousand
-    /// schedules with the predicate evaluated in parallel
-    /// ([`cacs_par::par_map_chunked`]), so memory stays constant and the
-    /// per-dimension max reduction is order-independent. The predicate
+    /// scan is exact. Unlike the exhaustive sweep, the scan buffers the
+    /// box a few thousand schedules at a time and maps the predicate
+    /// over each buffer in parallel ([`cacs_par::par_map_chunked`]), so
+    /// memory stays constant and the per-dimension max reduction is
+    /// order-independent. The predicate
     /// must be cheap: it is called `capⁿ` times.
     ///
     /// # Errors
@@ -295,8 +297,8 @@ impl ScheduleSpace {
 
     /// Iterates from the schedule at `rank` (inclusive) to the end of the
     /// box, in lexicographic order; empty when `rank >= len()`. This is
-    /// `iter().skip(rank)` at O(n) cost, the primitive behind chunked
-    /// streaming and resumable sweeps.
+    /// `iter().skip(rank)` at O(n) cost, the primitive behind a sweep's
+    /// rank-block claims and resumable sweeps.
     pub fn iter_from(&self, rank: u64) -> impl Iterator<Item = Schedule> + '_ {
         let n = self.app_count();
         let mut current: Option<Vec<u32>> = self.unrank(rank).map(|s| s.counts().to_vec());

@@ -1,11 +1,10 @@
-//! Streaming-sweep equivalence: chunked streaming `exhaustive_search`
-//! must be **bit-identical** to the materialised sequential sweep for
-//! every chunk size and thread count — best schedule, tie-breaking,
+//! Sweep equivalence: the lane sweep behind `exhaustive_search` must be
+//! **bit-identical** to the sequential sweep for every dispatch grain,
+//! thread count and retention cap — best schedule, tie-breaking,
 //! objective bits, counters and retained results alike.
 //!
 //! Thread counts are exercised both via `cacs_par::sequential` (forced
-//! inline) and by temporarily pinning `CACS_THREADS` to 1 and 4 around
-//! the sweep. The env fiddling is serialised by a local mutex; it is
+//! inline) and by temporarily pinning `CACS_THREADS` around the sweep. The env fiddling is serialised by a local mutex; it is
 //! harmless to concurrent tests because every parallel region in the
 //! workspace is deterministic at any thread count.
 
@@ -13,8 +12,8 @@
 
 use cacs_sched::Schedule;
 use cacs_search::{
-    exhaustive_search_with, ExhaustiveReport, FnEvaluator, ScheduleEvaluator, ScheduleSpace,
-    SweepConfig,
+    exhaustive_search_range, exhaustive_search_with, ExhaustiveReport, FnEvaluator,
+    ScheduleEvaluator, ScheduleSpace, SweepConfig,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -78,9 +77,8 @@ fn assert_reports_identical(a: &ExhaustiveReport, b: &ExhaustiveReport, context:
     }
 }
 
-/// The cross-product the issue asks for: chunk sizes {1, 7, whole box}
-/// × `CACS_THREADS` {1, 4}, against the materialised forced-sequential
-/// sweep as the reference.
+/// Dispatch grains {1, 7, whole box} × `CACS_THREADS` {1, 4}, against
+/// the single-block forced-sequential sweep as the reference.
 fn check_streaming_grid<E: ScheduleEvaluator>(eval: &E, space: &ScheduleSpace) {
     let whole_box = usize::try_from(space.len()).expect("test boxes are small");
     let reference = cacs_par::sequential(|| {
@@ -88,18 +86,16 @@ fn check_streaming_grid<E: ScheduleEvaluator>(eval: &E, space: &ScheduleSpace) {
             eval,
             space,
             &SweepConfig {
-                chunk_size: whole_box.max(1),
+                dispatch_grain: whole_box.max(1),
                 max_results: None,
-                ..SweepConfig::default()
             },
         )
         .unwrap()
     });
-    for chunk_size in [1, 7, whole_box.max(1)] {
+    for grain in [1, 7, whole_box.max(1)] {
         let config = SweepConfig {
-            chunk_size,
+            dispatch_grain: grain,
             max_results: None,
-            ..SweepConfig::default()
         };
         for threads in ["1", "4"] {
             let report = with_threads(threads, || {
@@ -108,12 +104,72 @@ fn check_streaming_grid<E: ScheduleEvaluator>(eval: &E, space: &ScheduleSpace) {
             assert_reports_identical(
                 &report,
                 &reference,
-                &format!("chunk {chunk_size}, {threads} threads"),
+                &format!("grain {grain}, {threads} threads"),
             );
         }
         // And under the scoped sequential escape hatch.
         let inline = cacs_par::sequential(|| exhaustive_search_with(eval, space, &config).unwrap());
-        assert_reports_identical(&inline, &reference, &format!("chunk {chunk_size}, inline"));
+        assert_reports_identical(&inline, &reference, &format!("grain {grain}, inline"));
+    }
+}
+
+/// The obvious sweep, written without the engine: unrank every rank of
+/// `[start, end)` in order, idle-filter, evaluate, keep the first strict
+/// improvement and the first `cap` results.
+fn naive_range_sweep<E: ScheduleEvaluator>(
+    eval: &E,
+    space: &ScheduleSpace,
+    start: u64,
+    end: u64,
+    cap: Option<usize>,
+) -> ExhaustiveReport {
+    let mut report = ExhaustiveReport::empty();
+    for rank in start..end.min(space.len()) {
+        let schedule = space.unrank(rank).unwrap();
+        report.enumerated += 1;
+        if !eval.idle_feasible(&schedule) {
+            continue;
+        }
+        report.evaluated += 1;
+        let value = eval.evaluate(&schedule);
+        if let Some(v) = value {
+            report.feasible += 1;
+            if v > report.best_value {
+                report.best_value = v;
+                report.best = Some(schedule.clone());
+            }
+        }
+        if cap.is_none_or(|c| report.results.len() < c) {
+            report.results.push((schedule, value));
+        }
+    }
+    report.results_truncated = (report.results.len() as u64) < report.evaluated;
+    report
+}
+
+/// The lane sweep over `[start, end)` at grains {1, 2, 7, 1024, whole
+/// range} × `CACS_THREADS` {1, 2, 4} × retention {all, 0, 5}, each
+/// compared bit for bit with [`naive_range_sweep`].
+fn check_lane_grid<E: ScheduleEvaluator>(eval: &E, space: &ScheduleSpace, start: u64, end: u64) {
+    let whole_range = usize::try_from(end.saturating_sub(start)).expect("test ranges are small");
+    for cap in [None, Some(0), Some(5)] {
+        let reference = naive_range_sweep(eval, space, start, end, cap);
+        for grain in [1, 2, 7, 1024, whole_range.max(1)] {
+            let config = SweepConfig {
+                dispatch_grain: grain,
+                max_results: cap,
+            };
+            for threads in ["1", "2", "4"] {
+                let report = with_threads(threads, || {
+                    exhaustive_search_range(eval, space, start, end, &config).unwrap()
+                });
+                assert!(
+                    report.bit_identical(&reference),
+                    "[{start}, {end}), grain {grain}, {threads} threads, cap {cap:?}:\n\
+                     {report:?}\nvs\n{reference:?}"
+                );
+            }
+        }
     }
 }
 
@@ -131,7 +187,21 @@ proptest! {
     }
 
     #[test]
-    fn bounded_retention_is_a_prefix_at_any_chunk_size(
+    fn lane_sweep_matches_a_naive_loop(
+        seed in 0u64..1000,
+        maxes in prop::collection::vec(1u32..6, 3),
+        a in 0u64..126,
+        b in 0u64..126,
+    ) {
+        let eval = gnarly(seed);
+        let space = ScheduleSpace::new(maxes).unwrap();
+        // Arbitrary, generally grain-unaligned ends inside the box.
+        let (x, y) = (a % (space.len() + 1), b % (space.len() + 1));
+        check_lane_grid(&eval, &space, x.min(y), x.max(y));
+    }
+
+    #[test]
+    fn bounded_retention_is_a_prefix_at_any_grain(
         seed in 0u64..1000,
         cap in 0usize..20,
     ) {
@@ -140,14 +210,13 @@ proptest! {
         let full = cacs_par::sequential(|| {
             exhaustive_search_with(&eval, &space, &SweepConfig::default()).unwrap()
         });
-        for chunk_size in [1, 7, 48] {
+        for grain in [1, 7, 48] {
             let capped = exhaustive_search_with(
                 &eval,
                 &space,
                 &SweepConfig {
-                    chunk_size,
+                    dispatch_grain: grain,
                     max_results: Some(cap),
-                    ..SweepConfig::default()
                 },
             )
             .unwrap();
@@ -172,9 +241,8 @@ fn all_infeasible_box_is_identical_across_chunkings() {
         &eval,
         &space,
         &SweepConfig {
-            chunk_size: 5,
+            dispatch_grain: 5,
             max_results: None,
-            ..SweepConfig::default()
         },
     )
     .unwrap();
@@ -194,21 +262,37 @@ fn all_infeasible_box_is_identical_across_chunkings() {
 #[test]
 fn tie_breaking_keeps_first_in_enumeration_order_across_chunkings() {
     // A constant objective ties everywhere: the winner must always be
-    // the first enumerated schedule, whatever the chunk/thread split.
+    // the first enumerated schedule, whatever the grain/thread split.
     let eval = FnEvaluator::new(3, |_: &Schedule| Some(0.25));
     let space = ScheduleSpace::new(vec![3, 3, 3]).unwrap();
     check_streaming_grid(&eval, &space);
-    for chunk_size in [1, 2, 7, 27] {
+    for grain in [1, 2, 7, 27] {
         let report = exhaustive_search_with(
             &eval,
             &space,
             &SweepConfig {
-                chunk_size,
+                dispatch_grain: grain,
                 max_results: None,
-                ..SweepConfig::default()
             },
         )
         .unwrap();
         assert_eq!(report.best.unwrap().counts(), &[1, 1, 1]);
     }
+}
+
+#[test]
+fn lane_sweep_edge_ranges_match_a_naive_loop() {
+    let eval = gnarly(5);
+    let space = ScheduleSpace::new(vec![4, 5, 3]).unwrap();
+    let len = space.len();
+    // Empty ranges (including an inverted one and one past the box).
+    check_lane_grid(&eval, &space, 9, 9);
+    check_lane_grid(&eval, &space, 20, 3);
+    check_lane_grid(&eval, &space, len + 4, len + 9);
+    // One or two blocks against up to four lanes.
+    check_lane_grid(&eval, &space, 17, 18);
+    check_lane_grid(&eval, &space, 17, 19);
+    // Unaligned ends on both sides, and an end clamped to the box.
+    check_lane_grid(&eval, &space, 3, len - 2);
+    check_lane_grid(&eval, &space, 1, len + 100);
 }

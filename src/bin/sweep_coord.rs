@@ -11,7 +11,10 @@
 //! cacs-sweep-coord --problem <spec>
 //!     [--workers N] [--worker-cmd PATH]      spawn N local workers (default 2)
 //!     [--listen HOST:PORT --expect N]        …or accept N TCP workers
-//!     [--shard-size R] [--chunk C] [--grain G] [--retain all|K]
+//!     [--shard-size R] [--grain G] [--retain all|K]
+//!                                            ranks per lease, ranks per
+//!                                            lane claim in a worker's
+//!                                            sweep, results kept
 //!     [--checkpoint FILE] [--resume]
 //!     [--lease-timeout SECS] [--handshake-timeout SECS]
 //!     [--halt-after-leases N]
@@ -63,7 +66,6 @@ struct Args {
     listen: Option<String>,
     expect: usize,
     shard_size: u64,
-    chunk: usize,
     grain: usize,
     retain: Option<usize>,
     checkpoint: Option<PathBuf>,
@@ -84,7 +86,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: cacs-sweep-coord --problem <paper-fast|paper-full|synthetic:AxBxC> \
          [--workers N] [--worker-cmd PATH] [--listen HOST:PORT --expect N] \
-         [--shard-size R] [--chunk C] [--grain G] [--retain all|K] \
+         [--shard-size R] [--grain G] [--retain all|K] \
          [--checkpoint FILE] [--resume] [--lease-timeout SECS] \
          [--handshake-timeout SECS] [--halt-after-leases N] \
          [--quarantine-after K] [--backoff-ms MS] [--backoff-cap-ms MS] \
@@ -106,7 +108,6 @@ fn parse_args() -> Args {
         listen: None,
         expect: 2,
         shard_size: 65_536,
-        chunk: SweepConfig::default().chunk_size,
         grain: SweepConfig::default().dispatch_grain,
         retain: Some(0),
         checkpoint: None,
@@ -149,7 +150,6 @@ fn parse_args() -> Args {
             "--listen" => args.listen = Some(value(&mut i)),
             "--expect" => args.expect = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--shard-size" => args.shard_size = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--chunk" => args.chunk = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--grain" => args.grain = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--retain" => {
                 let v = value(&mut i);
@@ -256,7 +256,6 @@ fn main() -> Result<(), Box<dyn Error>> {
     let config = CoordinatorConfig {
         shard_size: args.shard_size,
         sweep: SweepConfig {
-            chunk_size: args.chunk,
             max_results: args.retain,
             dispatch_grain: args.grain,
         },

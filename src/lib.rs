@@ -59,8 +59,10 @@
 //! The expensive layers of the pipeline — per-application controller
 //! synthesis inside one schedule evaluation, the PSO particle batches
 //! inside one synthesis and the exhaustive schedule sweep — all fan out
-//! through [`par::par_map`], an order-preserving scoped-thread map;
-//! multistart searches run one thread per start. Results are
+//! through [`par::par_map`], an order-preserving map on a persistent
+//! worker pool (the sweep as one region of lanes, each claiming and
+//! sweeping its own rank blocks); multistart searches run one thread
+//! per start. Results are
 //! **deterministic at any thread count**: seeded runs are bit-identical
 //! whether they execute on one thread or many.
 //!
