@@ -20,6 +20,8 @@
 //! every table as machine-readable CSV-ish lines plus the Figure 6 CSV
 //! files.
 
+#![forbid(unsafe_code)]
+
 use cacs_apps::{paper_case_study, CaseStudy};
 use cacs_core::{CodesignProblem, EvaluationConfig};
 

@@ -62,8 +62,9 @@ impl SynthScratch {
     }
 }
 
-/// A shared pool of [`SynthScratch`] sets, safe to use from the
-/// parallel PSO objective (`cacs-par` workers or inline execution).
+/// A shared pool of [`SynthScratch`] sets, safe to use from PSO
+/// objectives running concurrently on the lanes of a `cacs-par` region
+/// (or inline).
 #[derive(Debug, Default)]
 pub struct SynthCtx {
     pool: Mutex<Vec<SynthScratch>>,
@@ -77,7 +78,7 @@ impl SynthCtx {
     }
 
     /// Pops a scratch set from the pool, or builds a fresh one when the
-    /// pool is empty (first calls, or more workers than returned sets).
+    /// pool is empty (first calls, or more lanes than returned sets).
     pub(crate) fn take(&self) -> SynthScratch {
         let pooled = lock_recover(&self.pool).pop();
         match pooled {

@@ -354,7 +354,7 @@ fn write_gain_rows(gains: &mut Vec<Matrix>, params: &[f64], m: usize, l: usize) 
 /// the context, materialises the gains into its reusable matrices, and
 /// returns both to the pool. This is the closure body of every PSO
 /// objective; it is a pure function of `params` (the scratch contents
-/// are fully overwritten), so parallel batches stay bit-identical.
+/// are fully overwritten), so which scratch set it gets is unobservable.
 fn score_params(
     ctx: &SynthCtx,
     lifted: &LiftedPlant,
@@ -515,13 +515,10 @@ fn synthesize_direct(
                 reason: format!("bad gain bounds: {e}"),
             })
         })?;
-        // The objective is a pure function of the candidate gains, so
-        // the particle batch evaluates in parallel (bit-identical to the
-        // sequential path; see cacs-pso's crate docs).
         let shared = {
             let _t = cacs_obs::time(&cacs_obs::metrics::PHASE_A_NS);
             Pso::new(config.pso)
-                .minimize_parallel(&shared_bounds, |params| {
+                .minimize(&shared_bounds, |params| {
                     score_params(ctx, lifted, config, params, m, l)
                 })
                 .map_err(map_err)?
@@ -548,7 +545,7 @@ fn synthesize_direct(
     let result = {
         let _t = cacs_obs::time(&cacs_obs::metrics::PHASE_B_NS);
         Pso::new(pso_b)
-            .minimize_with_guesses_parallel(&bounds, &guesses, |params| {
+            .minimize_with_guesses(&bounds, &guesses, |params| {
                 score_params(ctx, lifted, config, params, m, l)
             })
             .map_err(map_err)?
@@ -787,7 +784,7 @@ fn synthesize_poles(
 
     let pso = Pso::new(config.pso);
     let result = pso
-        .minimize_parallel(&bounds, |pole_params| {
+        .minimize(&bounds, |pole_params| {
             let target = desired_charpoly(pole_params);
             let mut scratch = ctx.take();
             let k = newton_match_gains_ws(lifted, &target, m, l, &mut scratch);

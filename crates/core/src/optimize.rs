@@ -63,18 +63,18 @@ impl CodesignProblem {
     /// not monotone per dimension — raising `m_i` shortens `C_i`'s own
     /// last (warm) task.
     ///
-    /// The scan streams the box in parallel chunks at constant memory, so
-    /// it runs up to [`ScheduleSpace::STREAM_SCAN_LIMIT`] points (well
-    /// past the default [`ScheduleSpace::SCAN_LIMIT`] — the idle check is
-    /// a few arithmetic operations); only beyond that does it fall back to
-    /// the conservative axis-wise bound (many applications).
+    /// The scan walks the box in parallel rank blocks at constant memory,
+    /// so it runs up to [`ScheduleSpace::STREAM_SCAN_LIMIT`] points (the
+    /// idle check is a few arithmetic operations); only beyond that does
+    /// it fall back to the conservative axis-wise bound (many
+    /// applications).
     ///
     /// # Errors
     ///
     /// Propagates [`cacs_search::SearchError::InvalidSpace`] when even
     /// round-robin is infeasible.
     pub fn schedule_space(&self) -> Result<ScheduleSpace> {
-        let scan = ScheduleSpace::from_feasibility_scan_with_limit(
+        let scan = ScheduleSpace::from_feasibility_scan(
             self.app_count(),
             self.config().max_tasks_per_app,
             ScheduleSpace::STREAM_SCAN_LIMIT,

@@ -59,6 +59,8 @@
 //! it emits — its own output is held to the determinism bar it
 //! enforces.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod lexer;
 pub mod report;

@@ -132,8 +132,9 @@ fn applies_wall_clock(path: &str) -> bool {
     !in_dir(path, "crates/obs")
 }
 
-/// cacs-par owns the worker pool, the strategy engine owns per-start
-/// search threads, and the link module owns reader threads.
+/// cacs-par owns the scoped lanes of a parallel region, the strategy
+/// engine owns per-start search threads, and the link module owns
+/// reader threads.
 fn applies_raw_spawn(path: &str) -> bool {
     path != "crates/par/src/lib.rs"
         && path != "crates/search/src/strategy.rs"

@@ -68,6 +68,8 @@
 //! # cacs_obs::reset();
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -363,10 +365,9 @@ pub fn time_sampled(hist: &'static Histogram, one_in: u64) -> TimerGuard {
     }
 }
 
-/// A moment captured by [`stamp`] — the start of a cross-thread
-/// interval (e.g. a task enqueued on one thread and claimed on
-/// another), finished by [`Histogram::observe_since`]. Empty (and
-/// free) while the recorder is disabled.
+/// A moment captured by [`stamp`] — the start of an interval that may
+/// end on another thread, finished by [`Histogram::observe_since`].
+/// Empty (and free) while the recorder is disabled.
 #[derive(Debug, Clone, Copy)]
 pub struct Stamp(Option<Instant>);
 
@@ -446,12 +447,11 @@ registry! {
         // Bit-pattern-keyed (A, t) → (Φ, Ψ) discretisation memo.
         EXPM_CACHE_HITS => "linalg.expm_cache_hits",
         EXPM_CACHE_MISSES => "linalg.expm_cache_misses",
-        // Batches the parallel engine ran inline (sequential fallback).
+        // Parallel regions run inline (sequential fallback) vs spread
+        // over lanes of scoped threads (the key predates the scoped
+        // lanes and is kept for existing readers).
         PAR_INLINE_BATCHES => "par.inline_batches",
-        // Batches dispatched onto the persistent pool.
         PAR_POOL_BATCHES => "par.pool_batches",
-        // Tasks executed by pool workers (caller-run tasks excluded).
-        PAR_POOL_TASKS => "par.pool_tasks",
         // PSO objective closure invocations (the eval-cost driver).
         PSO_OBJECTIVE_CALLS => "pso.objective_calls",
         PSO_RUNS => "pso.runs",
@@ -479,10 +479,9 @@ registry! {
         LEASE_NS => "distrib.lease_ns",
         EVAL_SCHEDULE_NS => "eval.schedule_ns",
         EXPM_NS => "linalg.expm_ns",
-        // Pool telemetry: items per parallel batch, enqueue→claim
-        // latency, and per-task busy time (worker utilisation).
+        // Parallel-region telemetry: items per region and per-lane
+        // busy time (lane utilisation).
         PAR_BATCH_ITEMS => "par.batch_items",
-        PAR_QUEUE_WAIT_NS => "par.queue_wait_ns",
         PAR_TASK_NS => "par.task_ns",
         STORE_WRITE_THROUGH_NS => "store.write_through_ns",
     }
@@ -750,9 +749,9 @@ mod tests {
         with_recorder(|| {
             let s = stamp();
             std::thread::scope(|scope| {
-                scope.spawn(|| metrics::PAR_QUEUE_WAIT_NS.observe_since(&s));
+                scope.spawn(|| metrics::LEASE_NS.observe_since(&s));
             });
-            assert_eq!(metrics::PAR_QUEUE_WAIT_NS.count(), 1);
+            assert_eq!(metrics::LEASE_NS.count(), 1);
         });
     }
 
@@ -763,9 +762,9 @@ mod tests {
         reset();
         let s = stamp();
         enable();
-        metrics::PAR_QUEUE_WAIT_NS.observe_since(&s);
+        metrics::LEASE_NS.observe_since(&s);
         disable();
-        assert_eq!(metrics::PAR_QUEUE_WAIT_NS.count(), 0);
+        assert_eq!(metrics::LEASE_NS.count(), 0);
         reset();
     }
 

@@ -1,50 +1,40 @@
-//! Deterministic parallelism for the co-design pipeline, built on a
-//! lazily-initialised **persistent worker pool**.
+//! Deterministic parallelism for the co-design pipeline, on scoped
+//! threads.
 //!
 //! The evaluation engine fans out at three independent levels. Per-app
-//! synthesis and PSO particle batches map over a slice; an exhaustive
-//! sweep opens **one** region of lanes (a [`par_map`] over lane slots),
-//! in which every lane claims rank blocks from a shared counter and
-//! enumerates, filters, evaluates and reduces them itself, so a sweep
-//! of millions of schedules costs one region, not one per batch. This
-//! crate provides the primitives they all share: [`par_map`], an
-//! order-preserving parallel map over a slice, and [`par_map_chunked`],
-//! the same primitive with coarser dispatch granularity for µs-scale
-//! work items.
+//! synthesis maps over the applications; an exhaustive sweep opens
+//! **one** region of lanes (a [`par_map`] over lane slots), in which
+//! every lane claims rank blocks from a shared counter and enumerates,
+//! filters, evaluates and reduces them itself, so a sweep of millions
+//! of schedules costs one region, not one per batch; multistart
+//! searches run one thread per start. This crate provides the
+//! primitives they share: [`par_map`], an order-preserving parallel map
+//! over a slice, and its fallible form [`try_par_map`].
 //!
-//! # Pool lifecycle
+//! # Lanes
 //!
-//! The first parallel region spawns the worker threads; they live for
-//! the rest of the process, parked on a job queue. This replaces the
-//! per-call `std::thread::scope` spawning of earlier versions: a PSO
-//! run issuing thousands of small particle batches pays the
-//! thread-creation cost **once**, not once per batch. The pool grows on
-//! demand up to the largest `min(thread_budget(), batch)` ever
-//! requested and never shrinks; [`pool_workers`] reports the current
-//! size. Forced-sequential runs (`CACS_THREADS=1`, [`sequential`], or a
-//! nested region) never touch the pool, so the purely sequential
-//! configuration spawns no threads at all.
-//!
-//! Callers participate in their own batches: a `par_map` with a budget
-//! of `N` runs on `N - 1` pool workers plus the calling thread, and the
-//! call returns as soon as the batch's items are done — queued claims
-//! that no worker picked up in time are retired without blocking on
-//! unrelated jobs.
+//! A region with a budget of `N` lanes spawns `N - 1` scoped threads
+//! (`std::thread::scope`) and runs the last lane on the calling thread;
+//! the lanes claim items from one atomic cursor, and the call returns
+//! once every lane has joined. Regions are few and coarse (one per
+//! sweep, one per schedule evaluation's per-app fan-out), so the spawn
+//! cost is paid a handful of times per run, not per item. The purely
+//! sequential configuration (`CACS_THREADS=1`, [`sequential`], or a
+//! nested region) spawns no threads at all.
 //!
 //! # Determinism contract
 //!
 //! `par_map(items, f)` returns results in **item order** regardless of
 //! which thread computed what, so any caller whose `f` is a pure
 //! function of `(index, item)` produces bit-identical output to the
-//! sequential loop it replaced — at any thread count, any pool size and
-//! any dispatch granularity. All parallel call sites in this workspace
-//! are structured that way (seeded PSO draws its random numbers
-//! *before* the parallel objective batch, the exhaustive sweep's lanes
-//! merge their partial reports in rank order, etc.).
+//! sequential loop it replaced, at any thread count. All parallel call
+//! sites in this workspace are structured that way (the exhaustive
+//! sweep's lanes merge their partial reports in rank order, per-app
+//! synthesis is a pure function of the app, etc.).
 //!
 //! # Knobs
 //!
-//! * `CACS_THREADS=N` — cap worker threads (default: available
+//! * `CACS_THREADS=N` — cap the lanes of a region (default: available
 //!   parallelism), re-read at every parallel region. `CACS_THREADS=1`
 //!   forces every parallel region sequential, which is the recommended
 //!   setting when bisecting a numerical difference or profiling
@@ -54,30 +44,34 @@
 //!
 //! # Nesting
 //!
-//! Parallel regions do not nest: a `par_map` issued from inside a
-//! worker of another `par_map` runs inline on that worker. The
-//! outermost fan-out (the widest, most profitable one — e.g. the
-//! exhaustive schedule sweep) gets the threads; inner levels (per-app
-//! synthesis, PSO particles) parallelise only when they are the
-//! outermost active region. This bounds the concurrency of one region
-//! at `thread_budget()` no matter how deeply the pipeline composes.
+//! Parallel regions do not nest: a `par_map` issued from inside a lane
+//! of another `par_map` (spawned or the caller's own) runs inline on
+//! that lane. The outermost fan-out (the widest, most profitable one —
+//! e.g. the exhaustive schedule sweep) gets the threads; inner levels
+//! (per-app synthesis) parallelise only when they are the outermost
+//! active region. This bounds the concurrency of one region at
+//! `thread_budget()` no matter how deeply the pipeline composes.
 //!
 //! # Panics
 //!
-//! A panic raised by `f` is caught on the worker, the batch is drained,
-//! and the payload is re-raised on the calling thread — the pool
-//! itself survives and later regions keep working.
+//! A panic raised by `f` ends only its own lane; the other lanes drain
+//! the remaining items and join, then the payload is re-raised on the
+//! calling thread. When several lanes panic, the calling thread's own
+//! panic is the one re-raised, otherwise the first spawned lane's.
+//! Nothing outlives the region, so later regions start clean.
 
+#![forbid(unsafe_code)]
+
+use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 thread_local! {
-    /// Set while the current thread is inside a parallel region (a pool
-    /// worker, a caller participating in its own batch, or a caller
-    /// that opted into [`sequential`]).
+    /// Set while the current thread is inside a parallel region (a
+    /// spawned lane, a caller running its own lane, or a caller that
+    /// opted into [`sequential`]).
     static IN_PARALLEL_REGION: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -139,7 +133,7 @@ pub mod sync {
     }
 }
 
-/// The worker-thread budget for parallel regions.
+/// The thread budget: the most lanes one parallel region runs on.
 ///
 /// Reads `CACS_THREADS` (`0` is treated as 1; a non-numeric value is
 /// ignored); falls back to [`std::thread::available_parallelism`].
@@ -172,209 +166,24 @@ pub fn sequential<R>(f: impl FnOnce() -> R) -> R {
     })
 }
 
-fn relock<'a, T>(
-    r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
-) -> MutexGuard<'a, T> {
-    // A poisoned lock only means some worker panicked inside `f`; the
-    // payload is propagated separately, the protected state stays valid.
-    r.unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Type-erased pointer to a batch's drain closure. The pointee lives on
-/// the submitting caller's stack; see the safety argument on
-/// [`run_on_pool`].
-struct TaskPtr(*const (dyn Fn() + Sync));
-
-// SAFETY: the pointee is `Sync` (shared calls from several threads are
-// fine) and the submitting caller keeps it alive until the job retires,
-// so sending/sharing the raw pointer across worker threads is sound.
-unsafe impl Send for TaskPtr {}
-unsafe impl Sync for TaskPtr {}
-
-struct JobState {
-    /// Workers currently executing the drain closure. The caller's
-    /// retire path waits on exactly one condition: `running == 0`.
-    running: usize,
-    /// Set by the caller once the batch is complete: late claims must
-    /// not touch the (about to be released) borrows.
-    retired: bool,
-}
-
-/// One submitted parallel region. `task` borrows the caller's stack;
-/// everything else is owned so late-arriving workers can observe
-/// `retired` without touching freed memory.
-struct Job {
-    task: TaskPtr,
-    /// Enqueue time (empty while the recorder is off) — the start of
-    /// the queue-wait interval observed when a worker claims the job.
-    submitted: cacs_obs::Stamp,
-    state: Mutex<JobState>,
-    progress: Condvar,
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
-struct Pool {
-    queue_tx: Sender<Arc<Job>>,
-    queue_rx: Arc<Mutex<Receiver<Arc<Job>>>>,
-    spawned: Mutex<usize>,
-}
-
-impl Pool {
-    fn ensure_workers(&self, n: usize) {
-        let mut spawned = relock(self.spawned.lock());
-        while *spawned < n {
-            let rx = Arc::clone(&self.queue_rx);
-            std::thread::Builder::new()
-                .name(format!("cacs-par-{spawned}"))
-                .spawn(move || worker_loop(&rx))
-                .expect("spawn cacs-par worker");
-            *spawned += 1;
-        }
-    }
-}
-
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let (queue_tx, queue_rx) = channel();
-        Pool {
-            queue_tx,
-            queue_rx: Arc::new(Mutex::new(queue_rx)),
-            spawned: Mutex::new(0),
-        }
-    })
-}
-
-/// Number of persistent worker threads currently alive (0 until the
-/// first parallel region runs).
-pub fn pool_workers() -> usize {
-    *relock(pool().spawned.lock())
-}
-
-fn worker_loop(rx: &Mutex<Receiver<Arc<Job>>>) {
-    // Workers are permanently "inside a parallel region": any par_map
-    // issued from within a job runs inline (see crate docs on nesting).
-    IN_PARALLEL_REGION.with(|flag| flag.set(true));
-    loop {
-        let job = {
-            let queue = relock(rx.lock());
-            match queue.recv() {
-                Ok(job) => job,
-                // The global pool's sender is never dropped while the
-                // process lives; disconnection means shutdown.
-                Err(_) => return,
-            }
-        };
-        let claimed = {
-            let mut state = relock(job.state.lock());
-            if state.retired {
-                // A retired claim is dropped without touching `task`;
-                // nobody waits on this transition.
-                false
-            } else {
-                state.running += 1;
-                true
-            }
-        };
-        if !claimed {
-            continue;
-        }
-        cacs_obs::metrics::PAR_QUEUE_WAIT_NS.observe_since(&job.submitted);
-        cacs_obs::metrics::PAR_POOL_TASKS.incr();
-        // SAFETY: `running` was incremented above, and the submitting
-        // caller blocks until `running` returns to zero before the
-        // stack frame `task` borrows from can unwind, so the pointee is
-        // alive for the whole call.
-        let task = unsafe { &*job.task.0 };
-        {
-            // Per-task busy time — the utilisation half of the pool
-            // telemetry (queue wait above is the latency half).
-            let _t = cacs_obs::time(&cacs_obs::metrics::PAR_TASK_NS);
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
-                let mut slot = relock(job.panic.lock());
-                slot.get_or_insert(payload);
-            }
-        }
-        let mut state = relock(job.state.lock());
-        state.running -= 1;
-        job.progress.notify_all();
-    }
-}
-
-/// Runs `task` on `extra` pool workers plus the calling thread, and
-/// returns the first captured panic payload (caller's own panic takes
-/// precedence) once every participant is done.
+/// Order-preserving parallel map: returns `f(i, &items[i])` for every
+/// `i`, in index order.
 ///
-/// # Safety argument
+/// Work is distributed dynamically (an atomic cursor, one item per
+/// claim) across at most `min(thread_budget(), items.len())` lanes:
+/// scoped threads plus the calling thread. Falls back to a plain
+/// sequential loop when the budget is 1, the input has fewer than 2
+/// items, or the caller is already inside a parallel region (see the
+/// crate docs on nesting). Per-item dispatch suits expensive items
+/// (full schedule evaluations, sweep lanes).
 ///
-/// `task` borrows the caller's stack frame, but is type-erased to
-/// `'static` so it can sit in the persistent pool's queue. Soundness
-/// rests on two invariants:
+/// # Panics
 ///
-/// 1. this function does not return (or unwind) until `running == 0`
-///    and the caller's own participation has finished, so no worker
-///    holds a reference into the frame once it can be popped;
-/// 2. a claim popped *after* the caller retires the job observes
-///    `retired == true` under the job's lock and never dereferences
-///    `task`.
-fn run_on_pool(extra: usize, task: &(dyn Fn() + Sync)) -> Option<Box<dyn std::any::Any + Send>> {
-    let pool = pool();
-    pool.ensure_workers(extra);
-
-    let erased: *const (dyn Fn() + Sync) = task;
-    // SAFETY: only erases the pointee's lifetime; see the safety
-    // argument above for why the pointee outlives every dereference.
-    let erased: *const (dyn Fn() + Sync + 'static) = unsafe { std::mem::transmute(erased) };
-    let job = Arc::new(Job {
-        task: TaskPtr(erased),
-        submitted: cacs_obs::stamp(),
-        state: Mutex::new(JobState {
-            running: 0,
-            retired: false,
-        }),
-        progress: Condvar::new(),
-        panic: Mutex::new(None),
-    });
-    for _ in 0..extra {
-        pool.queue_tx
-            .send(Arc::clone(&job))
-            .expect("cacs-par pool queue lives for the whole process");
-    }
-
-    // The caller participates in its own batch (so a budget of N means
-    // N concurrent lanes, and a batch never waits on an empty pool).
-    let caller_result = IN_PARALLEL_REGION.with(|flag| {
-        let was = flag.replace(true);
-        let result = catch_unwind(AssertUnwindSafe(task));
-        flag.set(was);
-        result
-    });
-
-    // Retire the job: claims still in the queue will be dropped without
-    // touching `task`, and we only wait for workers actually inside it.
-    {
-        let mut state = relock(job.state.lock());
-        state.retired = true;
-        while state.running > 0 {
-            state = relock(job.progress.wait(state));
-        }
-    }
-
-    match caller_result {
-        Err(payload) => Some(payload),
-        Ok(()) => relock(job.panic.lock()).take(),
-    }
-}
-
-fn par_map_impl<T: Sync, R: Send>(
-    items: &[T],
-    grain: usize,
-    f: impl Fn(usize, &T) -> R + Sync,
-) -> Vec<R> {
-    let grain = grain.max(1);
-    let chunks = items.len().div_ceil(grain);
-    let workers = thread_budget().min(chunks);
-    if workers <= 1 || in_parallel_region() {
+/// Propagates a panic raised by `f` (every lane joins first, and the
+/// payload surfaces on the calling thread).
+pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R> {
+    let lanes = thread_budget().min(items.len());
+    if lanes <= 1 || in_parallel_region() {
         cacs_obs::metrics::PAR_INLINE_BATCHES.incr();
         return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
@@ -384,78 +193,60 @@ fn par_map_impl<T: Sync, R: Send>(
     let cursor = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<R>>> =
         Mutex::new(std::iter::repeat_with(|| None).take(items.len()).collect());
-    let drain = || {
-        // Each participant keeps a local buffer so the shared lock is
-        // touched once per participant, not once per item; the buffer is
-        // then scattered into the pre-sized slots by index.
+    // One lane: claim items until the cursor runs past the end, keeping
+    // the results locally, then scatter them into their slots under one
+    // lock (no lane holds the lock while `f` runs, so it cannot poison).
+    let lane = || {
         let mut local: Vec<(usize, R)> = Vec::new();
         loop {
-            let start = cursor.fetch_add(grain, Ordering::Relaxed);
-            if start >= items.len() {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
                 break;
-            }
-            let end = (start + grain).min(items.len());
-            for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                local.push((i, f(i, item)));
-            }
+            };
+            local.push((i, f(i, item)));
         }
-        if !local.is_empty() {
-            let mut slots = relock(slots.lock());
-            for (i, r) in local {
-                slots[i] = Some(r);
-            }
+        let mut slots = sync::lock_recover(&slots);
+        for (i, r) in local {
+            slots[i] = Some(r);
         }
     };
-
-    if let Some(payload) = run_on_pool(workers - 1, &drain) {
+    if let Some(payload) = run_lanes(lanes, &lane) {
         resume_unwind(payload);
     }
-
     slots
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner)
         .into_iter()
-        .map(|r| r.expect("the cursor hands every index to exactly one claim"))
+        .map(|r| r.expect("the cursor hands every index to exactly one lane"))
         .collect()
 }
 
-/// Order-preserving parallel map: returns `f(i, &items[i])` for every
-/// `i`, in index order.
-///
-/// Work is distributed dynamically (an atomic cursor, one item per
-/// claim) across at most `min(thread_budget(), items.len())` lanes of
-/// the persistent pool. Falls back to a plain sequential loop when the
-/// budget is 1, the input has fewer than 2 items, or the caller is
-/// already inside a parallel region (see the crate docs on nesting).
-/// Per-item dispatch suits expensive items (full schedule evaluations);
-/// for µs-scale items use [`par_map_chunked`].
-///
-/// # Panics
-///
-/// Propagates a panic raised by `f` (the batch is drained, the payload
-/// surfaces on the calling thread, and the pool stays usable).
-pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R> {
-    par_map_impl(items, 1, f)
-}
-
-/// [`par_map`] with coarse dispatch: participants claim `chunk_size`
-/// consecutive items per cursor step, so the per-claim overhead is
-/// amortised over the chunk. Results are still returned in item order
-/// and are identical to [`par_map`]'s at any chunk size — only the
-/// load-balancing granularity changes.
-///
-/// The primitive for cheap, uniform items: feasibility predicates,
-/// synthetic objectives, streaming sweep batches.
-///
-/// # Panics
-///
-/// Propagates a panic raised by `f`, like [`par_map`].
-pub fn par_map_chunked<T: Sync, R: Send>(
-    items: &[T],
-    chunk_size: usize,
-    f: impl Fn(usize, &T) -> R + Sync,
-) -> Vec<R> {
-    par_map_impl(items, chunk_size, f)
+/// Runs `lane` on `lanes - 1` scoped threads plus the calling thread,
+/// joins them all, and returns the first panic payload: the calling
+/// thread's own, else the first spawned lane's. Not generic, so the
+/// thread machinery is compiled once, not once per [`par_map`] type.
+fn run_lanes(lanes: usize, lane: &(dyn Fn() + Sync)) -> Option<Box<dyn Any + Send>> {
+    let timed_lane = || {
+        let _t = cacs_obs::time(&cacs_obs::metrics::PAR_TASK_NS);
+        lane();
+    };
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..lanes)
+            .map(|_| {
+                scope.spawn(|| {
+                    IN_PARALLEL_REGION.with(|flag| flag.set(true));
+                    timed_lane();
+                })
+            })
+            .collect();
+        let mut panic = sequential(|| catch_unwind(AssertUnwindSafe(&timed_lane))).err();
+        for handle in spawned {
+            if let Err(payload) = handle.join() {
+                panic.get_or_insert(payload);
+            }
+        }
+        panic
+    })
 }
 
 /// Fallible order-preserving parallel map: like [`par_map`] but stops
@@ -472,7 +263,6 @@ pub fn try_par_map<T: Sync, R: Send, E: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn preserves_order() {
@@ -495,40 +285,33 @@ mod tests {
     }
 
     #[test]
-    fn chunked_matches_per_item_at_any_granularity() {
-        let items: Vec<u64> = (0..1000).collect();
-        let reference = par_map(&items, |i, &x| x * 31 + i as u64);
-        for chunk in [1, 3, 7, 64, 1000, 5000] {
-            let chunked = par_map_chunked(&items, chunk, |i, &x| x * 31 + i as u64);
-            assert_eq!(chunked, reference, "chunk_size {chunk}");
-        }
-    }
-
-    #[test]
     fn empty_and_single() {
         let empty: Vec<u32> = Vec::new();
         assert!(par_map(&empty, |_, &x| x).is_empty());
         assert_eq!(par_map(&[7u32], |_, &x| x + 1), vec![8]);
-        assert!(par_map_chunked(&empty, 8, |_, &x| x).is_empty());
-        assert_eq!(par_map_chunked(&[7u32], 8, |_, &x| x + 1), vec![8]);
     }
 
     #[test]
-    fn pool_persists_across_many_small_batches() {
-        // The regression the pool exists for: thousands of µs-scale
-        // batches must reuse the same workers, not spawn per call.
+    fn regions_stay_within_the_budget_and_ordered() {
+        // One region never runs on more threads than the budget allows
+        // (its spawned lanes plus the caller).
+        let threads = Mutex::new(std::collections::HashSet::new());
+        let items: Vec<u32> = (0..512).collect();
+        par_map(&items, |_, _| {
+            sync::lock_recover(&threads).insert(std::thread::current().id());
+        });
+        let used = sync::lock_recover(&threads).len();
+        assert!(
+            (1..=thread_budget()).contains(&used),
+            "{used} threads for a budget of {}",
+            thread_budget()
+        );
+        // Thousands of small back-to-back regions each join cleanly and
+        // return their items in order.
         let items: Vec<u32> = (0..64).collect();
         for round in 0..2000u32 {
-            let out = par_map_chunked(&items, 8, |_, &x| x ^ round);
-            assert_eq!(out.len(), items.len());
-        }
-        if thread_budget() > 1 {
-            let after = pool_workers();
-            assert!(after >= 1, "pool should have spawned workers");
-            assert!(
-                after <= thread_budget(),
-                "pool must not exceed the budget: {after}"
-            );
+            let out = par_map(&items, |_, &x| x ^ round);
+            assert!(out.iter().zip(&items).all(|(&o, &x)| o == x ^ round));
         }
     }
 
@@ -536,7 +319,14 @@ mod tests {
     fn nested_regions_run_inline() {
         let items: Vec<usize> = (0..8).collect();
         let saw_nested_parallel = AtomicUsize::new(0);
-        par_map(&items, |_, _| {
+        // With two or more lanes, items 0 and 1 meet at a barrier, so
+        // two different lanes run them and at least one is spawned.
+        let parallel = thread_budget() > 1;
+        let meet = std::sync::Barrier::new(2);
+        par_map(&items, |i, _| {
+            if parallel && i < 2 {
+                meet.wait();
+            }
             if in_parallel_region() {
                 // A nested par_map must not spawn: it runs inline.
                 let inner = par_map(&items, |i, _| i);
@@ -546,7 +336,7 @@ mod tests {
             }
         });
         // Either the budget was 1 (everything inline, flag never set) or
-        // every lane (workers and the participating caller) saw the flag.
+        // every lane (spawned threads and the caller's own) saw the flag.
         if thread_budget() > 1 {
             assert_eq!(saw_nested_parallel.load(Ordering::Relaxed), 0);
         }
@@ -583,6 +373,24 @@ mod tests {
     }
 
     #[test]
+    fn the_callers_own_panic_is_the_one_reraised() {
+        // Every item panics, so each spawned lane dies on its first
+        // claim and the caller's lane is still left items to claim.
+        let caller = std::thread::current().id();
+        let items: Vec<u32> = (0..64).collect();
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            par_map(&items, |_, _| {
+                if std::thread::current().id() == caller {
+                    panic!("caller lane");
+                }
+                panic!("spawned lane");
+            })
+        }))
+        .unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"caller lane"));
+    }
+
+    #[test]
     fn pool_survives_a_panicked_batch() {
         let items: Vec<u32> = (0..64).collect();
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -594,7 +402,7 @@ mod tests {
             })
         }));
         assert!(result.is_err());
-        // Later regions on the same pool keep working and stay ordered.
+        // Later regions keep working and stay ordered.
         let out = par_map(&items, |_, &x| x + 1);
         assert_eq!(out, items.iter().map(|x| x + 1).collect::<Vec<_>>());
     }

@@ -5,20 +5,13 @@
 //! box-bounded PSO minimiser that the control crate uses both for
 //! pole-location search and for direct gain synthesis.
 //!
-//! # Parallel objective evaluation
+//! # Determinism
 //!
-//! Each iteration updates every particle's velocity/position first (in
-//! fixed particle order, consuming the RNG stream deterministically) and
-//! only then evaluates the whole batch of positions. Because no
-//! particle's update depends on another particle's *fresh* objective
-//! value, the batch may be evaluated in any order — so
-//! [`Pso::minimize_parallel`] / [`Pso::minimize_with_guesses_parallel`]
-//! fan the batch out across threads (`cacs_par::par_map`) and still
-//! produce **bit-identical** results to the sequential entry points at
-//! any thread count. Set `CACS_THREADS=1` (or wrap the call in
-//! `cacs_par::sequential`) to force sequential execution when
-//! debugging; nested parallel regions (e.g. PSO inside a parallel
-//! schedule sweep) automatically degrade to inline evaluation.
+//! A seeded run is a pure function of its configuration, bounds,
+//! guesses and objective: the swarm draws its random numbers in fixed
+//! particle order and scores particles one after another on the calling
+//! thread. Parallelism lives one level up: a schedule sweep or the
+//! per-app synthesis fan-out runs whole PSO runs on its lanes.
 //!
 //! # Example
 //!
@@ -35,6 +28,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -171,22 +171,6 @@ impl Pso {
         self.minimize_with_guesses(bounds, &[], objective)
     }
 
-    /// Like [`Pso::minimize`], but evaluates each iteration's particle
-    /// batch in parallel (`cacs_par::par_map`). Requires a thread-safe
-    /// objective; produces **bit-identical** results to [`Pso::minimize`]
-    /// at any thread count — see the crate docs on determinism.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Pso::minimize`].
-    pub fn minimize_parallel(
-        &self,
-        bounds: &Bounds,
-        objective: impl Fn(&[f64]) -> f64 + Sync,
-    ) -> Result<PsoResult> {
-        self.minimize_with_guesses_parallel(bounds, &[], objective)
-    }
-
     /// Like [`Pso::minimize`], but seeds the first particles with the
     /// given initial guesses (clamped into the box). Useful to warm-start
     /// a high-dimensional search from a cheaper low-dimensional solution.
@@ -200,45 +184,6 @@ impl Pso {
         bounds: &Bounds,
         guesses: &[Vec<f64>],
         mut objective: impl FnMut(&[f64]) -> f64,
-    ) -> Result<PsoResult> {
-        self.run(bounds, guesses, |positions, values| {
-            values.extend(positions.iter().map(|p| objective(p)));
-        })
-    }
-
-    /// Parallel-evaluation variant of [`Pso::minimize_with_guesses`]:
-    /// bit-identical results, thread-safe objective required.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Pso::minimize_with_guesses`].
-    pub fn minimize_with_guesses_parallel(
-        &self,
-        bounds: &Bounds,
-        guesses: &[Vec<f64>],
-        objective: impl Fn(&[f64]) -> f64 + Sync,
-    ) -> Result<PsoResult> {
-        self.run(bounds, guesses, |positions, values| {
-            values.extend(cacs_par::par_map(positions, |_, p| objective(p)));
-        })
-    }
-
-    /// The optimiser core, generic over how one batch of particle
-    /// positions is evaluated.
-    ///
-    /// The loop is structured in two phases per iteration — first update
-    /// every particle's velocity/position (consuming the RNG stream in
-    /// fixed particle order), then evaluate the whole batch, then apply
-    /// personal/global-best updates in fixed order. Within an iteration
-    /// no particle's RNG draw or best-update depends on another
-    /// particle's fresh objective value, so batch evaluation order is
-    /// immaterial and seeded runs are bit-identical whether the batch
-    /// evaluator is sequential or parallel.
-    fn run(
-        &self,
-        bounds: &Bounds,
-        guesses: &[Vec<f64>],
-        mut evaluate_batch: impl FnMut(&[Vec<f64>], &mut Vec<f64>),
     ) -> Result<PsoResult> {
         self.config.validate()?;
         let dim = bounds.dim();
@@ -279,17 +224,12 @@ impl Pso {
             })
             .collect();
 
-        // Scratch buffer for one iteration's objective values, reused
-        // across iterations.
-        let mut batch_values: Vec<f64> = Vec::with_capacity(n);
-
         cacs_obs::metrics::PSO_RUNS.incr();
-        let mut evaluations = 0usize;
-        let mut personal_best = positions.clone();
-        evaluate_batch(&positions, &mut batch_values);
-        evaluations += n;
+        let mut evaluations = n;
         cacs_obs::metrics::PSO_OBJECTIVE_CALLS.add(n as u64);
-        let mut personal_value: Vec<f64> = batch_values.iter().map(|&v| sanitize(v)).collect();
+        let mut personal_best = positions.clone();
+        let mut personal_value: Vec<f64> =
+            positions.iter().map(|p| sanitize(objective(p))).collect();
 
         let (mut g_idx, mut g_val) = personal_value
             .iter()
@@ -304,8 +244,9 @@ impl Pso {
         let mut iterations_run = 0usize;
         for _ in 0..self.config.iterations {
             iterations_run += 1;
-            // Phase 1: velocity/position updates, fixed particle order
-            // (the RNG stream must not depend on evaluation timing).
+            // The swarm is synchronous: every particle moves (in fixed
+            // order, so the RNG stream is fixed) against the previous
+            // iteration's global best before any is scored.
             for i in 0..n {
                 for d in 0..dim {
                     let r1: f64 = rng.gen();
@@ -321,15 +262,10 @@ impl Pso {
                 }
             }
 
-            // Phase 2: evaluate the whole batch (possibly in parallel).
-            batch_values.clear();
-            evaluate_batch(&positions, &mut batch_values);
             evaluations += n;
             cacs_obs::metrics::PSO_OBJECTIVE_CALLS.add(n as u64);
-
-            // Phase 3: personal/global-best updates in fixed order.
             for i in 0..n {
-                let value = sanitize(batch_values[i]);
+                let value = sanitize(objective(&positions[i]));
                 if value < personal_value[i] {
                     personal_value[i] = value;
                     personal_best[i] = positions[i].clone();
@@ -387,20 +323,6 @@ mod tests {
             .unwrap();
         assert!(r.best_value < 1e-3, "best = {}", r.best_value);
         assert!(r.best_position.iter().all(|v| v.abs() < 0.1));
-    }
-
-    #[test]
-    fn parallel_matches_sequential_bitwise() {
-        let bounds = Bounds::symmetric(4, 8.0).unwrap();
-        let cfg = PsoConfig::default().with_budget(12, 40).with_seed(2024);
-        let seq = Pso::new(cfg).minimize(&bounds, sphere).unwrap();
-        let par = Pso::new(cfg).minimize_parallel(&bounds, sphere).unwrap();
-        assert_eq!(seq, par);
-        // Forcing the parallel entry point sequential changes nothing
-        // either — the three paths are one algorithm.
-        let forced =
-            cacs_par::sequential(|| Pso::new(cfg).minimize_parallel(&bounds, sphere).unwrap());
-        assert_eq!(seq, forced);
     }
 
     #[test]

@@ -169,6 +169,61 @@ impl Schedule {
         Some(Schedule { counts })
     }
 
+    /// Moves the schedule, in place, to the point at `rank` of the box
+    /// `{1..=max_1} × … × {1..=max_n}` in lexicographic order, last
+    /// dimension fastest (a mixed-radix decode into the schedule's own
+    /// storage). Returns `false` and leaves the schedule unchanged when
+    /// `rank` lies past the end of the box.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max` does not hold one bound per application or a
+    /// bound is zero.
+    pub fn seek_in_box(&mut self, max: &[u32], rank: u64) -> bool {
+        assert_eq!(max.len(), self.counts.len(), "one bound per application");
+        assert!(!max.contains(&0), "every bound must be at least 1");
+        // `rank / (max_1 · … · max_n)` without forming the product, which
+        // may overflow: non-zero exactly when the rank is past the end.
+        let mut quotient = rank;
+        for &m in max {
+            if quotient == 0 {
+                break;
+            }
+            quotient /= u64::from(m);
+        }
+        if quotient > 0 {
+            return false;
+        }
+        let mut r = rank;
+        for (m, &radix) in self.counts.iter_mut().zip(max).rev() {
+            let radix = u64::from(radix);
+            *m = 1 + u32::try_from(r % radix).expect("a remainder below a u32 radix");
+            r /= radix;
+        }
+        true
+    }
+
+    /// Advances the schedule, in place, to the next point of the box
+    /// `{1..=max_1} × … × {1..=max_n}` in the order of
+    /// [`Schedule::seek_in_box`] (an odometer step). Returns `false`
+    /// when the schedule was the box's last point; it then wraps to
+    /// `(1, …, 1)`. Every count stays at least 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max` does not hold one bound per application.
+    pub fn advance_in_box(&mut self, max: &[u32]) -> bool {
+        assert_eq!(max.len(), self.counts.len(), "one bound per application");
+        for (m, &hi) in self.counts.iter_mut().zip(max).rev() {
+            if *m < hi {
+                *m += 1;
+                return true;
+            }
+            *m = 1;
+        }
+        false
+    }
+
     /// Flattens into the per-period task sequence (first task of each run
     /// cold, the rest warm — unless a single application owns the whole
     /// period, in which case even the first is warm by cyclic adjacency).
@@ -361,6 +416,31 @@ mod tests {
             Schedule::new(vec![2, 2, 2]).unwrap().to_string(),
             "(2, 2, 2)"
         );
+    }
+
+    #[test]
+    fn in_place_box_moves_keep_counts_positive() {
+        let max = [2, 3];
+        let mut s = Schedule::round_robin(2).unwrap();
+        let mut seen = vec![s.counts().to_vec()];
+        while s.advance_in_box(&max) {
+            seen.push(s.counts().to_vec());
+        }
+        // Wrapped back to the first point after the last one.
+        assert_eq!(s.counts(), &[1, 1]);
+        assert_eq!(seen.len(), 6);
+        for (rank, counts) in seen.iter().enumerate() {
+            assert!(s.seek_in_box(&max, rank as u64));
+            assert_eq!(s.counts(), &counts[..], "rank {rank}");
+        }
+        // Past the end: refused, schedule untouched.
+        assert!(!s.seek_in_box(&max, 6));
+        assert!(!s.seek_in_box(&max, u64::MAX));
+        assert_eq!(s.counts(), &[2, 3]);
+        // A count above its bound carries like a full digit, back to 1.
+        let mut wide = Schedule::new(vec![1, 9]).unwrap();
+        assert!(wide.advance_in_box(&max));
+        assert_eq!(wide.counts(), &[2, 1]);
     }
 
     #[test]

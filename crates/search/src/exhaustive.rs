@@ -7,12 +7,15 @@
 //! lane repeatedly claims the next block of
 //! [`SweepConfig::dispatch_grain`] consecutive ranks from a shared claim
 //! counter and, inside the block, enumerates, idle-filters, evaluates
-//! and folds each schedule into its own partial report — no candidate
-//! buffer, so memory stays constant no matter how many million schedules
-//! the box holds. Claims are handed out in increasing rank order, so
-//! each lane sees its ranks in enumeration order and its strict-`>`
-//! running best is the first-seen best of the ranks it swept. The
-//! caller folds the lane partials with [`ExhaustiveReport::merge_owned`]
+//! and folds each schedule into its own partial report. A lane
+//! enumerates with one schedule cursor, re-seeked to each claimed block
+//! and stepped in place, and keeps no candidate buffer, so the sweep
+//! allocates nothing per rank and memory stays constant no matter how
+//! many million schedules the box holds. Claims are handed out in
+//! increasing rank order, so each lane sees its ranks in enumeration
+//! order and its strict-`>` running best is the first-seen best of the
+//! ranks it swept. The caller folds the lane partials with
+//! [`ExhaustiveReport::merge_owned`]
 //! (the commutative, associative merge the distributed coordinator
 //! also relies on), which makes the selected best schedule, its
 //! tie-breaking, every counter and the retained results bit-identical
@@ -23,7 +26,6 @@
 
 use crate::{Result, ScheduleEvaluator, ScheduleSpace, SearchError};
 use cacs_sched::Schedule;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Tuning knobs for an exhaustive sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,8 +44,8 @@ pub struct SweepConfig {
     /// load-balances expensive evaluators (full co-design runs, such as
     /// the paper's 77 evaluations); µs-scale synthetic objectives
     /// should raise it so the per-claim overhead (one atomic increment
-    /// and one unrank) is amortised. Never affects the outcome, only
-    /// the work-distribution granularity.
+    /// and one cursor seek) is amortised. Never affects the outcome,
+    /// only the work-distribution granularity.
     pub dispatch_grain: usize,
 }
 
@@ -363,58 +365,37 @@ pub fn exhaustive_search_range<E: ScheduleEvaluator + ?Sized>(
             actual: space.app_count(),
         });
     }
-    let end = end.min(space.len());
-    let grain = u64::try_from(config.dispatch_grain.max(1)).unwrap_or(u64::MAX);
-    let blocks = end.saturating_sub(start).div_ceil(grain);
-    let lanes = cacs_par::thread_budget().min(usize::try_from(blocks).unwrap_or(usize::MAX));
     let retain = config.max_results.unwrap_or(usize::MAX);
-    // Block indices in increasing order. Relaxed: the counter publishes
-    // no data; the lanes' partials come back through `par_map`.
-    let next_block = AtomicU64::new(0);
-
-    // One lane: claim blocks until the range is exhausted, folding every
-    // rank into one partial report. A lane's successive claims have
-    // increasing ranks, so the strict-`>` rule keeps its first-seen best
-    // and its retained results come out sorted; capping them at `retain`
-    // is safe because the sweep's first `retain` results are a subset of
-    // the lanes' first `retain`.
-    let run_lane = || {
-        let mut part = ExhaustiveReport::empty();
-        loop {
-            let block = next_block.fetch_add(1, Ordering::Relaxed);
-            // Checked: a range ending near u64::MAX must stop, not wrap.
-            let Some(lo) = block
-                .checked_mul(grain)
-                .and_then(|offset| start.checked_add(offset))
-                .filter(|&lo| lo < end)
-            else {
-                return part;
-            };
-            let len = usize::try_from(end.saturating_sub(lo).min(grain)).unwrap_or(usize::MAX);
-            for schedule in space.iter_from(lo).take(len) {
-                part.enumerated += 1;
-                if !evaluator.idle_feasible(&schedule) {
-                    continue;
-                }
-                part.evaluated += 1;
-                let value = evaluator.evaluate(&schedule);
-                if let Some(v) = value {
-                    part.feasible += 1;
-                    if v > part.best_value {
-                        part.best_value = v;
-                        part.best = Some(schedule.clone());
-                    }
-                }
-                if part.results.len() < retain {
-                    part.results.push((schedule, value));
+    // Each lane folds its ranks into one partial report. A lane's
+    // successive claims have increasing ranks, so the strict-`>` rule
+    // keeps its first-seen best and its retained results come out
+    // sorted; capping them at `retain` is safe because the sweep's first
+    // `retain` results are a subset of the lanes' first `retain`. The
+    // lane's cursor is cloned only into the best or a retained result.
+    let partials = space.fold_rank_blocks(
+        start,
+        end,
+        config.dispatch_grain,
+        ExhaustiveReport::empty,
+        |part, schedule| {
+            part.enumerated += 1;
+            if !evaluator.idle_feasible(schedule) {
+                return;
+            }
+            part.evaluated += 1;
+            let value = evaluator.evaluate(schedule);
+            if let Some(v) = value {
+                part.feasible += 1;
+                if v > part.best_value {
+                    part.best_value = v;
+                    part.best = Some(schedule.clone());
                 }
             }
-        }
-    };
-
-    // One parallel region for the whole range (inline when the budget
-    // is 1 or the caller is already inside a region).
-    let partials = cacs_par::par_map(&vec![(); lanes], |_, ()| run_lane());
+            if part.results.len() < retain {
+                part.results.push((schedule.clone(), value));
+            }
+        },
+    );
     let mut report = partials
         .into_iter()
         .reduce(|acc, part| acc.merge_owned(&part, space))

@@ -80,6 +80,7 @@
 
 // Unit tests unwrap freely; the shipped library is held to
 // `clippy::unwrap_used` (see [workspace.lints]).
+#![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

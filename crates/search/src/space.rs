@@ -3,6 +3,7 @@
 use crate::{Result, SearchError};
 use cacs_sched::Schedule;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The discrete decision space `{1..max_1} × … × {1..max_n}` of periodic
 /// schedules (paper Section IV: `m_i ∈ N⁺` with upper bounds induced by
@@ -33,20 +34,17 @@ pub struct ScheduleSpace {
 }
 
 impl ScheduleSpace {
-    /// Default box-size limit for [`ScheduleSpace::from_feasibility_scan`];
-    /// beyond it the scan reports [`SearchError::SpaceTooLarge`]. The
-    /// limit guards *time*, not memory — the scan streams at constant
-    /// memory, so callers that accept the predicate cost can raise it via
-    /// [`ScheduleSpace::from_feasibility_scan_with_limit`].
-    pub const SCAN_LIMIT: u64 = 2_000_000;
-
-    /// A generous streaming-scan budget (`8^8` points) for callers with
-    /// cheap predicates — e.g. `cacs-core`'s idle-time feasibility check,
-    /// a few arithmetic operations per schedule.
+    /// A generous feasibility-scan budget (`8^8` points) for callers
+    /// with cheap predicates — e.g. `cacs-core`'s idle-time feasibility
+    /// check, a few arithmetic operations per schedule.
     pub const STREAM_SCAN_LIMIT: u64 = 16_777_216;
 
-    /// Schedules buffered per chunk while streaming a feasibility scan.
-    const SCAN_CHUNK: usize = 8_192;
+    /// Ranks per lane claim in a feasibility scan.
+    const SCAN_GRAIN: usize = 1_024;
+
+    /// Counts a lane's cursor buffer holds room for: 128 bytes, two
+    /// cache lines.
+    const CURSOR_CAPACITY: usize = 32;
 
     /// Creates a space with per-application maxima (each at least 1).
     ///
@@ -76,39 +74,20 @@ impl ScheduleSpace {
     /// dimension (raising `m_i` turns `C_i`'s own last task warm,
     /// shortening it), so the cheap axis-wise bound of
     /// [`ScheduleSpace::from_feasibility`] can miss feasible corners; this
-    /// scan is exact. Unlike the exhaustive sweep, the scan buffers the
-    /// box a few thousand schedules at a time and maps the predicate
-    /// over each buffer in parallel ([`cacs_par::par_map_chunked`]), so
-    /// memory stays constant and the per-dimension max reduction is
-    /// order-independent. The predicate
-    /// must be cheap: it is called `capⁿ` times.
+    /// scan is exact. It walks the box the way the exhaustive sweep does:
+    /// parallel lanes claim rank blocks and fold them into a per-lane
+    /// maximum, so memory stays constant and the max reduction cannot
+    /// depend on the lane count. The predicate must be cheap: it is
+    /// called `capⁿ` times, and `limit` bounds that count.
     ///
     /// # Errors
     ///
     /// * [`SearchError::InvalidSpace`] if `apps` is zero or no schedule
     ///   in the box is feasible.
-    /// * [`SearchError::SpaceTooLarge`] if the box exceeds
-    ///   [`ScheduleSpace::SCAN_LIMIT`] points — callers should raise the
-    ///   budget via [`ScheduleSpace::from_feasibility_scan_with_limit`]
-    ///   or fall back to [`ScheduleSpace::from_feasibility`].
+    /// * [`SearchError::SpaceTooLarge`] if the box exceeds `limit`
+    ///   points — callers should raise the budget or fall back to
+    ///   [`ScheduleSpace::from_feasibility`].
     pub fn from_feasibility_scan(
-        apps: usize,
-        cap: u32,
-        feasible: impl Fn(&Schedule) -> bool + Sync,
-    ) -> Result<Self> {
-        Self::from_feasibility_scan_with_limit(apps, cap, Self::SCAN_LIMIT, feasible)
-    }
-
-    /// [`ScheduleSpace::from_feasibility_scan`] with an explicit box-size
-    /// budget: scans up to `limit` points before reporting
-    /// [`SearchError::SpaceTooLarge`]. The scan streams at constant
-    /// memory, so the budget is purely a bound on predicate evaluations.
-    ///
-    /// # Errors
-    ///
-    /// As [`ScheduleSpace::from_feasibility_scan`], with `limit` in place
-    /// of [`ScheduleSpace::SCAN_LIMIT`].
-    pub fn from_feasibility_scan_with_limit(
         apps: usize,
         cap: u32,
         limit: u64,
@@ -124,25 +103,27 @@ impl ScheduleSpace {
             return Err(SearchError::SpaceTooLarge { cap, apps, limit });
         }
         let full = ScheduleSpace::new(vec![cap; apps])?;
-        let mut max_counts = vec![0u32; apps];
-        let mut chunk: Vec<Schedule> = Vec::with_capacity(Self::SCAN_CHUNK);
-        let mut iter = full.iter();
-        loop {
-            chunk.clear();
-            chunk.extend(iter.by_ref().take(Self::SCAN_CHUNK));
-            if chunk.is_empty() {
-                break;
-            }
-            // The reduction (per-dimension max over feasible points) is
-            // commutative, so chunking and parallel evaluation cannot
-            // change the result.
-            let verdicts = cacs_par::par_map_chunked(&chunk, 64, |_, s| feasible(s));
-            for (schedule, ok) in chunk.iter().zip(verdicts) {
-                if ok {
+        let lanes = full.fold_rank_blocks(
+            0,
+            full.len(),
+            Self::SCAN_GRAIN,
+            || vec![0u32; apps],
+            |max_counts, schedule| {
+                if feasible(schedule) {
+                    // Stores only on growth: a lane's maxima may share a
+                    // cache line with another lane's.
                     for (max, &m) in max_counts.iter_mut().zip(schedule.counts()) {
-                        *max = (*max).max(m);
+                        if m > *max {
+                            *max = m;
+                        }
                     }
                 }
+            },
+        );
+        let mut max_counts = vec![0u32; apps];
+        for lane in lanes {
+            for (max, m) in max_counts.iter_mut().zip(lane) {
+                *max = (*max).max(m);
             }
         }
         if max_counts.contains(&0) {
@@ -253,18 +234,11 @@ impl ScheduleSpace {
     /// Mixed-radix decode with the **last** dimension least significant,
     /// matching the odometer order of [`ScheduleSpace::iter`].
     pub fn unrank(&self, rank: u64) -> Option<Schedule> {
-        let n = self.app_count();
-        let mut counts = vec![1u32; n];
-        let mut r = rank;
-        for i in (0..n).rev() {
-            let radix = u64::from(self.max_counts[i]);
-            counts[i] = 1 + (r % radix) as u32;
-            r /= radix;
-        }
-        if r > 0 {
-            return None; // rank beyond the end of the box
-        }
-        Some(Schedule::new(counts).expect("in-range counts"))
+        let mut schedule =
+            Schedule::round_robin(self.app_count()).expect("a space has at least one application");
+        schedule
+            .seek_in_box(&self.max_counts, rank)
+            .then_some(schedule)
     }
 
     /// The position of `schedule` in the lexicographic enumeration — the
@@ -300,23 +274,71 @@ impl ScheduleSpace {
     /// `iter().skip(rank)` at O(n) cost, the primitive behind a sweep's
     /// rank-block claims and resumable sweeps.
     pub fn iter_from(&self, rank: u64) -> impl Iterator<Item = Schedule> + '_ {
-        let n = self.app_count();
-        let mut current: Option<Vec<u32>> = self.unrank(rank).map(|s| s.counts().to_vec());
+        let mut cursor = self.unrank(rank);
         std::iter::from_fn(move || {
-            let counts = current.take()?;
-            let result = Schedule::new(counts.clone()).expect("in-range counts");
-            // Advance odometer.
-            let mut next = counts;
-            for i in (0..n).rev() {
-                if next[i] < self.max_counts[i] {
-                    next[i] += 1;
-                    current = Some(next);
-                    return Some(result);
-                }
-                next[i] = 1;
+            let current = cursor.as_mut()?;
+            let item = current.clone();
+            if !current.advance_in_box(&self.max_counts) {
+                cursor = None; // that was the last point of the box
             }
-            // Odometer wrapped: this was the last element.
-            Some(result)
+            Some(item)
+        })
+    }
+
+    /// Folds the ranks `[start, end)` (`end` clamped to the box) in one
+    /// parallel region and returns the per-lane states.
+    ///
+    /// Up to `thread_budget()` lanes each start from `init()` and one
+    /// schedule cursor, then repeatedly claim the next block of `grain`
+    /// consecutive ranks from a shared counter: the cursor is re-seeked
+    /// to the block's first rank and advanced in place through the
+    /// block, calling `visit` on every schedule. Nothing is allocated per
+    /// rank — `visit` clones the schedule only if it keeps it. Blocks are
+    /// claimed in increasing rank order, so each lane visits its ranks
+    /// in enumeration order; which lane gets which block depends on
+    /// timing, so callers reduce the states with an operation that does
+    /// not care (a max, or a merge that orders by rank).
+    pub(crate) fn fold_rank_blocks<S: Send>(
+        &self,
+        start: u64,
+        end: u64,
+        grain: usize,
+        init: impl Fn() -> S + Sync,
+        visit: impl Fn(&mut S, &Schedule) + Sync,
+    ) -> Vec<S> {
+        let end = end.min(self.len());
+        let grain = u64::try_from(grain.max(1)).unwrap_or(u64::MAX);
+        let blocks = end.saturating_sub(start).div_ceil(grain);
+        let lanes = cacs_par::thread_budget().min(usize::try_from(blocks).unwrap_or(usize::MAX));
+        // Block indices in increasing order. Relaxed: the counter
+        // publishes no data; the lane states come back through `par_map`.
+        let next_block = AtomicU64::new(0);
+        cacs_par::par_map(&vec![(); lanes], |_, ()| {
+            let mut state = init();
+            // The cursor is written at every rank. Over-allocating its
+            // buffer keeps two lanes' cursors off a shared cache line,
+            // which small heap blocks handed out back to back would
+            // otherwise share.
+            let mut counts = Vec::with_capacity(self.app_count().max(Self::CURSOR_CAPACITY));
+            counts.resize(self.app_count(), 1);
+            let mut cursor = Schedule::new(counts).expect("a space has at least one application");
+            loop {
+                let block = next_block.fetch_add(1, Ordering::Relaxed);
+                // Checked: a range ending near u64::MAX must stop, not wrap.
+                let Some(lo) = block
+                    .checked_mul(grain)
+                    .and_then(|offset| start.checked_add(offset))
+                    .filter(|&lo| lo < end)
+                else {
+                    return state;
+                };
+                let in_box = cursor.seek_in_box(&self.max_counts, lo);
+                debug_assert!(in_box, "claimed rank {lo} lies in the box");
+                for _ in 0..end.saturating_sub(lo).min(grain) {
+                    visit(&mut state, &cursor);
+                    cursor.advance_in_box(&self.max_counts);
+                }
+            }
         })
     }
 
@@ -335,6 +357,8 @@ impl ScheduleSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const LIMIT: u64 = ScheduleSpace::STREAM_SCAN_LIMIT;
 
     #[test]
     fn construction() {
@@ -460,7 +484,7 @@ mod tests {
     #[test]
     fn from_feasibility_rejects_impossible_workload() {
         assert!(ScheduleSpace::from_feasibility(2, 5, |_| false).is_err());
-        assert!(ScheduleSpace::from_feasibility_scan(2, 5, |_| false).is_err());
+        assert!(ScheduleSpace::from_feasibility_scan(2, 5, LIMIT, |_| false).is_err());
     }
 
     #[test]
@@ -473,36 +497,33 @@ mod tests {
         };
         let axis = ScheduleSpace::from_feasibility(2, 8, pred).unwrap();
         assert_eq!(axis.max_counts()[0], 2);
-        let scan = ScheduleSpace::from_feasibility_scan(2, 8, pred).unwrap();
+        let scan = ScheduleSpace::from_feasibility_scan(2, 8, LIMIT, pred).unwrap();
         assert_eq!(scan.max_counts()[0], 4);
         assert_eq!(scan.max_counts()[1], 8);
     }
 
     #[test]
     fn scan_streams_across_chunk_boundaries() {
-        // 25^4 = 390,625 points: dozens of SCAN_CHUNK batches. The only
+        // 25^4 = 390,625 points: hundreds of rank blocks. The only
         // feasible corner sits at the very end of the enumeration, so a
-        // scan that mishandled chunk boundaries would miss it.
+        // scan that mishandled block boundaries would miss it.
         let pred = |s: &Schedule| {
             let c = s.counts();
             c == [1, 1, 1, 1] || c == [25, 25, 25, 25]
         };
-        let scan = ScheduleSpace::from_feasibility_scan(4, 25, pred).unwrap();
+        let scan = ScheduleSpace::from_feasibility_scan(4, 25, LIMIT, pred).unwrap();
         assert_eq!(scan.max_counts(), &[25, 25, 25, 25]);
     }
 
     #[test]
     fn scan_rejects_oversized_boxes() {
-        assert!(ScheduleSpace::from_feasibility_scan(8, 20, |_| true).is_err());
-        // 40^4 = 2,560,000 exceeds the default SCAN_LIMIT…
-        assert!(ScheduleSpace::from_feasibility_scan(4, 40, |_| true).is_err());
+        assert!(ScheduleSpace::from_feasibility_scan(8, 20, 2_000_000, |_| true).is_err());
+        // 40^4 = 2,560,000 exceeds a 2M budget…
+        assert!(ScheduleSpace::from_feasibility_scan(4, 40, 2_000_000, |_| true).is_err());
         // …but a raised streaming budget admits it.
-        let r = ScheduleSpace::from_feasibility_scan_with_limit(
-            4,
-            40,
-            ScheduleSpace::STREAM_SCAN_LIMIT,
-            |s| s.counts().iter().all(|&c| c <= 2),
-        );
+        let r = ScheduleSpace::from_feasibility_scan(4, 40, LIMIT, |s| {
+            s.counts().iter().all(|&c| c <= 2)
+        });
         assert_eq!(r.unwrap().max_counts(), &[2; 4]);
     }
 

@@ -57,12 +57,12 @@
 //! # Parallel evaluation engine
 //!
 //! The expensive layers of the pipeline — per-application controller
-//! synthesis inside one schedule evaluation, the PSO particle batches
-//! inside one synthesis and the exhaustive schedule sweep — all fan out
-//! through [`par::par_map`], an order-preserving map on a persistent
-//! worker pool (the sweep as one region of lanes, each claiming and
-//! sweeping its own rank blocks); multistart searches run one thread
-//! per start. Results are
+//! synthesis inside one schedule evaluation and the exhaustive schedule
+//! sweep — fan out through [`par::par_map`], an order-preserving map
+//! over lanes of scoped threads (the sweep as one region of lanes, each
+//! claiming and sweeping its own rank blocks); multistart searches run
+//! one thread per start, and each PSO run scores its particles on the
+//! thread that runs it. Results are
 //! **deterministic at any thread count**: seeded runs are bit-identical
 //! whether they execute on one thread or many.
 //!
@@ -115,6 +115,7 @@
 //! sweep checkpoints are digest-addressed: state written for a
 //! different problem or box is refused with a typed error.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
