@@ -4,8 +4,8 @@
 //! One controller synthesis evaluates its objective thousands of times;
 //! every call needs candidate gain matrices, the period-map product
 //! buffers, the characteristic-polynomial and root-finder buffers of the
-//! stability test, the worst-case simulation trace and a feedforward
-//! vector.
+//! stability test, the feedforward LU buffers, the worst-case
+//! simulation trace and a feedforward vector.
 //! [`SynthCtx`] keeps finished [`SynthScratch`] sets in a pool behind a
 //! poison-tolerant mutex ([`cacs_par::sync::lock_recover`]): each
 //! objective call pops one (or builds a fresh one on first use /
@@ -16,6 +16,7 @@
 //! bit-identical whether a buffer is fresh or reused, and the pool
 //! order (which does depend on thread timing) is unobservable.
 
+use crate::feedback::FeedforwardWorkspace;
 use crate::lifted::PeriodMapWorkspace;
 use crate::simulate::SimWorkspace;
 use crate::Response;
@@ -40,6 +41,8 @@ pub struct SynthScratch {
     pub(crate) response: Response,
     /// Simulation state-column buffers.
     pub(crate) sim: SimWorkspace,
+    /// Feedforward-gain product and LU buffers.
+    pub(crate) ff: FeedforwardWorkspace,
     /// Per-task feedforward gains.
     pub(crate) feedforwards: Vec<f64>,
 }
@@ -57,6 +60,7 @@ impl SynthScratch {
                 reference: 0.0,
             },
             sim: SimWorkspace::new(),
+            ff: FeedforwardWorkspace::new(),
             feedforwards: Vec::new(),
         }
     }

@@ -77,7 +77,7 @@ pub use discretize::{discretize_delayed, discretize_delayed_cached, discretize_z
 pub use error::ControlError;
 pub use feedback::{ackermann, feedforward_gain, verify_pole_placement};
 pub use kalman::{design_periodic_kalman, kalman_gain, simulate_with_kalman, KalmanResponse};
-pub use lifted::{LiftedPlant, PeriodMapWorkspace};
+pub use lifted::{LiftedPlant, PeriodMapWorkspace, Stability};
 pub use lqr::{synthesize_lqr, LqrConfig};
 pub use lti::ContinuousLti;
 pub use observer::{

@@ -26,6 +26,17 @@
 use crate::{discretize_delayed_cached, ContinuousLti, ControlError, DelayedStep, Result};
 use cacs_linalg::{spectral_radius, EigWorkspace, ExpmCache, ExpmWorkspace, Matrix};
 
+/// Outcome of [`LiftedPlant::closed_loop_stability_ws`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Stability {
+    /// Every root of the period map is certified inside `certify_below`.
+    CertifiedBelow,
+    /// A root is certified at or beyond `certify_beyond`.
+    CertifiedBeyond,
+    /// Neither certificate applies: the exact `ρ(Φ)`.
+    Exact(f64),
+}
+
 /// Reusable buffers for [`LiftedPlant::period_map_into`] — the four
 /// fixed matrices of the product chain, sized lazily to the plant and
 /// kept across objective evaluations so the innermost PSO kernel
@@ -338,25 +349,36 @@ impl LiftedPlant {
     }
 
     /// The PSO objective's stability test, allocation-free: is
-    /// `ρ(Φ) < certify_below`, and if that cannot be certified, what is
-    /// `ρ(Φ)` exactly?
+    /// `ρ(Φ) < certify_below`, provably not below `certify_beyond`, or
+    /// what is `ρ(Φ)` exactly?
     ///
     /// Builds `Φ` into `pm` and its characteristic polynomial into `eig`
-    /// once. A Schur–Cohn pass on those coefficients
-    /// ([`EigWorkspace::roots_within`]) that puts every root inside
-    /// `certify_below` returns `Ok(None)` without finding a root. Any
-    /// other outcome (a root at or beyond `certify_below`, or non-finite
-    /// coefficients) returns `Ok(Some(ρ))`, the exact Durand–Kerner
-    /// radius, bit-identical to
-    /// [`LiftedPlant::closed_loop_spectral_radius`]. The exact value is
-    /// kept on that side because callers score unstable designs by it.
+    /// once, then decides in this order:
+    ///
+    /// 1. **Stable certificate.** A Schur–Cohn pass on those
+    ///    coefficients ([`EigWorkspace::roots_within`]) that puts every
+    ///    root inside `certify_below` returns
+    ///    [`Stability::CertifiedBelow`] without finding a root.
+    /// 2. **Unstable certificate** (only when `certify_beyond` is
+    ///    given). With finite coefficients, a Schur–Cohn pass that does
+    ///    *not* put every root inside `certify_beyond` proves a root at
+    ///    or beyond it, so `ρ(Φ)` is not below that radius; it returns
+    ///    [`Stability::CertifiedBeyond`], again without finding a root.
+    ///    The certificate says "at or beyond", never by how much.
+    /// 3. Otherwise (a root between the two radii, or non-finite
+    ///    coefficients) it returns [`Stability::Exact`] with the exact
+    ///    Durand–Kerner radius, bit-identical to
+    ///    [`LiftedPlant::closed_loop_spectral_radius`]. Callers that
+    ///    score a design by `ρ` itself need this side.
+    ///
     /// `eig` keeps the coefficients afterwards, so
     /// [`EigWorkspace::root_radius`] yields the exact `ρ` of a certified
     /// design on demand.
     ///
-    /// Pass a `certify_below` a safety band under the real bound: the
-    /// test is exact only in exact arithmetic (see the `cacs_linalg`
-    /// eigen module docs).
+    /// The Schur–Cohn test is exact only in exact arithmetic (see the
+    /// `cacs_linalg` eigen module docs). To certify against a bound `r`,
+    /// pass `certify_below` a small relative band under `r` and
+    /// `certify_beyond` the same band above it.
     ///
     /// # Errors
     ///
@@ -368,13 +390,22 @@ impl LiftedPlant {
         pm: &mut PeriodMapWorkspace,
         eig: &mut EigWorkspace,
         certify_below: f64,
-    ) -> Result<Option<f64>> {
+        certify_beyond: Option<f64>,
+    ) -> Result<Stability> {
         self.period_map_into(gains, pm)?;
-        eig.characteristic_polynomial(&pm.phi)?;
+        let finite = eig
+            .characteristic_polynomial(&pm.phi)?
+            .iter()
+            .all(|c| c.is_finite());
         if eig.roots_within(certify_below) {
-            return Ok(None);
+            return Ok(Stability::CertifiedBelow);
         }
-        Ok(Some(eig.root_radius()?))
+        if let Some(radius) = certify_beyond {
+            if finite && radius > 0.0 && radius.is_finite() && !eig.roots_within(radius) {
+                return Ok(Stability::CertifiedBeyond);
+            }
+        }
+        Ok(Stability::Exact(eig.root_radius()?))
     }
 
     /// The paper's explicit two-task `A_hol` (eq. (16), with the missing
@@ -624,5 +655,39 @@ mod tests {
         let expected = x_prev.vstack(&x).unwrap();
         let mapped = lifted.period_map(&gains).unwrap().matmul(&v0).unwrap();
         assert!(mapped.approx_eq(&expected, 1e-9 * expected.max_abs().max(1.0)));
+    }
+
+    #[test]
+    fn stability_certificates_bracket_the_exact_radius() {
+        let (h, tau) = paper_like_timing();
+        let lifted = LiftedPlant::new(servo_like(), &h, &tau).unwrap();
+        let (mut pm, mut eig) = (PeriodMapWorkspace::new(), EigWorkspace::new());
+        let unstable = vec![Matrix::row(&[5.0, 1.0]); 2];
+        for gains in [small_gains(2), unstable] {
+            let rho = lifted.closed_loop_spectral_radius(&gains).unwrap();
+            let mut check = |below: f64, beyond: Option<f64>| {
+                lifted
+                    .closed_loop_stability_ws(&gains, &mut pm, &mut eig, below, beyond)
+                    .unwrap()
+            };
+            let exact = Stability::Exact(rho);
+            assert_eq!(check(rho * 1.01, None), Stability::CertifiedBelow);
+            assert_eq!(
+                check(rho * 1.01, Some(rho * 1.02)),
+                Stability::CertifiedBelow
+            );
+            assert_eq!(
+                check(rho * 0.98, Some(rho * 0.99)),
+                Stability::CertifiedBeyond
+            );
+            // A root between the radii, or no upper radius: the exact ρ,
+            // bit for bit.
+            assert_eq!(check(rho * 0.99, Some(rho * 1.01)), exact);
+            assert_eq!(check(rho * 0.99, None), exact);
+            // A radius that is not positive and finite certifies nothing.
+            for bad in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+                assert_eq!(check(rho * 0.99, Some(bad)), exact, "{bad}");
+            }
+        }
     }
 }

@@ -167,6 +167,37 @@ pub fn simulate_worst_case_into(
     out: &mut Response,
     ws: &mut SimWorkspace,
 ) -> Result<()> {
+    simulate_observed(
+        lifted,
+        gains,
+        feedforwards,
+        reference,
+        horizon,
+        out,
+        ws,
+        |_, _, _| true,
+    )?;
+    Ok(())
+}
+
+/// The simulation loop behind [`simulate_worst_case_into`], with a
+/// per-sample observer. After each recorded sample `(y, u)` the loop
+/// advances the clock to the next sampling instant `t_next` and calls
+/// `observe(t_next, y, u)`; `false` stops the simulation there, leaving
+/// `out` with the samples recorded so far. Returns `Ok(true)` when the
+/// horizon was covered (or the state diverged), `Ok(false)` when the
+/// observer stopped it.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn simulate_observed(
+    lifted: &LiftedPlant,
+    gains: &[Matrix],
+    feedforwards: &[f64],
+    reference: f64,
+    horizon: f64,
+    out: &mut Response,
+    ws: &mut SimWorkspace,
+    mut observe: impl FnMut(f64, f64, f64) -> bool,
+) -> Result<bool> {
     // Fires once per surviving PSO candidate — sampled so an enabled
     // recorder stays within the perf-baseline overhead budget.
     let _t = cacs_obs::time_sampled(
@@ -234,9 +265,10 @@ pub fn simulate_worst_case_into(
         first_sample = false;
 
         let u = gains[j].row_dot(0, &ws.x)? + feedforwards[j] * r_visible;
+        let y = lifted.plant().output(&ws.x)?;
 
         out.times.push(t);
-        out.outputs.push(lifted.plant().output(&ws.x)?);
+        out.outputs.push(y);
         out.inputs.push(u);
 
         let iv = &lifted.intervals()[j];
@@ -256,9 +288,12 @@ pub fn simulate_worst_case_into(
             out.inputs.push(u);
             break;
         }
+        if !observe(t, y, u) {
+            return Ok(false);
+        }
     }
 
-    Ok(())
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -366,6 +401,64 @@ mod tests {
             assert_eq!(bits(&fresh.outputs), bits(&out.outputs), "round {round}");
             assert_eq!(bits(&fresh.inputs), bits(&out.inputs), "round {round}");
         }
+    }
+
+    #[test]
+    fn observer_sees_every_sample_and_can_stop_the_run() {
+        let lifted = fast_first_order();
+        let gains = vec![Matrix::row(&[-0.3]), Matrix::row(&[-0.3])];
+        let full = simulate_worst_case(&lifted, &gains, &[1.3, 1.3], 2.0, 0.08).unwrap();
+        let mut out = Response {
+            times: Vec::new(),
+            outputs: Vec::new(),
+            inputs: Vec::new(),
+            reference: 0.0,
+        };
+        let mut ws = SimWorkspace::new();
+        let mut seen = Vec::new();
+        let covered = simulate_observed(
+            &lifted,
+            &gains,
+            &[1.3, 1.3],
+            2.0,
+            0.08,
+            &mut out,
+            &mut ws,
+            |t_next, y, u| {
+                seen.push((t_next, y, u));
+                true
+            },
+        )
+        .unwrap();
+        assert!(covered);
+        assert_eq!(out, full);
+        assert_eq!(seen.len(), full.times.len());
+        for (k, &(t_next, y, u)) in seen.iter().enumerate() {
+            assert_eq!(y.to_bits(), full.outputs[k].to_bits());
+            assert_eq!(u.to_bits(), full.inputs[k].to_bits());
+            if let Some(&t) = full.times.get(k + 1) {
+                assert_eq!(t_next.to_bits(), t.to_bits());
+            }
+        }
+        // Stopping after the fifth sample keeps exactly that prefix.
+        let mut calls = 0;
+        let covered = simulate_observed(
+            &lifted,
+            &gains,
+            &[1.3, 1.3],
+            2.0,
+            0.08,
+            &mut out,
+            &mut ws,
+            |_, _, _| {
+                calls += 1;
+                calls < 5
+            },
+        )
+        .unwrap();
+        assert!(!covered);
+        assert_eq!(out.times, full.times[..5]);
+        assert_eq!(out.outputs, full.outputs[..5]);
     }
 
     #[test]

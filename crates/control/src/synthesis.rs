@@ -21,9 +21,11 @@
 //! per interval with its total input matrix.
 
 use crate::ctx::{SynthCtx, SynthScratch};
+use crate::feedback::feedforward_gain_ws;
+use crate::simulate::simulate_observed;
 use crate::{
-    feedforward_gain, settling_time, simulate_worst_case, simulate_worst_case_into, ControlError,
-    LiftedPlant, Response, Result, SettlingSpec,
+    settling_time, simulate_worst_case, ControlError, LiftedPlant, Response, Result, SettlingSpec,
+    Stability,
 };
 use cacs_linalg::{BitKey, LuDecomposition, Matrix};
 use cacs_pso::{Bounds, Pso, PsoConfig};
@@ -32,12 +34,14 @@ use cacs_pso::{Bounds, Pso, PsoConfig};
 /// times are fractions of a second, so anything at this scale dominates.
 const PENALTY: f64 = 1.0e4;
 
-/// Relative safety band of the certified stability pre-test. The
+/// Relative safety band of the certified stability tests. The
 /// objective certifies a candidate stable by a Schur–Cohn test at radius
-/// `stability_margin·(1 − CERTIFY_BAND)` and root-finds only when that
-/// fails. Rounding in the test can only misjudge roots very close to its
-/// radius, so the band keeps a certified root clear of the margin; it is
-/// a property of the test's arithmetic, not a tuning knob.
+/// `stability_margin·(1 − CERTIFY_BAND)`, certifies it unstable by a
+/// failed test at `stability_margin·(1 + CERTIFY_BAND)`, and root-finds
+/// only when neither applies. Rounding in the test can only misjudge
+/// roots very close to its radius, so the band keeps a certified root
+/// clear of the margin; it is a property of the test's arithmetic, not a
+/// tuning knob.
 const CERTIFY_BAND: f64 = 1e-3;
 
 /// How many deterministic restarts [`synthesize`] attempts when a PSO
@@ -187,9 +191,20 @@ impl DesignedController {
     }
 }
 
+/// Why an objective call stopped short of its exact score.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Abandon {
+    /// Certified unstable: the score is in the penalty class.
+    Unstable,
+    /// The worst-case simulation's running lower bound reached the bound.
+    Simulation,
+}
+
 /// Details of one candidate evaluation. The feedforward gains live in
 /// the [`SynthScratch`] the evaluation ran on.
 struct Evaluation {
+    /// The exact score, or, for an abandoned evaluation, a value at or
+    /// above the bound that the exact score is known to reach.
     score: f64,
     settling: f64,
     max_input: f64,
@@ -197,16 +212,48 @@ struct Evaluation {
     /// stable and no root was found. The scratch's eigen workspace then
     /// still holds the characteristic polynomial to compute it from.
     rho: Option<f64>,
+    /// `Some` when the evaluation stopped once it proved `score ≥ bound`.
+    abandoned: Option<Abandon>,
 }
 
-/// Scores one gain set on reusable buffers. Always returns a finite
-/// score (penalty-based). On return `scratch.feedforwards` holds the
-/// per-task feedforward gains (empty for infeasible designs); the
-/// period-map, simulation and response buffers are evaluation scratch.
+/// The input-saturation term of the score: zero within `U_max`, and a
+/// penalty growing with the excess beyond it so the swarm is guided back
+/// to the feasible region.
+fn saturation_penalty(config: &SynthesisConfig, max_input: f64) -> f64 {
+    match config.max_input {
+        Some(umax) if max_input > umax => PENALTY * 0.01 * (1.0 + (max_input - umax) / umax),
+        _ => 0.0,
+    }
+}
+
+/// Scores one gain set on reusable buffers, under the PSO bound
+/// contract ([`Pso::minimize`]): the score is exact whenever it is below
+/// `bound`, and once the evaluation proves the exact score is at or
+/// above `bound` it may stop with a value `≥ bound`. Pass `f64::INFINITY`
+/// for the exact score. Infeasible designs score by penalty.
+///
+/// Two early exits, both sound for any finite bound:
+///
+/// * **Unstable certificate** (bound `≤ PENALTY`): every unstable or
+///   root-finder-failure score is at least `PENALTY`, so a Schur–Cohn
+///   certificate of a root beyond the margin settles the comparison
+///   without Durand–Kerner.
+/// * **Simulation cut**: while the worst-case simulation runs, the
+///   saturation term of the running `max |u|` plus the next sampling
+///   instant after the latest out-of-band sample (capped at the
+///   `2·horizon` every unsettled score pays) is a lower bound of the
+///   final score. Both only grow as samples arrive, the omitted plateau
+///   term is non-negative, and rounded addition of non-negative terms is
+///   monotone, so the simulation stops once that bound reaches `bound`.
+///
+/// On an exact return `scratch.feedforwards` holds the per-task
+/// feedforward gains (empty for infeasible designs); the period-map,
+/// simulation and response buffers are evaluation scratch.
 fn evaluate_gains_ws(
     lifted: &LiftedPlant,
     gains: &[Matrix],
     config: &SynthesisConfig,
+    bound: f64,
     scratch: &mut SynthScratch,
 ) -> Evaluation {
     let infeasible = |score: f64| Evaluation {
@@ -214,29 +261,35 @@ fn evaluate_gains_ws(
         settling: f64::INFINITY,
         max_input: f64::INFINITY,
         rho: Some(f64::INFINITY),
+        abandoned: None,
     };
     scratch.feedforwards.clear();
 
     // Stability first — cheap rejection of divergent designs. A stable
     // candidate's score never reads ρ, so the certified pre-test skips
     // root-finding; the unstable penalty does read it, so that side (and
-    // anything the test cannot certify) gets the exact ρ. Pole placement
-    // targets poles on the edges of its box (angle 0, radius 0), i.e.
-    // near-repeated poles, where Durand–Kerner does not converge and the
-    // score is the root-finder penalty. Certifying those stable designs
-    // would change its scores, so it tests at radius 0, which certifies
-    // nothing.
+    // anything the test cannot certify) gets the exact ρ, unless the
+    // bound lets the unstable certificate settle the comparison. Pole
+    // placement targets poles on the edges of its box (angle 0, radius
+    // 0), i.e. near-repeated poles, where Durand–Kerner does not converge
+    // and the score is the root-finder penalty. Certifying those stable
+    // designs would change its scores, so it tests at radius 0, which
+    // certifies nothing. Its unstable certificate is sound: both the
+    // unstable and the root-finder penalties are at least `PENALTY`.
     let certify_below = match config.strategy {
         SynthesisStrategy::DirectGain => config.stability_margin * (1.0 - CERTIFY_BAND),
         SynthesisStrategy::PolePlacement => 0.0,
     };
+    let certify_beyond =
+        (bound <= PENALTY).then_some(config.stability_margin * (1.0 + CERTIFY_BAND));
     let rho = match lifted.closed_loop_stability_ws(
         gains,
         &mut scratch.pm,
         &mut scratch.eig,
         certify_below,
+        certify_beyond,
     ) {
-        Ok(None) => {
+        Ok(Stability::CertifiedBelow) => {
             // Debug builds hold every certificate to the exact path.
             debug_assert!(
                 matches!(scratch.eig.root_radius(), Ok(r) if r < config.stability_margin),
@@ -245,10 +298,16 @@ fn evaluate_gains_ws(
             );
             None
         }
-        Ok(Some(rho)) if !rho.is_finite() || rho >= config.stability_margin => {
+        Ok(Stability::CertifiedBeyond) => {
+            return Evaluation {
+                abandoned: Some(Abandon::Unstable),
+                ..infeasible(PENALTY)
+            };
+        }
+        Ok(Stability::Exact(rho)) if !rho.is_finite() || rho >= config.stability_margin => {
             return infeasible(PENALTY * (1.0 + rho.min(1e6)));
         }
-        Ok(Some(rho)) => Some(rho),
+        Ok(Stability::Exact(rho)) => Some(rho),
         Err(_) => return infeasible(10.0 * PENALTY),
     };
 
@@ -256,7 +315,7 @@ fn evaluate_gains_ws(
     // per-interval total input matrices.
     let c = lifted.plant().c();
     for ((iv, b_total), gain) in lifted.intervals().iter().zip(lifted.b_totals()).zip(gains) {
-        match feedforward_gain(&iv.a_d, b_total, c, gain) {
+        match feedforward_gain_ws(&iv.a_d, b_total, c, gain, &mut scratch.ff) {
             Ok(f) => scratch.feedforwards.push(f),
             Err(_) => {
                 scratch.feedforwards.clear();
@@ -265,7 +324,31 @@ fn evaluate_gains_ws(
         }
     }
 
-    if simulate_worst_case_into(
+    // The running lower bound of the simulation cut. A saturation limit
+    // below zero would make the saturation term shrink as `max |u|`
+    // grows, so such a configuration is always simulated in full.
+    let cut = bound < f64::INFINITY && config.max_input.is_none_or(f64::is_sign_positive);
+    let tol = config.settling.tolerance(config.reference);
+    let unsettled_floor = 2.0 * config.horizon;
+    let (mut run_max_u, mut run_saturation, mut run_unsettled) = (0.0_f64, 0.0, 0.0_f64);
+    let mut lower_bound = 0.0;
+    let observe = |t_next: f64, y: f64, u: f64| {
+        if !cut {
+            return true;
+        }
+        if u.abs() > run_max_u {
+            run_max_u = u.abs();
+            run_saturation = saturation_penalty(config, run_max_u);
+        }
+        // The settling test's band check; NaN counts as out of band.
+        let in_band = (y - config.reference).abs() <= tol;
+        if !in_band {
+            run_unsettled = t_next.min(unsettled_floor);
+        }
+        lower_bound = run_saturation + run_unsettled;
+        lower_bound < bound
+    };
+    match simulate_observed(
         lifted,
         gains,
         &scratch.feedforwards,
@@ -273,23 +356,25 @@ fn evaluate_gains_ws(
         config.horizon,
         &mut scratch.response,
         &mut scratch.sim,
-    )
-    .is_err()
-    {
-        scratch.feedforwards.clear();
-        return infeasible(10.0 * PENALTY);
+        observe,
+    ) {
+        Ok(true) => {}
+        Ok(false) => {
+            scratch.feedforwards.clear();
+            return Evaluation {
+                abandoned: Some(Abandon::Simulation),
+                ..infeasible(lower_bound)
+            };
+        }
+        Err(_) => {
+            scratch.feedforwards.clear();
+            return infeasible(10.0 * PENALTY);
+        }
     }
     let response = &scratch.response;
 
     let max_input = response.max_input_magnitude();
-    let mut score = 0.0;
-    if let Some(umax) = config.max_input {
-        if max_input > umax {
-            // Saturation violation: penalise proportionally so the swarm
-            // is guided back to the feasible region.
-            score += PENALTY * 0.01 * (1.0 + (max_input - umax) / umax);
-        }
-    }
+    let score = saturation_penalty(config, max_input);
 
     // Plateau breaker: settling time is quantised to sampling instants,
     // so many gain sets share one settling value. A small integral-error
@@ -317,6 +402,7 @@ fn evaluate_gains_ws(
                 settling: f64::INFINITY,
                 max_input,
                 rho,
+                abandoned: None,
             };
         }
     };
@@ -326,6 +412,7 @@ fn evaluate_gains_ws(
         settling,
         max_input,
         rho,
+        abandoned: None,
     }
 }
 
@@ -350,26 +437,102 @@ fn write_gain_rows(gains: &mut Vec<Matrix>, params: &[f64], m: usize, l: usize) 
     }
 }
 
-/// Pool-backed scoring of a parameter vector: takes a scratch set from
-/// the context, materialises the gains into its reusable matrices, and
-/// returns both to the pool. This is the closure body of every PSO
-/// objective; it is a pure function of `params` (the scratch contents
-/// are fully overwritten), so which scratch set it gets is unobservable.
-fn score_params(
-    ctx: &SynthCtx,
-    lifted: &LiftedPlant,
-    config: &SynthesisConfig,
-    params: &[f64],
+/// The PSO objective of one search phase: pool-backed, bounded scoring
+/// of parameter vectors, with local tallies of the abandoned calls.
+struct Objective<'a> {
+    ctx: &'a SynthCtx,
+    lifted: &'a LiftedPlant,
+    config: &'a SynthesisConfig,
     m: usize,
     l: usize,
-) -> f64 {
-    let mut scratch = ctx.take();
-    let mut gains = std::mem::take(&mut scratch.gains);
-    write_gain_rows(&mut gains, params, m, l);
-    let score = evaluate_gains_ws(lifted, &gains, config, &mut scratch).score;
-    scratch.gains = gains;
-    ctx.put(scratch);
-    score
+    abandoned_unstable: u64,
+    abandoned_simulation: u64,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test switch: score every objective call exactly (bound `+∞`).
+    static EXACT_OBJECTIVE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Abandoned calls published on this thread: `[unstable, simulation]`.
+    static ABANDONED_CALLS: std::cell::Cell<[u64; 2]> = const { std::cell::Cell::new([0; 2]) };
+}
+
+impl<'a> Objective<'a> {
+    fn new(ctx: &'a SynthCtx, lifted: &'a LiftedPlant, config: &'a SynthesisConfig) -> Self {
+        Objective {
+            ctx,
+            lifted,
+            config,
+            m: lifted.tasks(),
+            l: lifted.state_dim(),
+            abandoned_unstable: 0,
+            abandoned_simulation: 0,
+        }
+    }
+
+    /// Scores `params` (the flat `m·l` per-task gains or one shared row
+    /// of width `l`) under the PSO bound contract: takes a scratch set
+    /// from the context, materialises the gains into its reusable
+    /// matrices, and returns both to the pool. It is a pure function of
+    /// `(params, bound)` (the scratch contents are fully overwritten), so
+    /// which scratch set it gets is unobservable.
+    ///
+    /// Debug builds re-score every abandoned call exactly and check that
+    /// the exact score does reach the bound.
+    fn score(&mut self, params: &[f64], bound: f64) -> f64 {
+        #[cfg(test)]
+        let bound = if EXACT_OBJECTIVE.with(std::cell::Cell::get) {
+            f64::INFINITY
+        } else {
+            bound
+        };
+        let mut scratch = self.ctx.take();
+        let mut gains = std::mem::take(&mut scratch.gains);
+        write_gain_rows(&mut gains, params, self.m, self.l);
+        let eval = evaluate_gains_ws(self.lifted, &gains, self.config, bound, &mut scratch);
+        if let Some(abandon) = eval.abandoned {
+            match abandon {
+                Abandon::Unstable => self.abandoned_unstable += 1,
+                Abandon::Simulation => self.abandoned_simulation += 1,
+            }
+            if cfg!(debug_assertions) {
+                let exact = evaluate_gains_ws(
+                    self.lifted,
+                    &gains,
+                    self.config,
+                    f64::INFINITY,
+                    &mut scratch,
+                );
+                assert!(
+                    eval.score >= bound && exact.score >= bound,
+                    "{abandon:?} cut at {} below its bound {bound}: exact score {}",
+                    eval.score,
+                    exact.score
+                );
+            }
+        }
+        scratch.gains = gains;
+        self.ctx.put(scratch);
+        eval.score
+    }
+
+    /// Adds the phase's abandoned-call tallies to the metrics registry
+    /// (once per phase: a per-call update would cost more than the
+    /// observability budget allows) and resets them.
+    fn publish(&mut self) {
+        cacs_obs::metrics::PSO_ABANDONED_UNSTABLE.add(self.abandoned_unstable);
+        cacs_obs::metrics::PSO_ABANDONED_SIM.add(self.abandoned_simulation);
+        #[cfg(test)]
+        ABANDONED_CALLS.with(|c| {
+            let [unstable, simulation] = c.get();
+            c.set([
+                unstable + self.abandoned_unstable,
+                simulation + self.abandoned_simulation,
+            ]);
+        });
+        self.abandoned_unstable = 0;
+        self.abandoned_simulation = 0;
+    }
 }
 
 fn params_to_gains(params: &[f64], m: usize, l: usize) -> Vec<Matrix> {
@@ -502,6 +665,7 @@ fn synthesize_direct(
         })
     };
     let mut evaluations = 0usize;
+    let mut objective = Objective::new(ctx, lifted, config);
 
     // Phase A (m > 1): search the l-dimensional shared-gain subspace
     // (every task uses the same K). This cheap warm start makes the full
@@ -517,11 +681,11 @@ fn synthesize_direct(
         })?;
         let shared = {
             let _t = cacs_obs::time(&cacs_obs::metrics::PHASE_A_NS);
-            Pso::new(config.pso)
-                .minimize(&shared_bounds, |params| {
-                    score_params(ctx, lifted, config, params, m, l)
-                })
-                .map_err(map_err)?
+            let shared = Pso::new(config.pso).minimize(&shared_bounds, |params, bound| {
+                objective.score(params, bound)
+            });
+            objective.publish();
+            shared.map_err(map_err)?
         };
         evaluations += shared.evaluations;
         let mut replicated = Vec::with_capacity(m * l);
@@ -544,11 +708,11 @@ fn synthesize_direct(
     pso_b.iterations = pso_b.iterations.saturating_mul(m.max(1));
     let result = {
         let _t = cacs_obs::time(&cacs_obs::metrics::PHASE_B_NS);
-        Pso::new(pso_b)
-            .minimize_with_guesses(&bounds, &guesses, |params| {
-                score_params(ctx, lifted, config, params, m, l)
-            })
-            .map_err(map_err)?
+        let result = Pso::new(pso_b).minimize_with_guesses(&bounds, &guesses, |params, bound| {
+            objective.score(params, bound)
+        });
+        objective.publish();
+        result.map_err(map_err)?
     };
     evaluations += result.evaluations;
 
@@ -572,7 +736,7 @@ fn finish(
     evaluations: usize,
 ) -> AttemptResult {
     let mut scratch = ctx.take();
-    let eval = evaluate_gains_ws(lifted, gains, config, &mut scratch);
+    let eval = evaluate_gains_ws(lifted, gains, config, f64::INFINITY, &mut scratch);
     // The design reports its exact ρ even when the objective certified it.
     let rho = eval
         .rho
@@ -782,29 +946,29 @@ fn synthesize_poles(
         })
     })?;
 
-    let pso = Pso::new(config.pso);
-    let result = pso
-        .minimize(&bounds, |pole_params| {
-            let target = desired_charpoly(pole_params);
-            let mut scratch = ctx.take();
-            let k = newton_match_gains_ws(lifted, &target, m, l, &mut scratch);
-            ctx.put(scratch);
-            match k {
-                Some(k) => {
-                    // Respect the gain box like the direct strategy does.
-                    if k.iter().any(|g| g.abs() > config.gain_bound) {
-                        return PENALTY * 0.5;
-                    }
-                    score_params(ctx, lifted, config, &k, m, l)
+    let mut objective = Objective::new(ctx, lifted, config);
+    let result = Pso::new(config.pso).minimize(&bounds, |pole_params, bound| {
+        let target = desired_charpoly(pole_params);
+        let mut scratch = ctx.take();
+        let k = newton_match_gains_ws(lifted, &target, m, l, &mut scratch);
+        ctx.put(scratch);
+        match k {
+            Some(k) => {
+                // Respect the gain box like the direct strategy does.
+                if k.iter().any(|g| g.abs() > config.gain_bound) {
+                    return PENALTY * 0.5;
                 }
-                None => PENALTY * 3.0,
+                objective.score(&k, bound)
             }
+            None => PENALTY * 3.0,
+        }
+    });
+    objective.publish();
+    let result = result.map_err(|e| {
+        AttemptError::fatal(ControlError::SynthesisFailed {
+            reason: format!("PSO failed: {e}"),
         })
-        .map_err(|e| {
-            AttemptError::fatal(ControlError::SynthesisFailed {
-                reason: format!("PSO failed: {e}"),
-            })
-        })?;
+    })?;
 
     let target = desired_charpoly(&result.best_position);
     let mut scratch = ctx.take();
@@ -1021,6 +1185,76 @@ mod tests {
                 assert_eq!(bits(a.as_slice()), bits(b.as_slice()), "round {round}");
             }
         }
+    }
+
+    /// Synthesises with the bounded objective, then with every
+    /// objective call scored exactly; returns both outcomes and the
+    /// bounded run's abandoned calls, `[unstable, simulation]`.
+    fn bounded_and_exact(
+        lifted: &LiftedPlant,
+        config: &SynthesisConfig,
+    ) -> (
+        Result<DesignedController>,
+        Result<DesignedController>,
+        [u64; 2],
+    ) {
+        ABANDONED_CALLS.with(|c| c.set([0; 2]));
+        let bounded = synthesize(lifted, config);
+        let abandoned = ABANDONED_CALLS.with(std::cell::Cell::get);
+        EXACT_OBJECTIVE.with(|c| c.set(true));
+        let exact = synthesize(lifted, config);
+        EXACT_OBJECTIVE.with(|c| c.set(false));
+        assert_eq!(ABANDONED_CALLS.with(std::cell::Cell::get), abandoned);
+        (bounded, exact, abandoned)
+    }
+
+    #[test]
+    fn bounded_objective_designs_bit_identically_to_the_exact_one() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let plants = [
+            servo_lifted(&[2.3e-3], &[0.9e-3]),
+            servo_lifted(&[0.9e-3, 3.2e-3], &[0.9e-3, 0.45e-3]),
+            servo_lifted(&[0.9e-3, 0.45e-3, 1.4e-3], &[0.9e-3, 0.45e-3, 0.45e-3]),
+        ];
+        let mut abandoned = [0u64; 2];
+        let mut saturated_designs = 0;
+        for lifted in &plants {
+            // Without a limit, and with one tight enough that the swarm
+            // meets the saturation term of the lower bound.
+            for max_input in [None, Some(3.0)] {
+                let mut config = quick_config(0.3);
+                config.pso = config.pso.with_budget(16, 30).with_seed(5);
+                config.max_input = max_input;
+                let what = format!("m = {}, max_input {max_input:?}", lifted.tasks());
+                let (bounded, exact, cut) = bounded_and_exact(lifted, &config);
+                abandoned[0] += cut[0];
+                abandoned[1] += cut[1];
+                let (bounded, exact) = (bounded.unwrap(), exact.unwrap());
+                assert_eq!(bounded.gains.len(), exact.gains.len(), "{what}");
+                for (a, b) in bounded.gains.iter().zip(&exact.gains) {
+                    assert_eq!(bits(a.as_slice()), bits(b.as_slice()), "{what}");
+                }
+                assert_eq!(
+                    bits(&bounded.feedforwards),
+                    bits(&exact.feedforwards),
+                    "{what}"
+                );
+                for (a, b) in [
+                    (bounded.settling_time, exact.settling_time),
+                    (bounded.spectral_radius, exact.spectral_radius),
+                    (bounded.max_input, exact.max_input),
+                ] {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{what}");
+                }
+                assert_eq!(bounded.evaluations, exact.evaluations, "{what}");
+                if max_input.is_some_and(|u| bounded.max_input > 0.5 * u) {
+                    saturated_designs += 1;
+                }
+            }
+        }
+        // Both early exits ran, and the limit did bind on some designs.
+        assert!(abandoned[0] > 0 && abandoned[1] > 0, "{abandoned:?}");
+        assert!(saturated_designs > 0);
     }
 
     #[test]

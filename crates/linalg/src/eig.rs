@@ -28,11 +28,14 @@
 //! point the recursion's rounding can misjudge a root lying very close
 //! to the test circle, so a caller certifies against a bound by testing
 //! at a radius a small relative band below it: `true` then means every
-//! root is below the bound. `false` proves nothing (a root may lie in
-//! the band, or a coefficient may be non-finite), and the caller asks
+//! root is below the bound. `false` there proves nothing (a root may lie
+//! in the band, or a coefficient may be non-finite). The mirror image
+//! certifies the other side: with finite coefficients, `false` at a
+//! radius a band *above* the bound means some root is at or beyond the
+//! bound. Between the two, the caller asks
 //! [`EigWorkspace::root_radius`] for the exact `ρ`. Any value built on
 //! `ρ` itself, such as a penalty that grows with it, must use that exact
-//! radius: a certificate says "below", never by how much.
+//! radius: a certificate says "below" or "beyond", never by how much.
 
 use crate::poly::{durand_kerner, schur_cohn_within};
 use crate::{Complex, LinalgError, Matrix, Polynomial, Result};

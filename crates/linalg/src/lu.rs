@@ -45,14 +45,36 @@ impl LuDecomposition {
     /// * [`LinalgError::Singular`] if a pivot is smaller than
     ///   `1e-13 * max|a|` (the matrix is singular to working precision).
     pub fn new(a: &Matrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare { shape: a.shape() });
-        }
-        let n = a.rows();
         let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
+        let mut perm = Vec::new();
+        let perm_sign = LuDecomposition::factor_in_place(&mut lu, &mut perm)?;
+        Ok(LuDecomposition {
+            lu,
+            perm,
+            perm_sign,
+        })
+    }
+
+    /// Factorises the square matrix `lu` in place on caller-owned
+    /// buffers: afterwards `lu` holds the combined factors and `perm` the
+    /// row permutation, as [`LuDecomposition::solve_factored_into`]
+    /// expects. Returns the permutation's sign. This is the one
+    /// factorisation behind [`LuDecomposition::new`]; a hot loop reuses
+    /// both buffers across calls.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`LuDecomposition::new`]; on
+    /// [`LinalgError::Singular`] `lu` is left partly factorised.
+    pub fn factor_in_place(lu: &mut Matrix, perm: &mut Vec<usize>) -> Result<f64> {
+        if !lu.is_square() {
+            return Err(LinalgError::NotSquare { shape: lu.shape() });
+        }
+        let n = lu.rows();
+        perm.clear();
+        perm.extend(0..n);
         let mut perm_sign = 1.0;
-        let scale = a.max_abs().max(1.0);
+        let scale = lu.max_abs().max(1.0);
 
         for k in 0..n {
             // Partial pivoting: pick the largest |entry| in column k.
@@ -87,11 +109,7 @@ impl LuDecomposition {
                 }
             }
         }
-        Ok(LuDecomposition {
-            lu,
-            perm,
-            perm_sign,
-        })
+        Ok(perm_sign)
     }
 
     /// Dimension of the factorised matrix.
@@ -106,7 +124,27 @@ impl LuDecomposition {
     /// Returns [`LinalgError::DimensionMismatch`] if `b.rows()` differs from
     /// the factorised dimension.
     pub fn solve(&self, b: &Matrix) -> Result<Matrix> {
-        let n = self.dim();
+        let mut x = Matrix::zeros(self.dim(), b.cols());
+        LuDecomposition::solve_factored_into(&self.lu, &self.perm, b, &mut x)?;
+        Ok(x)
+    }
+
+    /// Solves `A·X = B` into the caller-owned `x` (fully overwritten),
+    /// from the factors [`LuDecomposition::factor_in_place`] left in `lu`
+    /// and `perm`. This is the one substitution behind
+    /// [`LuDecomposition::solve`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if `b.rows()` differs from
+    /// the factorised dimension or `x` is not `b`-shaped.
+    pub fn solve_factored_into(
+        lu: &Matrix,
+        perm: &[usize],
+        b: &Matrix,
+        x: &mut Matrix,
+    ) -> Result<()> {
+        let n = lu.rows();
         if b.rows() != n {
             return Err(LinalgError::DimensionMismatch {
                 operation: "LU solve",
@@ -114,18 +152,24 @@ impl LuDecomposition {
                 right: b.shape(),
             });
         }
+        if x.shape() != b.shape() {
+            return Err(LinalgError::DimensionMismatch {
+                operation: "LU solve output",
+                left: b.shape(),
+                right: x.shape(),
+            });
+        }
         let m = b.cols();
-        let mut x = Matrix::zeros(n, m);
         // Apply permutation.
-        for i in 0..n {
+        for (i, &row) in perm.iter().enumerate() {
             for j in 0..m {
-                x.set(i, j, b.get(self.perm[i], j));
+                x.set(i, j, b.get(row, j));
             }
         }
         // Forward substitution (L has implicit unit diagonal).
         for i in 1..n {
             for k in 0..i {
-                let l = self.lu.get(i, k);
+                let l = lu.get(i, k);
                 if l == 0.0 {
                     continue;
                 }
@@ -138,7 +182,7 @@ impl LuDecomposition {
         // Back substitution.
         for i in (0..n).rev() {
             for k in (i + 1)..n {
-                let u = self.lu.get(i, k);
+                let u = lu.get(i, k);
                 if u == 0.0 {
                     continue;
                 }
@@ -147,12 +191,12 @@ impl LuDecomposition {
                     x.set(i, j, v);
                 }
             }
-            let d = self.lu.get(i, i);
+            let d = lu.get(i, i);
             for j in 0..m {
                 x.set(i, j, x.get(i, j) / d);
             }
         }
-        Ok(x)
+        Ok(())
     }
 
     /// Matrix inverse `A⁻¹`.
@@ -270,6 +314,35 @@ mod tests {
         let x = solve(&a, &Matrix::column(&[2.0, 3.0])).unwrap();
         assert!((x.get(0, 0) - 3.0).abs() < 1e-12);
         assert!((x.get(1, 0) - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn in_place_factor_and_solve_reuse_buffers_bit_identically() {
+        let a3 =
+            Matrix::from_rows(&[&[4.0, -2.0, 1.0], &[3.0, 6.0, -4.0], &[2.0, 1.0, 8.0]]).unwrap();
+        let a2 = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.5]]).unwrap();
+        let mut perm = vec![9, 9, 9, 9]; // stale, longer than needed
+        for a in [&a3, &a2, &a3] {
+            let b = Matrix::from_fn(a.rows(), 2, |i, j| (i + 3 * j) as f64 - 1.5);
+            let fresh = LuDecomposition::new(a).unwrap();
+            let mut lu = a.clone();
+            let sign = LuDecomposition::factor_in_place(&mut lu, &mut perm).unwrap();
+            assert_eq!(sign, fresh.perm_sign);
+            assert_eq!(perm, fresh.perm);
+            let mut x = Matrix::from_fn(a.rows(), 2, |_, _| f64::NAN); // stale
+            LuDecomposition::solve_factored_into(&lu, &perm, &b, &mut x).unwrap();
+            let expect = fresh.solve(&b).unwrap();
+            for (p, q) in x.as_slice().iter().zip(expect.as_slice()) {
+                assert_eq!(p.to_bits(), q.to_bits());
+            }
+            let mut wrong = Matrix::zeros(a.rows(), 1);
+            assert!(LuDecomposition::solve_factored_into(&lu, &perm, &b, &mut wrong).is_err());
+        }
+        let mut singular = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
+        assert!(matches!(
+            LuDecomposition::factor_in_place(&mut singular, &mut perm),
+            Err(LinalgError::Singular)
+        ));
     }
 
     #[test]

@@ -452,6 +452,11 @@ registry! {
         // lanes and is kept for existing readers).
         PAR_INLINE_BATCHES => "par.inline_batches",
         PAR_POOL_BATCHES => "par.pool_batches",
+        // Bounded PSO objective calls that stopped once they proved the
+        // candidate cannot beat its particle's best: certified unstable
+        // without root-finding, or worst-case simulation cut short.
+        PSO_ABANDONED_SIM => "pso.abandoned_sim",
+        PSO_ABANDONED_UNSTABLE => "pso.abandoned_unstable",
         // PSO objective closure invocations (the eval-cost driver).
         PSO_OBJECTIVE_CALLS => "pso.objective_calls",
         PSO_RUNS => "pso.runs",

@@ -66,7 +66,7 @@ use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 thread_local! {
     /// Set while the current thread is inside a parallel region (a
@@ -137,8 +137,13 @@ pub mod sync {
 ///
 /// Reads `CACS_THREADS` (`0` is treated as 1; a non-numeric value is
 /// ignored); falls back to [`std::thread::available_parallelism`].
+/// The variable is read on every call, so a change at run time takes
+/// effect at the next region. The fallback is read once per process: it
+/// queries the cgroup files, microseconds per call.
 pub fn thread_budget() -> usize {
-    let fallback = || std::thread::available_parallelism().map_or(1, |n| n.get());
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    let fallback =
+        || *AVAILABLE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     match std::env::var("CACS_THREADS") {
         Ok(v) => v
             .trim()
@@ -157,13 +162,18 @@ pub fn in_parallel_region() -> bool {
 /// Runs `f` with every [`par_map`] inside it forced sequential on the
 /// calling thread. The debugging/bisection knob: wrap any pipeline
 /// entry point to get the exact sequential execution order.
+///
+/// The previous state is restored when `f` returns or unwinds, so a
+/// panic caught further up leaves the thread's later regions parallel.
 pub fn sequential<R>(f: impl FnOnce() -> R) -> R {
-    IN_PARALLEL_REGION.with(|flag| {
-        let was = flag.replace(true);
-        let result = f();
-        flag.set(was);
-        result
-    })
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_PARALLEL_REGION.with(|flag| flag.set(self.0));
+        }
+    }
+    let _restore = Restore(IN_PARALLEL_REGION.with(|flag| flag.replace(true)));
+    f()
 }
 
 /// Order-preserving parallel map: returns `f(i, &items[i])` for every
@@ -182,8 +192,14 @@ pub fn sequential<R>(f: impl FnOnce() -> R) -> R {
 /// Propagates a panic raised by `f` (every lane joins first, and the
 /// payload surfaces on the calling thread).
 pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R> {
-    let lanes = thread_budget().min(items.len());
-    if lanes <= 1 || in_parallel_region() {
+    // A nested region runs inline whatever the budget, so it does not
+    // ask for one.
+    let lanes = if in_parallel_region() {
+        1
+    } else {
+        thread_budget().min(items.len())
+    };
+    if lanes <= 1 {
         cacs_obs::metrics::PAR_INLINE_BATCHES.incr();
         return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
@@ -348,6 +364,23 @@ mod tests {
             assert!(in_parallel_region());
             let out = par_map(&[1, 2, 3], |_, &x| x * 2);
             assert_eq!(out, vec![2, 4, 6]);
+        });
+        assert!(!in_parallel_region());
+    }
+
+    #[test]
+    fn sequential_restores_the_flag_when_its_closure_panics() {
+        let caught = catch_unwind(|| sequential(|| panic!("inside sequential")));
+        assert!(caught.is_err());
+        assert!(
+            !in_parallel_region(),
+            "a caught panic must not leave the thread forced inline"
+        );
+        // Nested scopes restore the outer state, not `false`.
+        sequential(|| {
+            let inner = catch_unwind(|| sequential(|| panic!("nested")));
+            assert!(inner.is_err());
+            assert!(in_parallel_region());
         });
         assert!(!in_parallel_region());
     }

@@ -13,6 +13,18 @@
 //! thread. Parallelism lives one level up: a schedule sweep or the
 //! per-app synthesis fan-out runs whole PSO runs on its lanes.
 //!
+//! # Bounded objectives
+//!
+//! The swarm reads a freshly scored value only to ask whether it beats
+//! the particle's own best. So the objective receives that best as a
+//! bound (`+∞` for the initial swarm) and may stop early: once it can
+//! prove the exact value is `≥ bound`, it may return any value `≥ bound`.
+//! Below the bound it returns the exact value. Under this contract the
+//! run is bit-identical to one with an always-exact objective (see
+//! [`Pso::minimize`]). The controller synthesis uses it to skip the
+//! root-finder for provably unstable candidates and to cut short
+//! simulations that already score worse than the particle's best.
+//!
 //! # Example
 //!
 //! ```
@@ -22,7 +34,7 @@
 //! // Minimise the 2-D sphere function.
 //! let bounds = Bounds::symmetric(2, 5.0)?;
 //! let result = Pso::new(PsoConfig::default().with_seed(7))
-//!     .minimize(&bounds, |x| x.iter().map(|v| v * v).sum())?;
+//!     .minimize(&bounds, |x, _bound| x.iter().map(|v| v * v).sum())?;
 //! assert!(result.best_value < 1e-4);
 //! # Ok(())
 //! # }

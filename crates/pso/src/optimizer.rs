@@ -130,10 +130,11 @@ pub struct PsoResult {
 /// use cacs_pso::{Bounds, Pso, PsoConfig};
 ///
 /// # fn main() -> Result<(), cacs_pso::PsoError> {
-/// // Rosenbrock valley in 2-D.
+/// // Rosenbrock valley in 2-D; this objective ignores the bound and
+/// // always returns the exact value.
 /// let bounds = Bounds::symmetric(2, 2.0)?;
 /// let pso = Pso::new(PsoConfig::default().with_budget(40, 300).with_seed(42));
-/// let r = pso.minimize(&bounds, |x| {
+/// let r = pso.minimize(&bounds, |x, _bound| {
 ///     (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2)
 /// })?;
 /// assert!(r.best_value < 1e-3);
@@ -158,6 +159,41 @@ impl Pso {
 
     /// Minimises `objective` over `bounds`.
     ///
+    /// The objective is called as `objective(x, bound)`. `bound` is the
+    /// best value the particle scoring `x` has found so far, and `+∞`
+    /// for the initial swarm. The swarm only asks whether `x` beats
+    /// that bound, so the **bound contract** is: when the exact value
+    /// at `x` would be `≥ bound`, the objective may return any value
+    /// `≥ bound` instead (for example a cheap lower bound that already
+    /// reaches it). Below the bound it must return the exact value. An
+    /// objective that keeps the contract yields a [`PsoResult`]
+    /// bit-identical to the always-exact one: same trajectory, best
+    /// value, evaluation and iteration counts. An objective with no
+    /// early exit just ignores the bound.
+    ///
+    /// ```
+    /// use cacs_pso::{Bounds, Pso, PsoConfig};
+    ///
+    /// # fn main() -> Result<(), cacs_pso::PsoError> {
+    /// let bounds = Bounds::symmetric(8, 5.0)?;
+    /// let pso = Pso::new(PsoConfig::default().with_seed(3));
+    /// let exact = pso.minimize(&bounds, |x, _| x.iter().map(|v| v * v).sum())?;
+    /// // Stop summing once the partial sum of squares reaches the bound.
+    /// let bounded = pso.minimize(&bounds, |x, bound| {
+    ///     let mut sum = 0.0;
+    ///     for v in x {
+    ///         sum += v * v;
+    ///         if sum >= bound {
+    ///             break; // the remaining squares only add to it
+    ///         }
+    ///     }
+    ///     sum
+    /// })?;
+    /// assert_eq!(exact, bounded);
+    /// # Ok(())
+    /// # }
+    /// ```
+    ///
     /// # Errors
     ///
     /// * [`PsoError::InvalidConfig`] for a bad configuration.
@@ -166,7 +202,7 @@ impl Pso {
     pub fn minimize(
         &self,
         bounds: &Bounds,
-        objective: impl FnMut(&[f64]) -> f64,
+        objective: impl FnMut(&[f64], f64) -> f64,
     ) -> Result<PsoResult> {
         self.minimize_with_guesses(bounds, &[], objective)
     }
@@ -183,7 +219,7 @@ impl Pso {
         &self,
         bounds: &Bounds,
         guesses: &[Vec<f64>],
-        mut objective: impl FnMut(&[f64]) -> f64,
+        mut objective: impl FnMut(&[f64], f64) -> f64,
     ) -> Result<PsoResult> {
         self.config.validate()?;
         let dim = bounds.dim();
@@ -228,8 +264,10 @@ impl Pso {
         let mut evaluations = n;
         cacs_obs::metrics::PSO_OBJECTIVE_CALLS.add(n as u64);
         let mut personal_best = positions.clone();
-        let mut personal_value: Vec<f64> =
-            positions.iter().map(|p| sanitize(objective(p))).collect();
+        let mut personal_value: Vec<f64> = positions
+            .iter()
+            .map(|p| sanitize(objective(p, f64::INFINITY)))
+            .collect();
 
         let (mut g_idx, mut g_val) = personal_value
             .iter()
@@ -265,7 +303,10 @@ impl Pso {
             evaluations += n;
             cacs_obs::metrics::PSO_OBJECTIVE_CALLS.add(n as u64);
             for i in 0..n {
-                let value = sanitize(objective(&positions[i]));
+                // The only read of an iteration value: under the bound
+                // contract, any value ≥ the bound fails this test
+                // exactly as the exact value would.
+                let value = sanitize(objective(&positions[i], personal_value[i]));
                 if value < personal_value[i] {
                     personal_value[i] = value;
                     personal_best[i] = positions[i].clone();
@@ -311,7 +352,7 @@ impl Pso {
 mod tests {
     use super::*;
 
-    fn sphere(x: &[f64]) -> f64 {
+    fn sphere(x: &[f64], _bound: f64) -> f64 {
         x.iter().map(|v| v * v).sum()
     }
 
@@ -367,7 +408,7 @@ mod tests {
         let bounds = Bounds::symmetric(1, 1.0).unwrap();
         // NaN in half the domain; finite parabola elsewhere.
         let r = Pso::new(PsoConfig::default().with_seed(3))
-            .minimize(&bounds, |x| {
+            .minimize(&bounds, |x, _| {
                 if x[0] < 0.0 {
                     f64::NAN
                 } else {
@@ -382,7 +423,7 @@ mod tests {
     fn all_nan_objective_is_degenerate() {
         let bounds = Bounds::symmetric(1, 1.0).unwrap();
         let err = Pso::new(PsoConfig::default().with_budget(4, 2).with_seed(3))
-            .minimize(&bounds, |_| f64::NAN)
+            .minimize(&bounds, |_, _| f64::NAN)
             .unwrap_err();
         assert_eq!(err, PsoError::DegenerateObjective);
     }
@@ -393,7 +434,7 @@ mod tests {
         let mut cfg = PsoConfig::default().with_budget(8, 500).with_seed(11);
         cfg.stall_iterations = Some(5);
         // Constant objective stalls immediately.
-        let r = Pso::new(cfg).minimize(&bounds, |_| 1.0).unwrap();
+        let r = Pso::new(cfg).minimize(&bounds, |_, _| 1.0).unwrap();
         assert!(r.iterations_run <= 10);
         assert_eq!(r.best_value, 1.0);
     }
@@ -423,7 +464,7 @@ mod tests {
         // Minimise x² subject to x >= 0.3 via penalty.
         let bounds = Bounds::symmetric(1, 2.0).unwrap();
         let r = Pso::new(PsoConfig::default().with_seed(17))
-            .minimize(&bounds, |x| {
+            .minimize(&bounds, |x, _| {
                 let penalty = if x[0] < 0.3 { 1e6 } else { 0.0 };
                 x[0] * x[0] + penalty
             })
@@ -483,7 +524,7 @@ mod tests {
         // PSO should land in (or very near) the global basin at 0.
         let bounds = Bounds::symmetric(1, 5.12).unwrap();
         let r = Pso::new(PsoConfig::default().with_budget(60, 400).with_seed(23))
-            .minimize(&bounds, |x| {
+            .minimize(&bounds, |x, _| {
                 10.0 + x[0] * x[0] - 10.0 * (2.0 * std::f64::consts::PI * x[0]).cos()
             })
             .unwrap();
