@@ -21,8 +21,10 @@
 //!   evaluation under the paper's conservative convention (the reference
 //!   arrives right after the application's last consecutive task), and
 //! * [`synthesize`] — PSO-based gain synthesis with stability and input-
-//!   saturation constraints, with two strategies: direct gain search and
-//!   pole-placement search (Section III's PSO + extended Ackermann), and
+//!   saturation constraints: one method, a direct search over the
+//!   per-task feedback gains (Section III's PSO over pole locations plus
+//!   an extended Ackermann gain match was removed, since at `m = 1` its
+//!   `m·l` gains cannot match the `2l` characteristic coefficients), and
 //! * [`SynthCtx`] — a pool of reusable scratch buffers
 //!   ([`PeriodMapWorkspace`], [`SimWorkspace`], gain/feedforward vectors)
 //!   behind [`synthesize_with`], plus [`LiftedPlant::new_cached`] for
@@ -88,9 +90,7 @@ pub use quantize::{quantization_impact, FixedPointFormat, QuantizationImpact};
 pub use settle::{settling_time, SettlingSpec};
 pub use simulate::{simulate_worst_case, simulate_worst_case_into, Response, SimWorkspace};
 pub use switched::{jsr_bounds, JsrBounds};
-pub use synthesis::{
-    synthesize, synthesize_with, DesignedController, SynthesisConfig, SynthesisStrategy,
-};
+pub use synthesis::{synthesize, synthesize_with, DesignedController, SynthesisConfig};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, ControlError>;

@@ -1,21 +1,17 @@
 //! Controller synthesis: maximise control performance (minimise
 //! worst-case settling time) for a given schedule's timing pattern.
 //!
-//! Two strategies are provided (paper Section III uses PSO for pole
-//! placement and an "extended Ackermann" gain computation; it omits the
-//! details, so both are first-class here):
+//! One method: PSO directly over the `m·l` feedback-gain entries (a
+//! shared-gain warm start of width `l` first when `m > 1`). The objective
+//! simulates the worst-case step response and charges penalties for
+//! instability (`ρ(Φ) ≥ 1`) and input saturation (`|u| > U_max`). It
+//! works for every `m`, including `m = 1`, where the `2l` poles of the
+//! period map exceed the `l` free gain parameters.
 //!
-//! * [`SynthesisStrategy::DirectGain`] — PSO directly over the `m·l`
-//!   feedback-gain entries. The objective simulates the worst-case step
-//!   response and charges penalties for instability (`ρ(Φ) ≥ 1`) and
-//!   input saturation (`|u| > U_max`). Robust for every `m`, including
-//!   `m = 1` where the `2l` poles of the period map exceed the `l` free
-//!   gain parameters and exact placement is impossible.
-//! * [`SynthesisStrategy::PolePlacement`] — PSO over `l` conjugate pole
-//!   pairs of the period map (inside the unit disk); for each candidate
-//!   pole set the structured gains are recovered by damped-Newton matching
-//!   of the closed-loop characteristic polynomial — the general-`m`
-//!   "trivially extended" Ackermann of the paper.
+//! The paper's own method (Section III: PSO over pole locations plus an
+//! "extended Ackermann" gain match) was removed: at `m = 1` its `m·l`
+//! gains cannot match the `2l` characteristic coefficients, so it could
+//! not design the schedules that win.
 //!
 //! Feedforward gains `F_j` always come from the paper's eq. (17) applied
 //! per interval with its total input matrix.
@@ -27,7 +23,7 @@ use crate::{
     settling_time, simulate_worst_case, ControlError, LiftedPlant, Response, Result, SettlingSpec,
     Stability,
 };
-use cacs_linalg::{BitKey, LuDecomposition, Matrix};
+use cacs_linalg::{BitKey, Matrix};
 use cacs_pso::{Bounds, Pso, PsoConfig};
 
 /// Penalty scale for unstable / infeasible candidate designs. Settling
@@ -55,21 +51,9 @@ const MAX_SYNTHESIS_ATTEMPTS: u64 = 3;
 /// same constant the core crate uses for per-app seed derivation).
 const ATTEMPT_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Which synthesis algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SynthesisStrategy {
-    /// PSO directly over the feedback-gain entries (default).
-    #[default]
-    DirectGain,
-    /// PSO over pole locations + Newton gain matching (paper Section III).
-    PolePlacement,
-}
-
 /// Configuration for [`synthesize`].
 #[derive(Debug, Clone)]
 pub struct SynthesisConfig {
-    /// Strategy to use.
-    pub strategy: SynthesisStrategy,
     /// PSO budget and coefficients.
     pub pso: PsoConfig,
     /// Box bound on each gain entry (`|K_j[i]| ≤ gain_bound`).
@@ -89,10 +73,12 @@ pub struct SynthesisConfig {
 
 impl SynthesisConfig {
     /// A reasonable default configuration for a given reference and
-    /// horizon: direct gain search, ±2 % band, margin 0.9999.
+    /// horizon: ±2 % band, margin 0.9999, gain bound 100. The design is
+    /// always the direct gain search; the paper's pole-placement variant
+    /// was removed because its `m·l` gains cannot match the `2l`
+    /// characteristic coefficients when `m = 1`.
     pub fn new(reference: f64, horizon: f64) -> Self {
         SynthesisConfig {
-            strategy: SynthesisStrategy::DirectGain,
             pso: PsoConfig::default(),
             gain_bound: 100.0,
             max_input: None,
@@ -109,10 +95,6 @@ impl SynthesisConfig {
     /// the same plant. Floats enter as raw bit patterns (no rounding, no
     /// float `==`), option presence is encoded explicitly.
     pub fn push_key(&self, key: &mut BitKey) {
-        key.push_u64(match self.strategy {
-            SynthesisStrategy::DirectGain => 0,
-            SynthesisStrategy::PolePlacement => 1,
-        });
         for word in self.pso.key_words() {
             key.push_u64(word);
         }
@@ -269,17 +251,8 @@ fn evaluate_gains_ws(
     // candidate's score never reads ρ, so the certified pre-test skips
     // root-finding; the unstable penalty does read it, so that side (and
     // anything the test cannot certify) gets the exact ρ, unless the
-    // bound lets the unstable certificate settle the comparison. Pole
-    // placement targets poles on the edges of its box (angle 0, radius
-    // 0), i.e. near-repeated poles, where Durand–Kerner does not converge
-    // and the score is the root-finder penalty. Certifying those stable
-    // designs would change its scores, so it tests at radius 0, which
-    // certifies nothing. Its unstable certificate is sound: both the
-    // unstable and the root-finder penalties are at least `PENALTY`.
-    let certify_below = match config.strategy {
-        SynthesisStrategy::DirectGain => config.stability_margin * (1.0 - CERTIFY_BAND),
-        SynthesisStrategy::PolePlacement => 0.0,
-    };
+    // bound lets the unstable certificate settle the comparison.
+    let certify_below = config.stability_margin * (1.0 - CERTIFY_BAND);
     let certify_beyond =
         (bound <= PENALTY).then_some(config.stability_margin * (1.0 + CERTIFY_BAND));
     let rho = match lifted.closed_loop_stability_ws(
@@ -609,11 +582,7 @@ pub fn synthesize_with(
             .pso
             .seed
             .wrapping_add(attempt.wrapping_mul(ATTEMPT_SEED_STRIDE));
-        let result = match attempt_config.strategy {
-            SynthesisStrategy::DirectGain => synthesize_direct(lifted, &attempt_config, ctx),
-            SynthesisStrategy::PolePlacement => synthesize_poles(lifted, &attempt_config, ctx),
-        };
-        match result {
+        match synthesize_direct(lifted, &attempt_config, ctx) {
             Ok(design) => return Ok(design),
             // Only design infeasibility is seed-dependent; configuration
             // and PSO-mechanics errors fail identically on every seed,
@@ -779,215 +748,6 @@ fn finish(
     })
 }
 
-// ---------------------------------------------------------------------
-// Pole-placement strategy (paper-faithful path)
-// ---------------------------------------------------------------------
-
-/// Desired characteristic polynomial coefficients (ascending, without the
-/// leading 1) for `l` conjugate pole pairs parameterised as
-/// `(radius, angle)` each.
-fn desired_charpoly(params: &[f64]) -> Vec<f64> {
-    use cacs_linalg::{Complex, Polynomial};
-    let mut roots = Vec::with_capacity(params.len());
-    for pair in params.chunks(2) {
-        let (r, theta) = (pair[0], pair[1]);
-        roots.push(Complex::from_polar(r, theta));
-        roots.push(Complex::from_polar(r, -theta));
-    }
-    let p = Polynomial::from_roots(&roots);
-    let mut coeffs = p.coeffs().to_vec();
-    coeffs.pop(); // drop the monic leading coefficient
-    coeffs
-}
-
-/// Characteristic-polynomial coefficients of the closed-loop period map
-/// for a flat gain vector (ascending, without the leading 1), built on
-/// the gain, period-map and eigen buffers of `scratch`.
-fn charpoly_of_gains_ws<'s>(
-    lifted: &LiftedPlant,
-    params: &[f64],
-    m: usize,
-    l: usize,
-    scratch: &'s mut SynthScratch,
-) -> Result<&'s [f64]> {
-    write_gain_rows(&mut scratch.gains, params, m, l);
-    lifted.period_map_into(&scratch.gains, &mut scratch.pm)?;
-    let coeffs = scratch.eig.characteristic_polynomial(scratch.pm.phi())?;
-    Ok(&coeffs[..coeffs.len() - 1])
-}
-
-#[cfg(test)]
-fn charpoly_of_gains(lifted: &LiftedPlant, params: &[f64], m: usize, l: usize) -> Result<Vec<f64>> {
-    Ok(charpoly_of_gains_ws(lifted, params, m, l, &mut SynthScratch::new())?.to_vec())
-}
-
-#[cfg(test)]
-fn newton_match_gains(
-    lifted: &LiftedPlant,
-    target: &[f64],
-    m: usize,
-    l: usize,
-) -> Option<Vec<f64>> {
-    newton_match_gains_ws(lifted, target, m, l, &mut SynthScratch::new())
-}
-
-/// Damped Newton iteration matching `charpoly(Φ(K))` to `target`.
-/// Returns the flat gain vector on success. Every residual (`dim + 25`
-/// per iteration at most) reuses `scratch`'s buffers.
-fn newton_match_gains_ws(
-    lifted: &LiftedPlant,
-    target: &[f64],
-    m: usize,
-    l: usize,
-    scratch: &mut SynthScratch,
-) -> Option<Vec<f64>> {
-    let dim = m * l;
-    let n_eq = 2 * l;
-    let mut k = vec![0.0; dim];
-    let scale: f64 = target.iter().map(|c| c.abs()).sum::<f64>().max(1.0);
-
-    let mut residual = |k: &[f64]| -> Option<Vec<f64>> {
-        let c = charpoly_of_gains_ws(lifted, k, m, l, scratch).ok()?;
-        Some(c.iter().zip(target).map(|(a, b)| a - b).collect())
-    };
-
-    let mut res = residual(&k)?;
-    let mut res_norm: f64 = res.iter().map(|r| r * r).sum::<f64>().sqrt();
-
-    // Jacobian buffer and perturbed-gain vector hoisted out of the
-    // iteration: both are fully overwritten every pass, so reusing them
-    // only removes the per-iteration (and per-column, for `kp`)
-    // allocations — 60 × dim clones in the worst case.
-    let mut jac = Matrix::zeros(n_eq, dim);
-    let mut kp = k.clone();
-    let eps = 1e-6;
-
-    for _ in 0..60 {
-        if res_norm < 1e-10 * scale {
-            return Some(k);
-        }
-        // Forward-difference Jacobian (n_eq × dim).
-        for d in 0..dim {
-            kp.copy_from_slice(&k);
-            kp[d] += eps;
-            let rp = residual(&kp)?;
-            for (row, (rpv, rv)) in rp.iter().zip(&res).enumerate() {
-                jac.set(row, d, (rpv - rv) / eps);
-            }
-        }
-        // Solve for the step: least-norm via J Jᵀ when under-determined,
-        // least-squares via QR otherwise; Levenberg damping on the normal
-        // matrix keeps near-singular Jacobians tractable.
-        let neg_res = Matrix::column(&res).scale(-1.0);
-        let step: Vec<f64> = if dim >= n_eq {
-            let jjt = jac.matmul(&jac.transpose()).ok()?;
-            let damped = jjt
-                .add_matrix(&Matrix::identity(n_eq).scale(1e-9 * jjt.norm_inf().max(1.0)))
-                .ok()?;
-            let y = LuDecomposition::new(&damped).ok()?.solve(&neg_res).ok()?;
-            let s = jac.transpose().matmul(&y).ok()?;
-            (0..dim).map(|i| s.get(i, 0)).collect()
-        } else {
-            let qr = cacs_linalg::QrDecomposition::new(&jac).ok()?;
-            let s = qr.solve_least_squares(&neg_res).ok()?;
-            (0..dim).map(|i| s.get(i, 0)).collect()
-        };
-
-        // Backtracking line search.
-        let mut alpha = 1.0;
-        let mut improved = false;
-        for _ in 0..25 {
-            let trial: Vec<f64> = k
-                .iter()
-                .zip(&step)
-                .map(|(kv, sv)| kv + alpha * sv)
-                .collect();
-            if let Some(tr) = residual(&trial) {
-                let tn: f64 = tr.iter().map(|r| r * r).sum::<f64>().sqrt();
-                if tn < res_norm {
-                    k = trial;
-                    res = tr;
-                    res_norm = tn;
-                    improved = true;
-                    break;
-                }
-            }
-            alpha *= 0.5;
-        }
-        if !improved {
-            return None;
-        }
-    }
-    if res_norm < 1e-8 * scale {
-        Some(k)
-    } else {
-        None
-    }
-}
-
-fn synthesize_poles(
-    lifted: &LiftedPlant,
-    config: &SynthesisConfig,
-    ctx: &SynthCtx,
-) -> AttemptResult {
-    let (m, l) = (lifted.tasks(), lifted.state_dim());
-    // l pole pairs: (radius, angle) each, radius below the margin.
-    let mut lower = Vec::with_capacity(2 * l);
-    let mut upper = Vec::with_capacity(2 * l);
-    for _ in 0..l {
-        lower.push(0.0);
-        upper.push(config.stability_margin * 0.98);
-        lower.push(0.0);
-        upper.push(std::f64::consts::PI);
-    }
-    let bounds = Bounds::new(lower, upper).map_err(|e| {
-        AttemptError::fatal(ControlError::SynthesisFailed {
-            reason: format!("bad pole bounds: {e}"),
-        })
-    })?;
-
-    let mut objective = Objective::new(ctx, lifted, config);
-    let result = Pso::new(config.pso).minimize(&bounds, |pole_params, bound| {
-        let target = desired_charpoly(pole_params);
-        let mut scratch = ctx.take();
-        let k = newton_match_gains_ws(lifted, &target, m, l, &mut scratch);
-        ctx.put(scratch);
-        match k {
-            Some(k) => {
-                // Respect the gain box like the direct strategy does.
-                if k.iter().any(|g| g.abs() > config.gain_bound) {
-                    return PENALTY * 0.5;
-                }
-                objective.score(&k, bound)
-            }
-            None => PENALTY * 3.0,
-        }
-    });
-    objective.publish();
-    let result = result.map_err(|e| {
-        AttemptError::fatal(ControlError::SynthesisFailed {
-            reason: format!("PSO failed: {e}"),
-        })
-    })?;
-
-    let target = desired_charpoly(&result.best_position);
-    let mut scratch = ctx.take();
-    let k = newton_match_gains_ws(lifted, &target, m, l, &mut scratch);
-    ctx.put(scratch);
-    let k = k.ok_or_else(|| {
-        AttemptError::seed_dependent(ControlError::SynthesisFailed {
-            reason: "pole-placement gain matching failed for the best pole set".into(),
-        })
-    })?;
-    finish(
-        lifted,
-        config,
-        ctx,
-        &params_to_gains(&k, m, l),
-        result.evaluations,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1083,34 +843,6 @@ mod tests {
         let design = synthesize(&lifted, &config).unwrap();
         assert_eq!(design.gains.len(), 1);
         assert!(design.spectral_radius < 1.0);
-    }
-
-    #[test]
-    fn pole_placement_strategy_works_on_two_task_servo() {
-        let lifted = servo_lifted(&[0.9e-3, 3.2e-3], &[0.9e-3, 0.45e-3]);
-        let mut config = quick_config(0.3);
-        config.strategy = SynthesisStrategy::PolePlacement;
-        config.pso = config.pso.with_budget(12, 25).with_seed(11);
-        let design = synthesize(&lifted, &config).unwrap();
-        assert!(design.spectral_radius < 1.0);
-        assert!(design.settling_time.is_finite());
-    }
-
-    #[test]
-    fn newton_matches_an_achievable_pole_set_exactly() {
-        // Not every pole set is reachable with the structured (per-task)
-        // gain constraint — reachability is a quadratic system. So build a
-        // guaranteed-achievable target from known gains and let Newton
-        // recover a gain set with that exact characteristic polynomial.
-        let lifted = servo_lifted(&[0.9e-3, 3.2e-3], &[0.9e-3, 0.45e-3]);
-        let reference_gains = [-8.0, -0.05, -5.0, -0.02];
-        let target = charpoly_of_gains(&lifted, &reference_gains, 2, 2).unwrap();
-        let k = newton_match_gains(&lifted, &target, 2, 2).expect("newton converged");
-        let achieved = charpoly_of_gains(&lifted, &k, 2, 2).unwrap();
-        let scale: f64 = target.iter().map(|c| c.abs()).sum::<f64>().max(1.0);
-        for (a, t) in achieved.iter().zip(&target) {
-            assert!((a - t).abs() < 1e-7 * scale, "{a} vs {t}");
-        }
     }
 
     #[test]
@@ -1268,11 +1000,6 @@ mod tests {
         let same = key_of(&base);
         assert_eq!(key_of(&base), same);
         let variants: Vec<SynthesisConfig> = vec![
-            {
-                let mut c = base.clone();
-                c.strategy = SynthesisStrategy::PolePlacement;
-                c
-            },
             {
                 let mut c = base.clone();
                 c.pso = c.pso.with_seed(base.pso.seed ^ 1);

@@ -165,7 +165,6 @@ impl CodesignProblem {
             spec.reference,
             spec.params.settling_deadline * self.config().horizon_factor,
         );
-        config.strategy = self.config().strategy;
         config.pso = self.config().pso_for(app, schedule.counts());
         config.max_input = Some(spec.umax);
         config.settling = self.config().settling;
@@ -456,6 +455,87 @@ mod tests {
         let other = Schedule::new(vec![2, 2, 2]).unwrap();
         problem.evaluate_schedule_ctx(&other, &ctx).unwrap();
         assert_eq!(ctx.app_cache_misses(), 6);
+    }
+
+    /// Every number an evaluation reports, as bit patterns.
+    fn evaluation_bits(eval: &ScheduleEvaluation) -> Vec<u64> {
+        let mut bits = vec![eval.overall_performance.map_or(u64::MAX, f64::to_bits)];
+        for app in &eval.apps {
+            let c = &app.controller;
+            let scalars = [
+                app.settling_time,
+                app.performance,
+                c.settling_time,
+                c.max_input,
+                c.spectral_radius,
+            ];
+            let gains = c.gains.iter().flat_map(|g| g.as_slice());
+            let values = scalars.iter().chain(&c.feedforwards).chain(gains);
+            bits.extend(values.map(|v| v.to_bits()));
+            bits.push(c.evaluations as u64);
+        }
+        bits
+    }
+
+    #[test]
+    fn every_evaluation_config_field_reaches_the_app_cache_key() {
+        // One shared context serves problems that differ in a single
+        // EvaluationConfig field each: every variant must miss the cache
+        // for all three apps (no false sharing through the key) and
+        // evaluate bit-identically to a fresh context.
+        let study = paper_case_study().unwrap();
+        let base = EvaluationConfig::fast();
+        let variants = [
+            EvaluationConfig {
+                seed: base.seed ^ 1,
+                ..base
+            },
+            EvaluationConfig {
+                settling: cacs_control::SettlingSpec { band: 0.05 },
+                ..base
+            },
+            EvaluationConfig {
+                horizon_factor: base.horizon_factor + 0.5,
+                ..base
+            },
+            EvaluationConfig {
+                gain_bound_factor: base.gain_bound_factor * 0.8,
+                ..base
+            },
+            EvaluationConfig {
+                pso_particles: base.pso_particles - 4,
+                ..base
+            },
+            EvaluationConfig {
+                pso_iterations: base.pso_iterations - 20,
+                ..base
+            },
+            EvaluationConfig {
+                pso_stall: None,
+                ..base
+            },
+        ];
+        let shared = EvalCtx::cached();
+        let s = Schedule::round_robin(3).unwrap();
+        CodesignProblem::from_case_study(&study, base)
+            .unwrap()
+            .evaluate_schedule_ctx(&s, &shared)
+            .unwrap();
+        assert_eq!(shared.app_cache_misses(), 3);
+        for (i, config) in variants.into_iter().enumerate() {
+            let problem = CodesignProblem::from_case_study(&study, config).unwrap();
+            let on_shared = problem.evaluate_schedule_ctx(&s, &shared).unwrap();
+            assert_eq!(shared.app_cache_hits(), 0, "variant {i}");
+            assert_eq!(shared.app_cache_misses(), 3 * (i as u64 + 2), "variant {i}");
+            let on_fresh = problem
+                .evaluate_schedule_ctx(&s, &EvalCtx::cached())
+                .unwrap();
+            assert_eq!(
+                evaluation_bits(&on_shared),
+                evaluation_bits(&on_fresh),
+                "variant {i}"
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::{CoreError, EvalCtx, Result};
 use cacs_apps::CaseStudy;
 use cacs_cache::{analyze_consecutive, CacheConfig, Program};
-use cacs_control::{ContinuousLti, SettlingSpec, SynthesisStrategy};
+use cacs_control::{ContinuousLti, SettlingSpec};
 use cacs_pso::PsoConfig;
 use cacs_sched::{validate_weights, AppParams, ExecTimes};
 use std::sync::Arc;
@@ -24,6 +24,11 @@ pub struct AppSpec {
 }
 
 /// Budget and determinism knobs for the stage-1 controller synthesis.
+///
+/// Every application is designed by the direct gain search of
+/// [`cacs_control::synthesize`]. The paper's pole-placement variant was
+/// removed: at `m = 1` its `m·l` gains cannot match the `2l`
+/// characteristic coefficients of the period map.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvaluationConfig {
     /// PSO particles per application design.
@@ -35,8 +40,6 @@ pub struct EvaluationConfig {
     /// Base RNG seed; each (application, schedule) pair derives its own
     /// deterministic seed from it.
     pub seed: u64,
-    /// Synthesis strategy (direct gain search by default).
-    pub strategy: SynthesisStrategy,
     /// Settling band (±2 % by default).
     pub settling: SettlingSpec,
     /// Simulation horizon as a multiple of each application's settling
@@ -56,7 +59,6 @@ impl Default for EvaluationConfig {
             pso_iterations: 160,
             pso_stall: Some(50),
             seed: 0xDA7E_2018,
-            strategy: SynthesisStrategy::DirectGain,
             settling: SettlingSpec::two_percent(),
             horizon_factor: 2.0,
             gain_bound_factor: 2.5,

@@ -8,7 +8,7 @@
 //!   usual arithmetic operators,
 //! * [`LuDecomposition`] — LU with partial pivoting (solve / inverse /
 //!   determinant),
-//! * [`QrDecomposition`] — Householder QR (least squares / rank),
+//! * [`QrDecomposition`] — Householder QR (numerical rank),
 //! * [`expm`] / [`expm_with_integral`] — matrix exponential by scaling and
 //!   squaring with a Padé(13) approximant, plus the zero-order-hold
 //!   integral `Ψ(t) = ∫₀ᵗ e^{As} ds` needed for discretisation, with

@@ -8,8 +8,8 @@ use std::fmt;
 /// A polynomial with real coefficients stored in **ascending** order:
 /// `p(x) = c[0] + c[1]·x + … + c[n]·xⁿ`.
 ///
-/// Used for characteristic polynomials, desired pole polynomials
-/// (Ackermann's formula) and the gain-matching solver.
+/// Used for characteristic polynomials and desired pole polynomials
+/// (Ackermann's formula).
 ///
 /// # Example
 ///

@@ -7,8 +7,8 @@ use crate::{LinalgError, Matrix, Result};
 
 /// QR decomposition `A = Q·R` by Householder reflections.
 ///
-/// Supports rectangular `m × n` matrices with `m ≥ n`; used for least
-/// squares and numerical rank (controllability tests).
+/// Supports rectangular `m × n` matrices with `m ≥ n`; used for the
+/// numerical rank of controllability tests.
 ///
 /// # Example
 ///
@@ -116,45 +116,6 @@ impl QrDecomposition {
             .filter(|&i| self.r.get(i, i).abs() > tol * max_diag)
             .count()
     }
-
-    /// Solves the least-squares problem `min ‖A·x − b‖₂`.
-    ///
-    /// # Errors
-    ///
-    /// * [`LinalgError::DimensionMismatch`] if `b.rows() != a.rows()`.
-    /// * [`LinalgError::Singular`] if `R` has a (numerically) zero diagonal
-    ///   entry, i.e. `A` is rank deficient.
-    pub fn solve_least_squares(&self, b: &Matrix) -> Result<Matrix> {
-        let (m, n) = self.r.shape();
-        if b.rows() != m {
-            return Err(LinalgError::DimensionMismatch {
-                operation: "QR least squares",
-                left: (m, n),
-                right: b.shape(),
-            });
-        }
-        // x solves R[0..n,0..n] x = (Qᵀ b)[0..n].
-        let qtb = self.q.transpose().matmul(b)?;
-        let cols = b.cols();
-        let mut x = Matrix::zeros(n, cols);
-        let max_diag = (0..n)
-            .map(|i| self.r.get(i, i).abs())
-            .fold(0.0_f64, f64::max);
-        for i in (0..n).rev() {
-            let d = self.r.get(i, i);
-            if d.abs() < 1e-13 * max_diag.max(1.0) {
-                return Err(LinalgError::Singular);
-            }
-            for j in 0..cols {
-                let mut v = qtb.get(i, j);
-                for k in (i + 1)..n {
-                    v -= self.r.get(i, k) * x.get(k, j);
-                }
-                x.set(i, j, v / d);
-            }
-        }
-        Ok(x)
-    }
 }
 
 #[cfg(test)]
@@ -209,41 +170,8 @@ mod tests {
     }
 
     #[test]
-    fn least_squares_line_fit() {
-        // Fit y = a + b t through (0,1), (1,3), (2,5): exact a=1, b=2.
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[1.0, 2.0]]).unwrap();
-        let b = Matrix::column(&[1.0, 3.0, 5.0]);
-        let qr = QrDecomposition::new(&a).unwrap();
-        let x = qr.solve_least_squares(&b).unwrap();
-        assert!((x.get(0, 0) - 1.0).abs() < 1e-12);
-        assert!((x.get(1, 0) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn least_squares_with_residual() {
-        // Points not on a line: (0,0), (1,1), (2,1). LSQ: b = 0.5, a = 1/6.
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[1.0, 2.0]]).unwrap();
-        let b = Matrix::column(&[0.0, 1.0, 1.0]);
-        let qr = QrDecomposition::new(&a).unwrap();
-        let x = qr.solve_least_squares(&b).unwrap();
-        assert!((x.get(0, 0) - 1.0 / 6.0).abs() < 1e-12);
-        assert!((x.get(1, 0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn wide_matrix_rejected() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0]]).unwrap();
         assert!(QrDecomposition::new(&a).is_err());
-    }
-
-    #[test]
-    fn rank_deficient_least_squares_errors() {
-        let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0], &[1.0, 1.0]]).unwrap();
-        let qr = QrDecomposition::new(&a).unwrap();
-        let b = Matrix::column(&[1.0, 2.0, 3.0]);
-        assert!(matches!(
-            qr.solve_least_squares(&b),
-            Err(LinalgError::Singular)
-        ));
     }
 }

@@ -2,8 +2,10 @@
 //!
 //! The paper uses PSO for pole placement (Section III, citing \[14\]) but
 //! omits the details. This crate provides a deterministic, seedable,
-//! box-bounded PSO minimiser that the control crate uses both for
-//! pole-location search and for direct gain synthesis.
+//! box-bounded PSO minimiser that the control crate uses for its one
+//! synthesis method, a direct search over the feedback gains. (The
+//! paper's pole-location search was removed: at `m = 1` its `m·l` gains
+//! cannot match the `2l` characteristic coefficients.)
 //!
 //! # Determinism
 //!
