@@ -8,8 +8,10 @@
 //! simulation trace and a feedforward vector.
 //! [`SynthCtx`] keeps finished [`SynthScratch`] sets in a pool behind a
 //! poison-tolerant mutex ([`cacs_par::sync::lock_recover`]): each
-//! objective call pops one (or builds a fresh one on first use /
-//! under peak parallelism), works on it, and pushes it back.
+//! synthesis pops one (or builds a fresh one on first use / under peak
+//! parallelism), runs every objective call of its attempts and the
+//! final design check on it, and pushes it back, so the mutex is taken
+//! twice per synthesis rather than per objective call.
 //!
 //! Scratch reuse is *not* a cache — no computation is skipped and every
 //! buffer is fully overwritten before use — so results are
@@ -24,7 +26,7 @@ use cacs_linalg::{EigWorkspace, Matrix};
 use cacs_par::sync::lock_recover;
 use std::sync::Mutex;
 
-/// Every per-objective-call buffer a synthesis evaluation needs.
+/// Every buffer an objective call of a synthesis needs.
 ///
 /// Buffers adapt to the plant dimensions on first use and are reused
 /// verbatim afterwards; a scratch set can serve apps of different
@@ -94,7 +96,7 @@ impl SynthCtx {
         }
     }
 
-    /// Returns a scratch set to the pool for the next objective call.
+    /// Returns a scratch set to the pool for the next synthesis.
     pub(crate) fn put(&self, scratch: SynthScratch) {
         lock_recover(&self.pool).push(scratch);
     }

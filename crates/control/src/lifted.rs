@@ -378,7 +378,9 @@ impl LiftedPlant {
     /// The Schur–Cohn test is exact only in exact arithmetic (see the
     /// `cacs_linalg` eigen module docs). To certify against a bound `r`,
     /// pass `certify_below` a small relative band under `r` and
-    /// `certify_beyond` the same band above it.
+    /// `certify_beyond` the same band above it. The two radii need not
+    /// share a bound: `certify_beyond` may be any radius, e.g. the one
+    /// a caller's score must clear, not only the stability margin.
     ///
     /// # Errors
     ///

@@ -33,12 +33,18 @@ const PENALTY: f64 = 1.0e4;
 /// Relative safety band of the certified stability tests. The
 /// objective certifies a candidate stable by a Schur–Cohn test at radius
 /// `stability_margin·(1 − CERTIFY_BAND)`, certifies it unstable by a
-/// failed test at `stability_margin·(1 + CERTIFY_BAND)`, and root-finds
-/// only when neither applies. Rounding in the test can only misjudge
-/// roots very close to its radius, so the band keeps a certified root
-/// clear of the margin; it is a property of the test's arithmetic, not a
-/// tuning knob.
+/// failed test at `r·(1 + CERTIFY_BAND)` for the radius `r` its bound
+/// asks for (the margin, or a [`penalty_radius`]), and root-finds only
+/// when neither applies. Rounding in the test can only misjudge roots
+/// very close to its radius, so the band keeps a certified root clear of
+/// `r`; it is a property of the test's arithmetic, not a tuning knob.
 const CERTIFY_BAND: f64 = 1e-3;
+
+/// The largest `ρ(Φ)` the unstable score tells apart: an unstable
+/// design scores `PENALTY·(1 + ρ.min(MAX_SCORED_RHO))`, and one whose
+/// `ρ` is non-finite or cannot be found scores `PENALTY·(1 +
+/// MAX_SCORED_RHO)`.
+const MAX_SCORED_RHO: f64 = 1e6;
 
 /// How many deterministic restarts [`synthesize`] attempts when a PSO
 /// run ends without a feasible design. Each retry re-seeds the swarm
@@ -176,8 +182,12 @@ impl DesignedController {
 /// Why an objective call stopped short of its exact score.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Abandon {
-    /// Certified unstable: the score is in the penalty class.
+    /// Certified unstable beyond the stability margin, against a bound
+    /// `≤ PENALTY`.
     Unstable,
+    /// Certified unstable beyond the penalty radius of a bound
+    /// `> PENALTY` ([`penalty_radius`]).
+    UnstableBeyondBound,
     /// The worst-case simulation's running lower bound reached the bound.
     Simulation,
 }
@@ -208,6 +218,29 @@ fn saturation_penalty(config: &SynthesisConfig, max_input: f64) -> f64 {
     }
 }
 
+/// The radius an unstable certificate must clear for a candidate to
+/// score at least `bound` when the bound is in the penalty class
+/// (`> PENALTY`, e.g. a particle best that is itself unstable): the
+/// smallest `r ≥ margin`, up to ulps, with `PENALTY·(1 + r) ≥ bound` in
+/// floating point. `None` when no such `r` lies within
+/// [`MAX_SCORED_RHO`] (a non-finite bound included): only the exact
+/// path can then answer.
+fn penalty_radius(bound: f64, margin: f64) -> Option<f64> {
+    let mut s = bound / PENALTY;
+    if s.is_nan() || s > 1.0 + MAX_SCORED_RHO {
+        return None;
+    }
+    // Climb `s = 1 + r` by ulps until its score reaches the bound. Below
+    // 2⁵³, `s − 1` is exact and `1 + (s − 1)` gives `s` back, so the
+    // score of `r` is the score just checked; a larger margin only
+    // raises it.
+    while PENALTY * s < bound {
+        s = s.next_up();
+    }
+    let r = (s - 1.0).max(margin);
+    (r <= MAX_SCORED_RHO).then_some(r)
+}
+
 /// Scores one gain set on reusable buffers, under the PSO bound
 /// contract ([`Pso::minimize`]): the score is exact whenever it is below
 /// `bound`, and once the evaluation proves the exact score is at or
@@ -216,10 +249,22 @@ fn saturation_penalty(config: &SynthesisConfig, max_input: f64) -> f64 {
 ///
 /// Two early exits, both sound for any finite bound:
 ///
-/// * **Unstable certificate** (bound `≤ PENALTY`): every unstable or
-///   root-finder-failure score is at least `PENALTY`, so a Schur–Cohn
-///   certificate of a root beyond the margin settles the comparison
-///   without Durand–Kerner.
+/// * **Unstable certificate**, at one of two radii, settles the
+///   comparison by a Schur–Cohn test without Durand–Kerner:
+///   - bound `≤ PENALTY`: every unstable or root-finder-failure score
+///     is at least `PENALTY`, so a root certified beyond the margin
+///     suffices, and the call answers `PENALTY`;
+///   - bound `> PENALTY` (a particle best that is itself penalised): a
+///     root certified beyond the bound's [`penalty_radius`] `r` proves
+///     `ρ ≥ r ≥ margin`, so the candidate is unstable and its exact
+///     score, `PENALTY·(1 + ρ.min(MAX_SCORED_RHO))` or `PENALTY·(1 +
+///     MAX_SCORED_RHO)` if the root finder fails, is at least
+///     `PENALTY·(1 + r) ≥ bound`: the score only grows with `ρ`, `r`
+///     never exceeds the cap, and rounded addition and multiplication
+///     keep that order. The call answers `PENALTY·(1 + r)`. This holds
+///     whatever term made the bound exceed `PENALTY` (instability,
+///     saturation, feedforward or simulation failure), since only `r`,
+///     not the bound's origin, enters the argument.
 /// * **Simulation cut**: while the worst-case simulation runs, the
 ///   saturation term of the running `max |u|` plus the next sampling
 ///   instant after the latest out-of-band sample (capped at the
@@ -251,16 +296,22 @@ fn evaluate_gains_ws(
     // candidate's score never reads ρ, so the certified pre-test skips
     // root-finding; the unstable penalty does read it, so that side (and
     // anything the test cannot certify) gets the exact ρ, unless the
-    // bound lets the unstable certificate settle the comparison.
+    // bound lets the unstable certificate settle the comparison: the
+    // radius a certified root must clear, the score it then proves and
+    // the kind of exit.
     let certify_below = config.stability_margin * (1.0 - CERTIFY_BAND);
-    let certify_beyond =
-        (bound <= PENALTY).then_some(config.stability_margin * (1.0 + CERTIFY_BAND));
+    let unstable_exit = if bound <= PENALTY {
+        Some((config.stability_margin, PENALTY, Abandon::Unstable))
+    } else {
+        penalty_radius(bound, config.stability_margin)
+            .map(|r| (r, PENALTY * (1.0 + r), Abandon::UnstableBeyondBound))
+    };
     let rho = match lifted.closed_loop_stability_ws(
         gains,
         &mut scratch.pm,
         &mut scratch.eig,
         certify_below,
-        certify_beyond,
+        unstable_exit.map(|(r, ..)| r * (1.0 + CERTIFY_BAND)),
     ) {
         Ok(Stability::CertifiedBelow) => {
             // Debug builds hold every certificate to the exact path.
@@ -272,16 +323,19 @@ fn evaluate_gains_ws(
             None
         }
         Ok(Stability::CertifiedBeyond) => {
+            let (_, score, abandon) =
+                unstable_exit.expect("an unstable certificate needs a radius");
             return Evaluation {
-                abandoned: Some(Abandon::Unstable),
-                ..infeasible(PENALTY)
+                abandoned: Some(abandon),
+                ..infeasible(score)
             };
         }
         Ok(Stability::Exact(rho)) if !rho.is_finite() || rho >= config.stability_margin => {
-            return infeasible(PENALTY * (1.0 + rho.min(1e6)));
+            return infeasible(PENALTY * (1.0 + rho.min(MAX_SCORED_RHO)));
         }
         Ok(Stability::Exact(rho)) => Some(rho),
-        Err(_) => return infeasible(10.0 * PENALTY),
+        // A ρ the root finder cannot find scores like a non-finite one.
+        Err(_) => return infeasible(PENALTY * (1.0 + MAX_SCORED_RHO)),
     };
 
     // Feedforward gains per task (paper eq. (17)), with the precomputed
@@ -410,45 +464,51 @@ fn write_gain_rows(gains: &mut Vec<Matrix>, params: &[f64], m: usize, l: usize) 
     }
 }
 
-/// The PSO objective of one search phase: pool-backed, bounded scoring
-/// of parameter vectors, with local tallies of the abandoned calls.
+/// The PSO objective of one synthesis attempt: bounded scoring of
+/// parameter vectors on one scratch set, with local tallies of the
+/// abandoned calls.
 struct Objective<'a> {
-    ctx: &'a SynthCtx,
     lifted: &'a LiftedPlant,
     config: &'a SynthesisConfig,
+    scratch: &'a mut SynthScratch,
     m: usize,
     l: usize,
-    abandoned_unstable: u64,
-    abandoned_simulation: u64,
+    /// Abandoned calls since the last publish, indexed by [`Abandon`].
+    abandoned: [u64; 3],
 }
 
 #[cfg(test)]
 thread_local! {
     /// Test switch: score every objective call exactly (bound `+∞`).
     static EXACT_OBJECTIVE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-    /// Abandoned calls published on this thread: `[unstable, simulation]`.
-    static ABANDONED_CALLS: std::cell::Cell<[u64; 2]> = const { std::cell::Cell::new([0; 2]) };
+    /// Abandoned calls published on this thread, indexed by [`Abandon`]:
+    /// `[unstable, unstable beyond bound, simulation]`.
+    static ABANDONED_CALLS: std::cell::Cell<[u64; 3]> = const { std::cell::Cell::new([0; 3]) };
 }
 
 impl<'a> Objective<'a> {
-    fn new(ctx: &'a SynthCtx, lifted: &'a LiftedPlant, config: &'a SynthesisConfig) -> Self {
+    /// An objective scoring every call on `scratch`.
+    fn new(
+        lifted: &'a LiftedPlant,
+        config: &'a SynthesisConfig,
+        scratch: &'a mut SynthScratch,
+    ) -> Self {
         Objective {
-            ctx,
             lifted,
             config,
+            scratch,
             m: lifted.tasks(),
             l: lifted.state_dim(),
-            abandoned_unstable: 0,
-            abandoned_simulation: 0,
+            abandoned: [0; 3],
         }
     }
 
     /// Scores `params` (the flat `m·l` per-task gains or one shared row
-    /// of width `l`) under the PSO bound contract: takes a scratch set
-    /// from the context, materialises the gains into its reusable
-    /// matrices, and returns both to the pool. It is a pure function of
-    /// `(params, bound)` (the scratch contents are fully overwritten), so
-    /// which scratch set it gets is unobservable.
+    /// of width `l`) under the PSO bound contract: materialises the
+    /// gains into the scratch set's reusable matrices and evaluates
+    /// them there. It is a pure function of `(params, bound)` (the
+    /// scratch contents are fully overwritten), so which scratch set the
+    /// objective holds is unobservable.
     ///
     /// Debug builds re-score every abandoned call exactly and check that
     /// the exact score does reach the bound.
@@ -459,23 +519,15 @@ impl<'a> Objective<'a> {
         } else {
             bound
         };
-        let mut scratch = self.ctx.take();
+        let scratch = &mut *self.scratch;
         let mut gains = std::mem::take(&mut scratch.gains);
         write_gain_rows(&mut gains, params, self.m, self.l);
-        let eval = evaluate_gains_ws(self.lifted, &gains, self.config, bound, &mut scratch);
+        let eval = evaluate_gains_ws(self.lifted, &gains, self.config, bound, scratch);
         if let Some(abandon) = eval.abandoned {
-            match abandon {
-                Abandon::Unstable => self.abandoned_unstable += 1,
-                Abandon::Simulation => self.abandoned_simulation += 1,
-            }
+            self.abandoned[abandon as usize] += 1;
             if cfg!(debug_assertions) {
-                let exact = evaluate_gains_ws(
-                    self.lifted,
-                    &gains,
-                    self.config,
-                    f64::INFINITY,
-                    &mut scratch,
-                );
+                let exact =
+                    evaluate_gains_ws(self.lifted, &gains, self.config, f64::INFINITY, scratch);
                 assert!(
                     eval.score >= bound && exact.score >= bound,
                     "{abandon:?} cut at {} below its bound {bound}: exact score {}",
@@ -485,26 +537,26 @@ impl<'a> Objective<'a> {
             }
         }
         scratch.gains = gains;
-        self.ctx.put(scratch);
         eval.score
     }
 
     /// Adds the phase's abandoned-call tallies to the metrics registry
     /// (once per phase: a per-call update would cost more than the
-    /// observability budget allows) and resets them.
+    /// observability budget allows) and resets them. Both unstable
+    /// certificates count as `pso.abandoned_unstable`.
     fn publish(&mut self) {
-        cacs_obs::metrics::PSO_ABANDONED_UNSTABLE.add(self.abandoned_unstable);
-        cacs_obs::metrics::PSO_ABANDONED_SIM.add(self.abandoned_simulation);
+        let [unstable, beyond_bound, simulation] = self.abandoned;
+        cacs_obs::metrics::PSO_ABANDONED_UNSTABLE.add(unstable + beyond_bound);
+        cacs_obs::metrics::PSO_ABANDONED_SIM.add(simulation);
         #[cfg(test)]
         ABANDONED_CALLS.with(|c| {
-            let [unstable, simulation] = c.get();
-            c.set([
-                unstable + self.abandoned_unstable,
-                simulation + self.abandoned_simulation,
-            ]);
+            let mut total = c.get();
+            for (t, n) in total.iter_mut().zip(self.abandoned) {
+                *t += n;
+            }
+            c.set(total);
         });
-        self.abandoned_unstable = 0;
-        self.abandoned_simulation = 0;
+        self.abandoned = [0; 3];
     }
 }
 
@@ -556,11 +608,13 @@ pub fn synthesize(lifted: &LiftedPlant, config: &SynthesisConfig) -> Result<Desi
 
 /// [`synthesize`] with an explicit scratch-buffer context.
 ///
-/// The context's pool feeds every PSO objective call, so a long-lived
-/// [`SynthCtx`] (e.g. one per evaluation worker) amortises the per-call
-/// gain/period-map/simulation allocations across an entire schedule
-/// sweep. Results are bit-identical to [`synthesize`] — scratch reuse
-/// skips no computation.
+/// The synthesis takes one scratch set from the context's pool, runs
+/// every PSO objective call and the final design check on it, and
+/// returns it, so a long-lived [`SynthCtx`] (e.g. one shared by the
+/// lanes of a sweep) amortises the gain/period-map/simulation
+/// allocations across an entire schedule sweep. Results are
+/// bit-identical to [`synthesize`] — scratch reuse skips no
+/// computation.
 ///
 /// # Errors
 ///
@@ -572,6 +626,19 @@ pub fn synthesize_with(
 ) -> Result<DesignedController> {
     config.validate()?;
     let _t = cacs_obs::time(&cacs_obs::metrics::SYNTHESIS_NS);
+    let mut scratch = ctx.take();
+    let design = synthesize_attempts(lifted, config, &mut scratch);
+    ctx.put(scratch);
+    design
+}
+
+/// The retry chain of [`synthesize_with`]; every attempt scores and
+/// finishes its design on `scratch`.
+fn synthesize_attempts(
+    lifted: &LiftedPlant,
+    config: &SynthesisConfig,
+    scratch: &mut SynthScratch,
+) -> Result<DesignedController> {
     let mut last_err = None;
     for attempt in 0..MAX_SYNTHESIS_ATTEMPTS {
         if attempt > 0 {
@@ -582,7 +649,7 @@ pub fn synthesize_with(
             .pso
             .seed
             .wrapping_add(attempt.wrapping_mul(ATTEMPT_SEED_STRIDE));
-        match synthesize_direct(lifted, &attempt_config, ctx) {
+        match synthesize_direct(lifted, &attempt_config, scratch) {
             Ok(design) => return Ok(design),
             // Only design infeasibility is seed-dependent; configuration
             // and PSO-mechanics errors fail identically on every seed,
@@ -625,7 +692,7 @@ type AttemptResult = std::result::Result<DesignedController, AttemptError>;
 fn synthesize_direct(
     lifted: &LiftedPlant,
     config: &SynthesisConfig,
-    ctx: &SynthCtx,
+    scratch: &mut SynthScratch,
 ) -> AttemptResult {
     let (m, l) = (lifted.tasks(), lifted.state_dim());
     let map_err = |e: cacs_pso::PsoError| {
@@ -634,7 +701,7 @@ fn synthesize_direct(
         })
     };
     let mut evaluations = 0usize;
-    let mut objective = Objective::new(ctx, lifted, config);
+    let mut objective = Objective::new(lifted, config, scratch);
 
     // Phase A (m > 1): search the l-dimensional shared-gain subspace
     // (every task uses the same K). This cheap warm start makes the full
@@ -688,7 +755,7 @@ fn synthesize_direct(
     finish(
         lifted,
         config,
-        ctx,
+        objective.scratch,
         &params_to_gains(&result.best_position, m, l),
         evaluations,
     )
@@ -700,18 +767,16 @@ fn synthesize_direct(
 fn finish(
     lifted: &LiftedPlant,
     config: &SynthesisConfig,
-    ctx: &SynthCtx,
+    scratch: &mut SynthScratch,
     gains: &[Matrix],
     evaluations: usize,
 ) -> AttemptResult {
-    let mut scratch = ctx.take();
-    let eval = evaluate_gains_ws(lifted, gains, config, f64::INFINITY, &mut scratch);
+    let eval = evaluate_gains_ws(lifted, gains, config, f64::INFINITY, scratch);
     // The design reports its exact ρ even when the objective certified it.
     let rho = eval
         .rho
         .unwrap_or_else(|| scratch.eig.root_radius().unwrap_or(f64::INFINITY));
     let feedforwards = scratch.feedforwards.clone();
-    ctx.put(scratch);
     if !rho.is_finite() || rho >= config.stability_margin {
         return Err(AttemptError::seed_dependent(
             ControlError::SynthesisFailed {
@@ -921,16 +986,16 @@ mod tests {
 
     /// Synthesises with the bounded objective, then with every
     /// objective call scored exactly; returns both outcomes and the
-    /// bounded run's abandoned calls, `[unstable, simulation]`.
+    /// bounded run's abandoned calls, indexed by [`Abandon`].
     fn bounded_and_exact(
         lifted: &LiftedPlant,
         config: &SynthesisConfig,
     ) -> (
         Result<DesignedController>,
         Result<DesignedController>,
-        [u64; 2],
+        [u64; 3],
     ) {
-        ABANDONED_CALLS.with(|c| c.set([0; 2]));
+        ABANDONED_CALLS.with(|c| c.set([0; 3]));
         let bounded = synthesize(lifted, config);
         let abandoned = ABANDONED_CALLS.with(std::cell::Cell::get);
         EXACT_OBJECTIVE.with(|c| c.set(true));
@@ -948,7 +1013,7 @@ mod tests {
             servo_lifted(&[0.9e-3, 3.2e-3], &[0.9e-3, 0.45e-3]),
             servo_lifted(&[0.9e-3, 0.45e-3, 1.4e-3], &[0.9e-3, 0.45e-3, 0.45e-3]),
         ];
-        let mut abandoned = [0u64; 2];
+        let mut abandoned = [0u64; 3];
         let mut saturated_designs = 0;
         for lifted in &plants {
             // Without a limit, and with one tight enough that the swarm
@@ -959,8 +1024,9 @@ mod tests {
                 config.max_input = max_input;
                 let what = format!("m = {}, max_input {max_input:?}", lifted.tasks());
                 let (bounded, exact, cut) = bounded_and_exact(lifted, &config);
-                abandoned[0] += cut[0];
-                abandoned[1] += cut[1];
+                for (total, n) in abandoned.iter_mut().zip(cut) {
+                    *total += n;
+                }
                 let (bounded, exact) = (bounded.unwrap(), exact.unwrap());
                 assert_eq!(bounded.gains.len(), exact.gains.len(), "{what}");
                 for (a, b) in bounded.gains.iter().zip(&exact.gains) {
@@ -984,9 +1050,37 @@ mod tests {
                 }
             }
         }
-        // Both early exits ran, and the limit did bind on some designs.
-        assert!(abandoned[0] > 0 && abandoned[1] > 0, "{abandoned:?}");
+        // Every early exit ran (both certificate radii and the
+        // simulation cut), and the limit did bind on some designs.
+        assert!(abandoned.iter().all(|&n| n > 0), "{abandoned:?}");
         assert!(saturated_designs > 0);
+    }
+
+    #[test]
+    fn penalty_radius_reaches_its_bound_within_the_cap() {
+        let margin = SynthesisConfig::new(1.0, 0.1).stability_margin;
+        let cap = PENALTY * (1.0 + MAX_SCORED_RHO);
+        for bound in [
+            PENALTY,
+            PENALTY.next_up(),
+            PENALTY * (1.0 + margin),
+            2.0 * PENALTY,
+            10.0 * PENALTY,
+            PENALTY * (1.0 + 3.7),
+            cap,
+        ] {
+            let r = penalty_radius(bound, margin).unwrap_or_else(|| panic!("bound {bound}"));
+            assert!(r >= margin, "bound {bound}: r {r}");
+            assert!(PENALTY * (1.0 + r) >= bound, "bound {bound}: r {r}");
+            assert!(r <= MAX_SCORED_RHO, "bound {bound}: r {r}");
+        }
+        // Bounds the margin already clears certify at the margin itself.
+        assert_eq!(penalty_radius(PENALTY, margin), Some(margin));
+        // Past the cap, and at +∞ (an initial-swarm call), no radius
+        // settles the comparison; neither does a NaN bound.
+        for bound in [cap.next_up(), f64::INFINITY, f64::NAN] {
+            assert_eq!(penalty_radius(bound, margin), None, "bound {bound}");
+        }
     }
 
     #[test]

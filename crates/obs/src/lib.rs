@@ -439,8 +439,9 @@ registry! {
         EVAL_EXACT_EVALS => "eval.exact_evals",
         // Whole-schedule evaluations through CodesignProblem.
         EVAL_SCHEDULES => "eval.schedules",
-        // Objective-call scratch buffers served from the EvalCtx pool
-        // instead of freshly allocated.
+        // Synthesis scratch sets served from the SynthCtx pool instead
+        // of freshly allocated (one per controller synthesis, which
+        // runs all its objective calls on that set).
         EVAL_SCRATCH_REUSES => "eval.scratch_reuses",
         EVAL_SCREEN_EVALS => "eval.screen_evals",
         EVAL_SCREEN_SURVIVORS => "eval.screen_survivors",

@@ -89,16 +89,13 @@ impl PsoConfig {
                 parameter: "iterations must be at least 1",
             });
         }
-        for (v, name) in [
-            (self.inertia, "inertia"),
-            (self.cognitive, "cognitive"),
-            (self.social, "social"),
+        for (v, parameter) in [
+            (self.inertia, "inertia must be finite and non-negative"),
+            (self.cognitive, "cognitive must be finite and non-negative"),
+            (self.social, "social must be finite and non-negative"),
         ] {
             if !v.is_finite() || v < 0.0 {
-                let _ = name;
-                return Err(PsoError::InvalidConfig {
-                    parameter: "coefficients must be finite and non-negative",
-                });
+                return Err(PsoError::InvalidConfig { parameter });
             }
         }
         Ok(())
@@ -457,6 +454,27 @@ mod tests {
             ..PsoConfig::default()
         };
         assert!(Pso::new(cfg).minimize(&bounds, sphere).is_err());
+    }
+
+    #[test]
+    fn bad_coefficient_is_named() {
+        let bounds = Bounds::symmetric(1, 1.0).unwrap();
+        for name in ["inertia", "cognitive", "social"] {
+            for bad in [-0.5, f64::NAN, f64::INFINITY] {
+                let mut cfg = PsoConfig::default();
+                *match name {
+                    "inertia" => &mut cfg.inertia,
+                    "cognitive" => &mut cfg.cognitive,
+                    _ => &mut cfg.social,
+                } = bad;
+                let err = Pso::new(cfg).minimize(&bounds, sphere).unwrap_err();
+                assert!(
+                    matches!(err, PsoError::InvalidConfig { parameter } if parameter.starts_with(name)),
+                    "{name} = {bad}: {err}"
+                );
+                assert!(err.to_string().contains(name), "{err}");
+            }
+        }
     }
 
     #[test]
