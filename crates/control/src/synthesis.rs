@@ -33,11 +33,11 @@ const PENALTY: f64 = 1.0e4;
 /// Relative safety band of the certified stability tests. The
 /// objective certifies a candidate stable by a Schur–Cohn test at radius
 /// `stability_margin·(1 − CERTIFY_BAND)`, certifies it unstable by a
-/// failed test at `r·(1 + CERTIFY_BAND)` for the radius `r` its bound
-/// asks for (the margin, or a [`penalty_radius`]), and root-finds only
-/// when neither applies. Rounding in the test can only misjudge roots
-/// very close to its radius, so the band keeps a certified root clear of
-/// `r`; it is a property of the test's arithmetic, not a tuning knob.
+/// failed test at `r·(1 + CERTIFY_BAND)` for its bound's
+/// [`penalty_radius`] `r`, and root-finds only when neither applies.
+/// Rounding in the test can only misjudge roots very close to its
+/// radius, so the band keeps a certified root clear of `r`; it is a
+/// property of the test's arithmetic, not a tuning knob.
 const CERTIFY_BAND: f64 = 1e-3;
 
 /// The largest `ρ(Φ)` the unstable score tells apart: an unstable
@@ -182,12 +182,8 @@ impl DesignedController {
 /// Why an objective call stopped short of its exact score.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Abandon {
-    /// Certified unstable beyond the stability margin, against a bound
-    /// `≤ PENALTY`.
+    /// Certified unstable beyond the bound's [`penalty_radius`].
     Unstable,
-    /// Certified unstable beyond the penalty radius of a bound
-    /// `> PENALTY` ([`penalty_radius`]).
-    UnstableBeyondBound,
     /// The worst-case simulation's running lower bound reached the bound.
     Simulation,
 }
@@ -219,12 +215,13 @@ fn saturation_penalty(config: &SynthesisConfig, max_input: f64) -> f64 {
 }
 
 /// The radius an unstable certificate must clear for a candidate to
-/// score at least `bound` when the bound is in the penalty class
-/// (`> PENALTY`, e.g. a particle best that is itself unstable): the
-/// smallest `r ≥ margin`, up to ulps, with `PENALTY·(1 + r) ≥ bound` in
-/// floating point. `None` when no such `r` lies within
-/// [`MAX_SCORED_RHO`] (a non-finite bound included): only the exact
-/// path can then answer.
+/// score at least `bound`: the smallest `r ≥ margin`, up to ulps, with
+/// `PENALTY·(1 + r) ≥ bound` in floating point. Every bound up to
+/// `PENALTY·(1 + margin)` (`-∞` included) gets the margin itself; a
+/// larger one, e.g. a particle best that is itself unstable, gets its
+/// own penalty radius. `None` when no such `r` lies within
+/// [`MAX_SCORED_RHO`] (`+∞` included) or the bound is NaN: only the
+/// exact path can then answer.
 fn penalty_radius(bound: f64, margin: f64) -> Option<f64> {
     let mut s = bound / PENALTY;
     if s.is_nan() || s > 1.0 + MAX_SCORED_RHO {
@@ -249,22 +246,19 @@ fn penalty_radius(bound: f64, margin: f64) -> Option<f64> {
 ///
 /// Two early exits, both sound for any finite bound:
 ///
-/// * **Unstable certificate**, at one of two radii, settles the
-///   comparison by a Schur–Cohn test without Durand–Kerner:
-///   - bound `≤ PENALTY`: every unstable or root-finder-failure score
-///     is at least `PENALTY`, so a root certified beyond the margin
-///     suffices, and the call answers `PENALTY`;
-///   - bound `> PENALTY` (a particle best that is itself penalised): a
-///     root certified beyond the bound's [`penalty_radius`] `r` proves
-///     `ρ ≥ r ≥ margin`, so the candidate is unstable and its exact
-///     score, `PENALTY·(1 + ρ.min(MAX_SCORED_RHO))` or `PENALTY·(1 +
-///     MAX_SCORED_RHO)` if the root finder fails, is at least
-///     `PENALTY·(1 + r) ≥ bound`: the score only grows with `ρ`, `r`
-///     never exceeds the cap, and rounded addition and multiplication
-///     keep that order. The call answers `PENALTY·(1 + r)`. This holds
-///     whatever term made the bound exceed `PENALTY` (instability,
-///     saturation, feedforward or simulation failure), since only `r`,
-///     not the bound's origin, enters the argument.
+/// * **Unstable certificate**: a root certified by a Schur–Cohn test
+///   beyond the bound's [`penalty_radius`] `r` settles the comparison
+///   without Durand–Kerner. It proves `ρ ≥ r ≥ margin`, so the
+///   candidate is unstable and its exact score, `PENALTY·(1 +
+///   ρ.min(MAX_SCORED_RHO))` or `PENALTY·(1 + MAX_SCORED_RHO)` if the
+///   root finder fails, is at least `PENALTY·(1 + r) ≥ bound`: the
+///   score only grows with `ρ`, `r` never exceeds the cap, and rounded
+///   addition and multiplication keep that order. The call answers
+///   `PENALTY·(1 + r)`. For a bound up to `PENALTY·(1 + margin)`, `r`
+///   is the margin. Above that (a particle best that is itself
+///   penalised) the argument holds whatever term made the bound that
+///   large (instability, saturation, feedforward or simulation
+///   failure), since only `r`, not the bound's origin, enters it.
 /// * **Simulation cut**: while the worst-case simulation runs, the
 ///   saturation term of the running `max |u|` plus the next sampling
 ///   instant after the latest out-of-band sample (capped at the
@@ -295,23 +289,16 @@ fn evaluate_gains_ws(
     // Stability first — cheap rejection of divergent designs. A stable
     // candidate's score never reads ρ, so the certified pre-test skips
     // root-finding; the unstable penalty does read it, so that side (and
-    // anything the test cannot certify) gets the exact ρ, unless the
-    // bound lets the unstable certificate settle the comparison: the
-    // radius a certified root must clear, the score it then proves and
-    // the kind of exit.
+    // anything the test cannot certify) gets the exact ρ, unless a root
+    // beyond the bound's penalty radius settles the comparison.
     let certify_below = config.stability_margin * (1.0 - CERTIFY_BAND);
-    let unstable_exit = if bound <= PENALTY {
-        Some((config.stability_margin, PENALTY, Abandon::Unstable))
-    } else {
-        penalty_radius(bound, config.stability_margin)
-            .map(|r| (r, PENALTY * (1.0 + r), Abandon::UnstableBeyondBound))
-    };
+    let radius = penalty_radius(bound, config.stability_margin);
     let rho = match lifted.closed_loop_stability_ws(
         gains,
         &mut scratch.pm,
         &mut scratch.eig,
         certify_below,
-        unstable_exit.map(|(r, ..)| r * (1.0 + CERTIFY_BAND)),
+        radius.map(|r| r * (1.0 + CERTIFY_BAND)),
     ) {
         Ok(Stability::CertifiedBelow) => {
             // Debug builds hold every certificate to the exact path.
@@ -323,11 +310,10 @@ fn evaluate_gains_ws(
             None
         }
         Ok(Stability::CertifiedBeyond) => {
-            let (_, score, abandon) =
-                unstable_exit.expect("an unstable certificate needs a radius");
+            let r = radius.expect("an unstable certificate needs a radius");
             return Evaluation {
-                abandoned: Some(abandon),
-                ..infeasible(score)
+                abandoned: Some(Abandon::Unstable),
+                ..infeasible(PENALTY * (1.0 + r))
             };
         }
         Ok(Stability::Exact(rho)) if !rho.is_finite() || rho >= config.stability_margin => {
@@ -474,7 +460,7 @@ struct Objective<'a> {
     m: usize,
     l: usize,
     /// Abandoned calls since the last publish, indexed by [`Abandon`].
-    abandoned: [u64; 3],
+    abandoned: [u64; 2],
 }
 
 #[cfg(test)]
@@ -482,8 +468,11 @@ thread_local! {
     /// Test switch: score every objective call exactly (bound `+∞`).
     static EXACT_OBJECTIVE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
     /// Abandoned calls published on this thread, indexed by [`Abandon`]:
-    /// `[unstable, unstable beyond bound, simulation]`.
-    static ABANDONED_CALLS: std::cell::Cell<[u64; 3]> = const { std::cell::Cell::new([0; 3]) };
+    /// `[unstable, simulation]`.
+    static ABANDONED_CALLS: std::cell::Cell<[u64; 2]> = const { std::cell::Cell::new([0; 2]) };
+    /// Unstable certificates given on this thread against a bound above
+    /// `PENALTY·(1 + margin)`, i.e. at a radius beyond the margin.
+    static PENALTY_RADIUS_CERTIFICATES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl<'a> Objective<'a> {
@@ -499,7 +488,7 @@ impl<'a> Objective<'a> {
             scratch,
             m: lifted.tasks(),
             l: lifted.state_dim(),
-            abandoned: [0; 3],
+            abandoned: [0; 2],
         }
     }
 
@@ -511,7 +500,8 @@ impl<'a> Objective<'a> {
     /// objective holds is unobservable.
     ///
     /// Debug builds re-score every abandoned call exactly and check that
-    /// the exact score does reach the bound.
+    /// the exact score does reach the abandoned answer, itself at or
+    /// above the bound.
     fn score(&mut self, params: &[f64], bound: f64) -> f64 {
         #[cfg(test)]
         let bound = if EXACT_OBJECTIVE.with(std::cell::Cell::get) {
@@ -525,12 +515,19 @@ impl<'a> Objective<'a> {
         let eval = evaluate_gains_ws(self.lifted, &gains, self.config, bound, scratch);
         if let Some(abandon) = eval.abandoned {
             self.abandoned[abandon as usize] += 1;
+            #[cfg(test)]
+            if abandon == Abandon::Unstable
+                && penalty_radius(bound, self.config.stability_margin)
+                    != Some(self.config.stability_margin)
+            {
+                PENALTY_RADIUS_CERTIFICATES.with(|c| c.set(c.get() + 1));
+            }
             if cfg!(debug_assertions) {
                 let exact =
                     evaluate_gains_ws(self.lifted, &gains, self.config, f64::INFINITY, scratch);
                 assert!(
-                    eval.score >= bound && exact.score >= bound,
-                    "{abandon:?} cut at {} below its bound {bound}: exact score {}",
+                    eval.score >= bound && exact.score >= eval.score,
+                    "{abandon:?} answered {} against its bound {bound}: exact score {}",
                     eval.score,
                     exact.score
                 );
@@ -542,21 +539,17 @@ impl<'a> Objective<'a> {
 
     /// Adds the phase's abandoned-call tallies to the metrics registry
     /// (once per phase: a per-call update would cost more than the
-    /// observability budget allows) and resets them. Both unstable
-    /// certificates count as `pso.abandoned_unstable`.
+    /// observability budget allows) and resets them.
     fn publish(&mut self) {
-        let [unstable, beyond_bound, simulation] = self.abandoned;
-        cacs_obs::metrics::PSO_ABANDONED_UNSTABLE.add(unstable + beyond_bound);
+        let [unstable, simulation] = self.abandoned;
+        cacs_obs::metrics::PSO_ABANDONED_UNSTABLE.add(unstable);
         cacs_obs::metrics::PSO_ABANDONED_SIM.add(simulation);
         #[cfg(test)]
         ABANDONED_CALLS.with(|c| {
-            let mut total = c.get();
-            for (t, n) in total.iter_mut().zip(self.abandoned) {
-                *t += n;
-            }
-            c.set(total);
+            let [u, s] = c.get();
+            c.set([u + unstable, s + simulation]);
         });
-        self.abandoned = [0; 3];
+        self.abandoned = [0; 2];
     }
 }
 
@@ -986,23 +979,31 @@ mod tests {
 
     /// Synthesises with the bounded objective, then with every
     /// objective call scored exactly; returns both outcomes and the
-    /// bounded run's abandoned calls, indexed by [`Abandon`].
+    /// bounded run's abandoned calls, indexed by [`Abandon`], and its
+    /// unstable certificates at a radius beyond the margin.
     fn bounded_and_exact(
         lifted: &LiftedPlant,
         config: &SynthesisConfig,
     ) -> (
         Result<DesignedController>,
         Result<DesignedController>,
-        [u64; 3],
+        [u64; 2],
+        u64,
     ) {
-        ABANDONED_CALLS.with(|c| c.set([0; 3]));
+        ABANDONED_CALLS.with(|c| c.set([0; 2]));
+        PENALTY_RADIUS_CERTIFICATES.with(|c| c.set(0));
         let bounded = synthesize(lifted, config);
         let abandoned = ABANDONED_CALLS.with(std::cell::Cell::get);
+        let beyond_margin = PENALTY_RADIUS_CERTIFICATES.with(std::cell::Cell::get);
         EXACT_OBJECTIVE.with(|c| c.set(true));
         let exact = synthesize(lifted, config);
         EXACT_OBJECTIVE.with(|c| c.set(false));
         assert_eq!(ABANDONED_CALLS.with(std::cell::Cell::get), abandoned);
-        (bounded, exact, abandoned)
+        assert_eq!(
+            PENALTY_RADIUS_CERTIFICATES.with(std::cell::Cell::get),
+            beyond_margin
+        );
+        (bounded, exact, abandoned, beyond_margin)
     }
 
     #[test]
@@ -1013,7 +1014,8 @@ mod tests {
             servo_lifted(&[0.9e-3, 3.2e-3], &[0.9e-3, 0.45e-3]),
             servo_lifted(&[0.9e-3, 0.45e-3, 1.4e-3], &[0.9e-3, 0.45e-3, 0.45e-3]),
         ];
-        let mut abandoned = [0u64; 3];
+        let mut abandoned = [0u64; 2];
+        let mut beyond_margin = 0;
         let mut saturated_designs = 0;
         for lifted in &plants {
             // Without a limit, and with one tight enough that the swarm
@@ -1023,10 +1025,10 @@ mod tests {
                 config.pso = config.pso.with_budget(16, 30).with_seed(5);
                 config.max_input = max_input;
                 let what = format!("m = {}, max_input {max_input:?}", lifted.tasks());
-                let (bounded, exact, cut) = bounded_and_exact(lifted, &config);
-                for (total, n) in abandoned.iter_mut().zip(cut) {
-                    *total += n;
-                }
+                let (bounded, exact, cut, wide) = bounded_and_exact(lifted, &config);
+                abandoned[0] += cut[0];
+                abandoned[1] += cut[1];
+                beyond_margin += wide;
                 let (bounded, exact) = (bounded.unwrap(), exact.unwrap());
                 assert_eq!(bounded.gains.len(), exact.gains.len(), "{what}");
                 for (a, b) in bounded.gains.iter().zip(&exact.gains) {
@@ -1050,9 +1052,10 @@ mod tests {
                 }
             }
         }
-        // Every early exit ran (both certificate radii and the
-        // simulation cut), and the limit did bind on some designs.
-        assert!(abandoned.iter().all(|&n| n > 0), "{abandoned:?}");
+        // Both early exits ran, the unstable certificate also at penalty
+        // radii beyond the margin, and the limit did bind on some designs.
+        assert!(abandoned[0] > 0 && abandoned[1] > 0, "{abandoned:?}");
+        assert!(beyond_margin > 0);
         assert!(saturated_designs > 0);
     }
 
@@ -1075,7 +1078,15 @@ mod tests {
             assert!(r <= MAX_SCORED_RHO, "bound {bound}: r {r}");
         }
         // Bounds the margin already clears certify at the margin itself.
-        assert_eq!(penalty_radius(PENALTY, margin), Some(margin));
+        for bound in [
+            f64::NEG_INFINITY,
+            0.0,
+            0.05,
+            PENALTY,
+            PENALTY * (1.0 + margin),
+        ] {
+            assert_eq!(penalty_radius(bound, margin), Some(margin), "bound {bound}");
+        }
         // Past the cap, and at +∞ (an initial-swarm call), no radius
         // settles the comparison; neither does a NaN bound.
         for bound in [cap.next_up(), f64::INFINITY, f64::NAN] {

@@ -296,6 +296,7 @@ pub(crate) fn durand_kerner(
 
     const MAX_SWEEPS: usize = 1000;
     const TOL: f64 = 1e-13;
+    const REL_TOL: f64 = 1e-10;
     for sweep in 0..MAX_SWEEPS {
         let mut max_step = 0.0_f64;
         for i in 0..n {
@@ -326,7 +327,12 @@ pub(crate) fn durand_kerner(
                 });
             }
         }
-        if max_step < TOL * radius.max(1.0) {
+        // The Cauchy bound grows like `ρⁿ`, so at a large root scale the
+        // step passes that test long before the roots settle: the step
+        // must also be small against the roots themselves.
+        if max_step < TOL * radius.max(1.0)
+            && max_step < REL_TOL * z.iter().map(|zi| zi.abs()).fold(1.0_f64, f64::max)
+        {
             return Ok(());
         }
     }
@@ -582,6 +588,26 @@ mod tests {
         let q = Polynomial::new(vec![0.6, 2.0]);
         assert!(q.roots_within(0.31));
         assert!(!q.roots_within(0.29));
+    }
+
+    #[test]
+    fn roots_are_accurate_at_a_large_scale() {
+        // Two conjugate pairs near 2e5: the Cauchy bound of the monic
+        // polynomial is about 1e21, so a step test against it alone
+        // accepts roots that are still far off.
+        let roots = [(-1.4, 1.5), (-1.4, -1.5), (0.3, 1.0), (0.3, -1.0)]
+            .map(|(re, im)| Complex::new(re * 1e5, im * 1e5));
+        let p = Polynomial::from_roots(&roots);
+        let rho = p
+            .roots()
+            .unwrap()
+            .iter()
+            .map(|z| z.abs())
+            .fold(0.0, f64::max);
+        let truth = roots[0].abs();
+        assert!((rho / truth - 1.0).abs() < 1e-9, "rho {rho}, truth {truth}");
+        assert!(p.roots_within(truth * (1.0 + 1e-3)));
+        assert!(!p.roots_within(truth * (1.0 - 1e-3)));
     }
 
     #[test]

@@ -122,16 +122,23 @@ proptest! {
         }
     }
 
+    // Both agreement tests scale their input by a log-uniform factor up
+    // to 1e6, so they cover every radius a caller may certify at (the
+    // PSO objective goes up to its score cap, ρ = 1e6).
     #[test]
     fn schur_cohn_agrees_with_root_finder_away_from_the_band(
         real in prop::collection::vec(-1.5f64..1.5, 0..4),
         pairs in prop::collection::vec((0.0f64..1.5, 0.05f64..3.1), 0..3),
-        radius in 0.2f64..1.6,
+        unit_radius in 0.2f64..1.6,
+        log_scale in 0.0f64..1e6f64.ln(),
     ) {
-        let mut roots: Vec<Complex> = real.iter().map(|&r| Complex::from_real(r)).collect();
+        let scale = log_scale.exp();
+        let radius = unit_radius * scale;
+        let mut roots: Vec<Complex> =
+            real.iter().map(|&r| Complex::from_real(r * scale)).collect();
         for &(r, theta) in &pairs {
-            roots.push(Complex::from_polar(r, theta));
-            roots.push(Complex::from_polar(r, -theta));
+            roots.push(Complex::from_polar(r * scale, theta));
+            roots.push(Complex::from_polar(r * scale, -theta));
         }
         prop_assume!(!roots.is_empty());
         let p = Polynomial::from_roots(&roots);
@@ -145,8 +152,11 @@ proptest! {
     #[test]
     fn workspace_stability_test_agrees_with_spectral_radius(
         a in square_matrix(5),
-        radius in 0.5f64..8.0,
+        unit_radius in 0.5f64..8.0,
+        log_scale in 0.0f64..1e6f64.ln(),
     ) {
+        let scale = log_scale.exp();
+        let (a, radius) = (a.scale(scale), unit_radius * scale);
         let mut ws = EigWorkspace::new();
         let coeffs = ws.characteristic_polynomial(&a).unwrap().to_vec();
         prop_assert_eq!(&coeffs, characteristic_polynomial(&a).unwrap().coeffs());
