@@ -12,8 +12,6 @@
 //!   run cache-off (the reference path), cache-cold and cache-warm on a
 //!   fresh `EvalCtx`: the caching speed-up (gated ≥ 1.5×), the
 //!   app-synthesis `cache_hit_rate` and `bit_identical_with_cache_off`;
-//!   plus the two-stage (screen, then exact) multistart against the
-//!   exact-only one (gated ≥ 1.3×, final answer bit-identical);
 //! * `BENCH_obs_overhead.json` — one cache-off full evaluation with the
 //!   `cacs-obs` recorder disabled and enabled (gated < 3%, result bits
 //!   unchanged, every evaluation recorded);
@@ -38,12 +36,11 @@
 
 use cacs_apps::paper_case_study;
 use cacs_bench::host_metadata_json;
-use cacs_core::{CodesignProblem, EvaluationConfig, ScreeningProblem};
+use cacs_core::{CodesignProblem, EvaluationConfig};
 use cacs_sched::Schedule;
 use cacs_search::{
-    exhaustive_search_with, run_multistart, run_multistart_screened, AnnealConfig, EvalStore,
-    GeneticConfig, HybridConfig, ScheduleSpace, ScreenConfig, StrategyConfig, SweepConfig,
-    TabuConfig,
+    exhaustive_search_with, AnnealConfig, EvalStore, GeneticConfig, HybridConfig, ScheduleSpace,
+    StrategyConfig, SweepConfig, TabuConfig,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -84,23 +81,6 @@ const OBS_OVERHEAD_LIMIT_PCT: f64 = 3.0;
 /// cold+warm mean sits near 2×; 1.5 leaves headroom for noise while
 /// still failing loudly if the caches stop hitting.
 const EVAL_CACHE_SPEEDUP_FLOOR: f64 = 1.5;
-
-/// Floor on the two-stage (screen + exact survivors) pipeline speed-up
-/// over re-evaluating every start exactly. Screening at a 0.3 budget
-/// costs ~10% of an exact search per start, and four of the six starts
-/// skip their exact search entirely, so the honest expectation is ~2×;
-/// 1.3 leaves ample noise headroom on a loaded 1-core runner while
-/// still failing loudly if screening stops paying for itself.
-const TWO_STAGE_SPEEDUP_FLOOR: f64 = 1.3;
-
-/// Screening budget fraction of the two-stage baseline (the CLI
-/// default of `cacs-opt --screen-budget`).
-const TWO_STAGE_SCREEN_BUDGET: f64 = 0.3;
-
-/// Survivor fraction of the two-stage baseline: 2 of the 6 starts
-/// survive to the exact stage. (Tighter than the CLI's 0.5 default —
-/// the six-start pool amortises screening further.)
-const TWO_STAGE_SURVIVOR_FRAC: f64 = 1.0 / 3.0;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().collect();
@@ -325,77 +305,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let eval_cache_identical = !rows.is_empty() && rows.iter().all(|r| r.bits_agree);
     let eval_cache_fast_enough = eval_cache_speedup >= EVAL_CACHE_SPEEDUP_FLOOR;
 
-    // ----- two-stage screening baseline -----------------------------
-    // The two-stage pipeline (reduced-fidelity screening of every
-    // start, exact re-evaluation of the survivors) vs the single-stage
-    // reference that runs every start exactly. Fresh problems on both
-    // sides keep the EvalCtx caches cold, so the comparison measures
-    // the pipeline, not cache leakage from earlier sections. The final
-    // answer (the engine's strictly-greater/first-wins BEST selection
-    // over the exact reports) must be bit-identical — enforced.
-    eprintln!("perf-baseline: two-stage screening vs exact-only multistart…");
-    let two_starts = [
-        Schedule::new(vec![4, 2, 2])?,
-        Schedule::new(vec![1, 2, 1])?,
-        Schedule::new(vec![2, 2, 2])?,
-        Schedule::new(vec![3, 2, 3])?,
-        Schedule::new(vec![1, 3, 2])?,
-        Schedule::new(vec![2, 3, 1])?,
-    ];
-    let two_strategy = StrategyConfig::Hybrid(HybridConfig::default());
-    let best_of = |reports: &[cacs_search::SearchReport]| -> Option<(Schedule, u64)> {
-        let mut best: Option<(Schedule, u64)> = None;
-        for report in reports {
-            if let Some(s) = &report.best {
-                if report.best_value.is_finite()
-                    && best
-                        .as_ref()
-                        .is_none_or(|(_, b)| report.best_value > f64::from_bits(*b))
-                {
-                    best = Some((s.clone(), report.best_value.to_bits()));
-                }
-            }
-        }
-        best
-    };
-    let exact_only_problem = CodesignProblem::from_case_study(&study, config)?;
-    let t = cacs_obs::now();
-    let exact_only = run_multistart(
-        &exact_only_problem,
-        &space,
-        &two_starts,
-        &two_strategy,
-        None,
-    )?;
-    let exact_only_ms = t.elapsed().as_secs_f64() * 1e3;
-    let screen_problem = ScreeningProblem::new(CodesignProblem::from_case_study(
-        &study,
-        config.screened(TWO_STAGE_SCREEN_BUDGET),
-    )?);
-    let two_exact_problem = CodesignProblem::from_case_study(&study, config)?;
-    let t = cacs_obs::now();
-    let two = run_multistart_screened(
-        &screen_problem,
-        &two_exact_problem,
-        &space,
-        &two_starts,
-        &two_strategy,
-        &ScreenConfig {
-            survivor_frac: TWO_STAGE_SURVIVOR_FRAC,
-        },
-        None,
-    )?;
-    let two_stage_ms = t.elapsed().as_secs_f64() * 1e3;
-    let two_stage_speedup = exact_only_ms / two_stage_ms.max(1e-9);
-    let exact_best = best_of(&exact_only.reports);
-    let two_best = best_of(&two.exact.reports);
-    let two_stage_identical = match (&exact_best, &two_best) {
-        (Some((s1, b1)), Some((s2, b2))) => s1 == s2 && b1 == b2,
-        (None, None) => true,
-        _ => false,
-    };
-    let two_stage_fast_enough = two_stage_speedup >= TWO_STAGE_SPEEDUP_FLOOR;
-
     let mut cost_json = String::new();
     writeln!(cost_json, "{{")?;
     writeln!(cost_json, "  \"bench\": \"eval_cost\",")?;
@@ -416,55 +325,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )?;
     }
     writeln!(cost_json, "  ],")?;
-    writeln!(cost_json, "  \"two_stage\": {{")?;
-    writeln!(
-        cost_json,
-        "    \"starts\": [{}],",
-        two_starts
-            .iter()
-            .map(|s| format!("\"{s}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    )?;
-    writeln!(
-        cost_json,
-        "    \"screen_budget\": {TWO_STAGE_SCREEN_BUDGET},"
-    )?;
-    writeln!(
-        cost_json,
-        "    \"survivor_frac\": {TWO_STAGE_SURVIVOR_FRAC},"
-    )?;
-    writeln!(
-        cost_json,
-        "    \"screen_evals\": {},",
-        two.screen_evaluations
-    )?;
-    writeln!(
-        cost_json,
-        "    \"exact_evals\": {},",
-        two.exact.fresh_evaluations
-    )?;
-    writeln!(cost_json, "    \"survivors\": {},", two.survivors.len())?;
-    writeln!(
-        cost_json,
-        "    \"exact_only_evals\": {},",
-        exact_only.fresh_evaluations
-    )?;
-    writeln!(cost_json, "    \"wall_ms_exact_only\": {exact_only_ms:.1},")?;
-    writeln!(cost_json, "    \"wall_ms_two_stage\": {two_stage_ms:.1},")?;
-    writeln!(
-        cost_json,
-        "    \"speedup_vs_exact_only\": {two_stage_speedup:.3},"
-    )?;
-    writeln!(
-        cost_json,
-        "    \"speedup_floor\": {TWO_STAGE_SPEEDUP_FLOOR:.1},"
-    )?;
-    writeln!(
-        cost_json,
-        "    \"final_answer_bit_identical\": {two_stage_identical}"
-    )?;
-    writeln!(cost_json, "  }},")?;
     writeln!(cost_json, "  \"mean_wall_ms_cache_off\": {mean_off:.1},")?;
     writeln!(cost_json, "  \"mean_wall_ms_cache_on\": {mean_on:.1},")?;
     writeln!(
@@ -650,21 +510,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "EvalCtx caching speedup {eval_cache_speedup:.2}x is below the \
              {EVAL_CACHE_SPEEDUP_FLOOR}x floor ({mean_off:.1} ms cache-off vs {mean_on:.1} ms \
              cache-on mean)"
-        )
-        .into());
-    }
-    if !two_stage_identical {
-        return Err(format!(
-            "two-stage pipeline changed the final answer: exact-only {exact_best:?} \
-             vs two-stage {two_best:?}"
-        )
-        .into());
-    }
-    if !two_stage_fast_enough {
-        return Err(format!(
-            "two-stage speedup {two_stage_speedup:.2}x is below the \
-             {TWO_STAGE_SPEEDUP_FLOOR}x floor ({exact_only_ms:.1} ms exact-only vs \
-             {two_stage_ms:.1} ms two-stage)"
         )
         .into());
     }

@@ -64,7 +64,8 @@ pub struct SynthesisConfig {
     pub pso: PsoConfig,
     /// Box bound on each gain entry (`|K_j[i]| ≤ gain_bound`).
     pub gain_bound: f64,
-    /// Input saturation `U_max` (paper Section II-A), if any.
+    /// Input saturation `U_max` (paper Section II-A), if any; it must
+    /// be finite and positive.
     pub max_input: Option<f64>,
     /// Reference amplitude to track in the worst-case simulation.
     pub reference: f64,
@@ -136,6 +137,13 @@ impl SynthesisConfig {
             return Err(ControlError::SynthesisFailed {
                 reason: format!("gain bound must be positive, got {}", self.gain_bound),
             });
+        }
+        if let Some(umax) = self.max_input {
+            if !umax.is_finite() || umax <= 0.0 {
+                return Err(ControlError::SynthesisFailed {
+                    reason: format!("max input must be positive, got {umax}"),
+                });
+            }
         }
         if !(0.0 < self.stability_margin && self.stability_margin <= 1.0) {
             return Err(ControlError::SynthesisFailed {
@@ -337,10 +345,8 @@ fn evaluate_gains_ws(
         }
     }
 
-    // The running lower bound of the simulation cut. A saturation limit
-    // below zero would make the saturation term shrink as `max |u|`
-    // grows, so such a configuration is always simulated in full.
-    let cut = bound < f64::INFINITY && config.max_input.is_none_or(f64::is_sign_positive);
+    // The running lower bound of the simulation cut.
+    let cut = bound < f64::INFINITY;
     let tol = config.settling.tolerance(config.reference);
     let unsettled_floor = 2.0 * config.horizon;
     let (mut run_max_u, mut run_saturation, mut run_unsettled) = (0.0_f64, 0.0, 0.0_f64);
@@ -917,6 +923,18 @@ mod tests {
         c = quick_config(1.0);
         c.stability_margin = 1.5;
         assert!(synthesize(&lifted, &c).is_err());
+        // A non-finite or non-positive input limit is refused up front,
+        // not after the PSO attempts with a misleading reason.
+        for umax in [f64::NAN, 0.0, -1.0] {
+            c = quick_config(1.0);
+            c.max_input = Some(umax);
+            match synthesize(&lifted, &c) {
+                Err(ControlError::SynthesisFailed { reason }) => {
+                    assert!(reason.contains("max input"), "{umax}: {reason}");
+                }
+                other => panic!("max_input {umax} accepted: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -35,18 +35,6 @@ pub struct ScheduleEvaluation {
     pub overall_performance: Option<f64>,
 }
 
-impl ScheduleEvaluation {
-    /// Weighted sum of performances regardless of feasibility (useful for
-    /// reporting near-misses).
-    pub fn raw_overall(&self, params: &[AppParams]) -> f64 {
-        self.apps
-            .iter()
-            .zip(params)
-            .map(|(o, p)| p.weight * o.performance)
-            .sum()
-    }
-}
-
 impl CodesignProblem {
     /// Evaluates one schedule end-to-end (paper Section III applied to
     /// every application, then eq. (2)).
@@ -237,62 +225,6 @@ impl ScheduleEvaluator for CodesignProblem {
     }
 }
 
-/// Offset separating relaxed-infeasible screening values from feasible
-/// ones. `P_all ∈ [0, Σ wᵢ]` for feasible schedules and the raw
-/// weighted sum is bounded above by `Σ wᵢ = 1`, so subtracting 1000
-/// keeps every deadline-missing value strictly below every feasible
-/// value while preserving the ordering among the misses themselves.
-const SCREEN_PENALTY: f64 = 1e3;
-
-/// Ranking-only screening adapter around a (reduced-budget)
-/// [`CodesignProblem`]: same evaluations, relaxed objective.
-///
-/// The exact adapter maps a settling-deadline violation to `None`,
-/// which a reduced swarm hits often — at tight screening budgets
-/// every start can screen to `-inf` and the two-stage ranking
-/// degenerates to index order. This adapter instead maps a violation
-/// to the finite value [`ScheduleEvaluation::raw_overall`]` −
-/// `[`SCREEN_PENALTY`], so near-misses degrade smoothly: a schedule
-/// whose cheap synthesis barely overruns outranks one that overruns
-/// badly, and any feasible schedule outranks both. The values are
-/// ranking-only by construction — the two-stage engine re-evaluates
-/// survivors exactly and drops every screening number.
-#[derive(Debug)]
-pub struct ScreeningProblem {
-    problem: CodesignProblem,
-    params: Vec<AppParams>,
-}
-
-impl ScreeningProblem {
-    /// Wraps `problem` (typically built with
-    /// [`crate::EvaluationConfig::screened`]) as a relaxed-objective
-    /// screening evaluator.
-    pub fn new(problem: CodesignProblem) -> Self {
-        let params = problem.apps().iter().map(|a| a.params.clone()).collect();
-        ScreeningProblem { problem, params }
-    }
-}
-
-impl ScheduleEvaluator for ScreeningProblem {
-    fn app_count(&self) -> usize {
-        self.problem.app_count()
-    }
-
-    fn idle_feasible(&self, schedule: &Schedule) -> bool {
-        self.problem.idle_feasible_schedule(schedule)
-    }
-
-    fn evaluate(&self, schedule: &Schedule) -> Option<f64> {
-        match self.problem.evaluate_schedule(schedule) {
-            Ok(eval) => Some(
-                eval.overall_performance
-                    .unwrap_or_else(|| eval.raw_overall(&self.params) - SCREEN_PENALTY),
-            ),
-            Err(_) => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,47 +267,6 @@ mod tests {
         assert!(!problem.idle_feasible_schedule(&Schedule::new(vec![1, 1, 9]).unwrap()));
         // Wrong app count.
         assert!(!problem.idle_feasible_schedule(&Schedule::new(vec![1, 1]).unwrap()));
-    }
-
-    #[test]
-    fn screening_adapter_relaxes_deadline_misses_and_keeps_feasible_values() {
-        // Feasible under the wrapped budget: the adapter must return the
-        // exact adapter's value bit for bit.
-        let exact = fast_problem();
-        let s = Schedule::round_robin(3).unwrap();
-        let expected = ScheduleEvaluator::evaluate(&exact, &s).unwrap();
-        let wrapped = ScreeningProblem::new(fast_problem());
-        assert_eq!(wrapped.evaluate(&s).unwrap().to_bits(), expected.to_bits());
-        assert!(wrapped.idle_feasible(&s));
-        assert_eq!(wrapped.app_count(), 3);
-
-        // At a tight screening budget the reduced swarm misses deadlines:
-        // the exact adapter collapses to None, the screening adapter must
-        // keep a finite, strictly-below-feasible ranking value.
-        let study = paper_case_study().unwrap();
-        let screened = EvaluationConfig::fast().screened(0.3);
-        let reduced = CodesignProblem::from_case_study(&study, screened).unwrap();
-        let miss = Schedule::new(vec![3, 2, 3]).unwrap();
-        let raw = reduced.evaluate_schedule(&miss);
-        let adapter = ScreeningProblem::new(reduced);
-        match raw {
-            Ok(eval) if eval.overall_performance.is_none() => {
-                let v = adapter.evaluate(&miss).expect("relaxed value");
-                assert!(
-                    v.is_finite() && v < 0.0,
-                    "relaxed value {v} must rank below feasible"
-                );
-            }
-            Ok(_) => {
-                // Budget scaling made it feasible on this host: the
-                // adapter then returns the feasible value unchanged.
-                assert!(adapter.evaluate(&miss).unwrap() >= 0.0);
-            }
-            Err(_) => {
-                // No stabilising design at all: both adapters agree.
-                assert!(adapter.evaluate(&miss).is_none());
-            }
-        }
     }
 
     #[test]

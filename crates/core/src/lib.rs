@@ -50,7 +50,7 @@ mod report;
 
 pub use ctx::EvalCtx;
 pub use error::CoreError;
-pub use evaluate::{AppOutcome, ScheduleEvaluation, ScreeningProblem};
+pub use evaluate::{AppOutcome, ScheduleEvaluation};
 pub use interleaved::{one_split_interleavings, InterleavedEvaluation};
 pub use multicore::{optimize_multicore, CorePartition, MulticoreOutcome};
 pub use optimize::{MultistartStats, OptimizeOutcome, SearchSummary};

@@ -79,34 +79,6 @@ impl EvaluationConfig {
         }
     }
 
-    /// Derives the reduced-fidelity screening budget from this (exact)
-    /// budget: particles, iterations and the stall window all scale by
-    /// `budget_frac` (ceiling, floored at the validity minima), while
-    /// the seed and every model/spec knob stay untouched — so the
-    /// screening evaluator follows the exact evaluator's per-(app,
-    /// schedule) seed-derivation discipline ([`Self::pso_for`]) with a
-    /// cheaper swarm. Screening values are ranking-only and must never
-    /// be reported as exact results (the two-stage engine in
-    /// `cacs-search` enforces that by construction).
-    ///
-    /// `budget_frac` is clamped to `(0, 1]`; callers validate the raw
-    /// CLI value before it gets here.
-    #[must_use]
-    pub fn screened(&self, budget_frac: f64) -> Self {
-        let frac = if budget_frac.is_finite() {
-            budget_frac.clamp(f64::MIN_POSITIVE, 1.0)
-        } else {
-            1.0
-        };
-        let scale = |v: usize| ((v as f64 * frac).ceil() as usize).max(1);
-        EvaluationConfig {
-            pso_particles: scale(self.pso_particles).max(2),
-            pso_iterations: scale(self.pso_iterations),
-            pso_stall: self.pso_stall.map(scale),
-            ..*self
-        }
-    }
-
     /// Derives the PSO configuration for one application/schedule pair.
     pub(crate) fn pso_for(&self, app: usize, schedule_key: &[u32]) -> PsoConfig {
         // Deterministic per-(app, schedule) seed: FNV-style mix.
@@ -347,30 +319,6 @@ mod tests {
             ..EvaluationConfig::default()
         };
         assert!(CodesignProblem::from_case_study(&study, config).is_err());
-    }
-
-    #[test]
-    fn screened_budget_scales_down_but_stays_valid() {
-        let exact = EvaluationConfig::fast(); // 24 x 80, stall 25
-        let screen = exact.screened(0.3);
-        assert_eq!(screen.pso_particles, 8);
-        assert_eq!(screen.pso_iterations, 24);
-        assert_eq!(screen.pso_stall, Some(8));
-        // Seed-derivation discipline is untouched: same base seed,
-        // same per-(app, schedule) derived seeds.
-        assert_eq!(screen.seed, exact.seed);
-        assert_eq!(
-            screen.pso_for(1, &[2, 1, 3]).seed,
-            exact.pso_for(1, &[2, 1, 3]).seed
-        );
-        assert!(screen.validate().is_ok());
-        // Extreme fractions still yield a valid budget.
-        let tiny = exact.screened(1.0e-6);
-        assert!(tiny.pso_particles >= 2 && tiny.pso_iterations >= 1);
-        assert!(tiny.validate().is_ok());
-        // frac 1.0 is the identity.
-        let full = exact.screened(1.0);
-        assert_eq!(full, exact);
     }
 
     #[test]

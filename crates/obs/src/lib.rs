@@ -433,18 +433,12 @@ registry! {
         // from the memo vs synthesised fresh.
         EVAL_APP_SYNTH_CACHE_HITS => "eval.app_synth_cache_hits",
         EVAL_APP_SYNTH_CACHE_MISSES => "eval.app_synth_cache_misses",
-        // Two-stage evaluation: exact (stage-2 / no-screen) schedule
-        // evaluations vs reduced-fidelity screening evaluations, and
-        // how many screened candidates survived into the exact stage.
-        EVAL_EXACT_EVALS => "eval.exact_evals",
         // Whole-schedule evaluations through CodesignProblem.
         EVAL_SCHEDULES => "eval.schedules",
         // Synthesis scratch sets served from the SynthCtx pool instead
         // of freshly allocated (one per controller synthesis, which
         // runs all its objective calls on that set).
         EVAL_SCRATCH_REUSES => "eval.scratch_reuses",
-        EVAL_SCREEN_EVALS => "eval.screen_evals",
-        EVAL_SCREEN_SURVIVORS => "eval.screen_survivors",
         // Bit-pattern-keyed (A, t) → (Φ, Ψ) discretisation memo.
         EXPM_CACHE_HITS => "linalg.expm_cache_hits",
         EXPM_CACHE_MISSES => "linalg.expm_cache_misses",

@@ -46,9 +46,8 @@
 //!   metaheuristic baselines for evaluation-count comparisons —
 //!   simulated annealing ([`AnnealConfig`]), a genetic algorithm
 //!   ([`GeneticConfig`]) and tabu search ([`TabuConfig`]). A single
-//!   search is a one-start run; [`run_multistart_sequential`] is the
-//!   in-order reference engine and [`run_multistart_screened`] the
-//!   two-stage (screen, then exact) pipeline.
+//!   search is a one-start run, and [`run_multistart_sequential`] is
+//!   the in-order reference engine.
 //!
 //! # Parallelism knobs
 //!
@@ -109,8 +108,8 @@ pub use hybrid::HybridConfig;
 pub use space::ScheduleSpace;
 pub use store::{CompactionPolicy, EvalStore, StoreError};
 pub use strategy::{
-    derive_start_seed, run_multistart, run_multistart_screened, run_multistart_sequential,
-    MultistartOutcome, ScreenConfig, SearchReport, StrategyConfig, TwoStageOutcome,
+    derive_start_seed, run_multistart, run_multistart_sequential, MultistartOutcome, SearchReport,
+    StrategyConfig,
 };
 pub use tabu::TabuConfig;
 

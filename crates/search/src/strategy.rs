@@ -125,55 +125,6 @@ impl StrategyConfig {
     }
 }
 
-/// Screening knobs for [`run_multistart_screened`] — the two-stage
-/// evaluation pipeline (reduced-fidelity screening, exact survivor
-/// re-evaluation).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScreenConfig {
-    /// Fraction of starts whose searches are re-run exactly in stage 2:
-    /// `survivors = min(max(ceil(survivor_frac · starts), 1), starts)`
-    /// (so zero starts have zero survivors).
-    /// `1.0` keeps every start (screening then only adds overhead, but
-    /// the final digest is trivially identical to the no-screen run).
-    pub survivor_frac: f64,
-}
-
-impl Default for ScreenConfig {
-    fn default() -> Self {
-        ScreenConfig { survivor_frac: 0.5 }
-    }
-}
-
-impl ScreenConfig {
-    /// Number of stage-2 survivors for `starts` start points.
-    #[must_use]
-    pub fn survivor_count(&self, starts: usize) -> usize {
-        ((self.survivor_frac * starts as f64).ceil() as usize)
-            .max(1)
-            .min(starts)
-    }
-}
-
-/// Outcome of a two-stage ([`run_multistart_screened`]) run.
-///
-/// Only [`TwoStageOutcome::exact`] may ever reach reports, digests, an
-/// [`EvalStore`] or Section-V accounting — screening results are a
-/// ranking side channel and are dropped here by construction.
-#[derive(Debug, Clone)]
-pub struct TwoStageOutcome {
-    /// The stage-2 exact outcome over the surviving starts only. Each
-    /// report is bit-identical to what a `--no-screen` run produces for
-    /// the same start (stage 2 re-derives per-start seeds from the
-    /// *original* start indices).
-    pub exact: MultistartOutcome,
-    /// Indices (into the original start list) of the survivors,
-    /// ascending — `exact.reports[j]` belongs to original start
-    /// `survivors[j]`.
-    pub survivors: Vec<usize>,
-    /// Fresh reduced-fidelity evaluations stage 1 executed.
-    pub screen_evaluations: usize,
-}
-
 /// Derives the RNG seed of start `start_index` from a strategy's base
 /// seed — a pure splitmix64-style mix, so per-start random streams are
 /// decorrelated yet fully determined by `(base, start_index)`.
@@ -298,16 +249,7 @@ pub fn run_multistart<E: ScheduleEvaluator + ?Sized>(
     strategy: &StrategyConfig,
     store: Option<&EvalStore>,
 ) -> Result<MultistartOutcome> {
-    let indexed: Vec<(usize, &Schedule)> = starts.iter().enumerate().collect();
-    run_multistart_indexed(
-        evaluator,
-        space,
-        &indexed,
-        strategy,
-        store,
-        Stage::Exact,
-        false,
-    )
+    run_multistart_engine(evaluator, space, starts, strategy, store, false)
 }
 
 /// [`run_multistart`], with the starts executed **sequentially in start
@@ -328,127 +270,18 @@ pub fn run_multistart_sequential<E: ScheduleEvaluator + ?Sized>(
     strategy: &StrategyConfig,
     store: Option<&EvalStore>,
 ) -> Result<MultistartOutcome> {
-    let indexed: Vec<(usize, &Schedule)> = starts.iter().enumerate().collect();
-    run_multistart_indexed(
-        evaluator,
-        space,
-        &indexed,
-        strategy,
-        store,
-        Stage::Exact,
-        true,
-    )
+    run_multistart_engine(evaluator, space, starts, strategy, store, true)
 }
 
-/// Two-stage multistart: a deterministic reduced-fidelity
-/// `screen_evaluator` runs **every** start's search first (stage 1, no
-/// store), the starts are ranked by their screened best value (total
-/// `f64` order, descending; screened-infeasible starts rank last; ties
-/// break toward the earlier start), and only the top
-/// [`ScreenConfig::survivor_count`] starts are re-run against the exact
-/// `exact_evaluator` (stage 2, store-backed). Stage 2 derives each
-/// per-start RNG seed from the start's **original** index, so every
-/// survivor's report — trajectory, best bits, Section-V evaluation
-/// count — is byte-identical to what [`run_multistart`] produces for
-/// that start without screening; screening can only change *which*
-/// starts are paid for exactly, never what any start finds.
-///
-/// Screening results never reach the outcome's reports, the store, or
-/// Section-V accounting — they are dropped after ranking (the
-/// `eval.screen_evals` / `eval.screen_survivors` metrics observe them,
-/// reporting-only as always).
-///
-/// # Errors
-///
-/// * [`SearchError::InvalidConfig`] unless `0 < survivor_frac ≤ 1`,
-/// * everything [`run_multistart`] can return, from either stage.
-pub fn run_multistart_screened<S, E>(
-    screen_evaluator: &S,
-    exact_evaluator: &E,
+/// The engine behind [`run_multistart`] and
+/// [`run_multistart_sequential`]: each start's position in `starts` is
+/// its seed index ([`derive_start_seed`]).
+fn run_multistart_engine<E: ScheduleEvaluator + ?Sized>(
+    evaluator: &E,
     space: &ScheduleSpace,
     starts: &[Schedule],
     strategy: &StrategyConfig,
-    screen: &ScreenConfig,
     store: Option<&EvalStore>,
-) -> Result<TwoStageOutcome>
-where
-    S: ScheduleEvaluator + ?Sized,
-    E: ScheduleEvaluator + ?Sized,
-{
-    if !(screen.survivor_frac.is_finite()
-        && screen.survivor_frac > 0.0
-        && screen.survivor_frac <= 1.0)
-    {
-        return Err(SearchError::InvalidConfig {
-            parameter: "survivor fraction must be in (0, 1]",
-        });
-    }
-    let indexed: Vec<(usize, &Schedule)> = starts.iter().enumerate().collect();
-    let screened = run_multistart_indexed(
-        screen_evaluator,
-        space,
-        &indexed,
-        strategy,
-        None,
-        Stage::Screen,
-        false,
-    )?;
-
-    // Rank starts by screened best value — total f64 order so NaN and
-    // signed zero cannot make the ranking platform-dependent — and keep
-    // the top K, restored to ascending start order for stage 2.
-    let mut order: Vec<usize> = (0..starts.len()).collect();
-    order.sort_by(|&a, &b| {
-        let (ra, rb) = (&screened.reports[a], &screened.reports[b]);
-        rb.best
-            .is_some()
-            .cmp(&ra.best.is_some())
-            .then(rb.best_value.total_cmp(&ra.best_value))
-            .then(a.cmp(&b))
-    });
-    let mut survivors: Vec<usize> = order
-        .into_iter()
-        .take(screen.survivor_count(starts.len()))
-        .collect();
-    survivors.sort_unstable();
-    cacs_obs::metrics::EVAL_SCREEN_SURVIVORS.add(survivors.len() as u64);
-
-    let surviving: Vec<(usize, &Schedule)> = survivors.iter().map(|&i| (i, &starts[i])).collect();
-    let exact = run_multistart_indexed(
-        exact_evaluator,
-        space,
-        &surviving,
-        strategy,
-        store,
-        Stage::Exact,
-        false,
-    )?;
-    Ok(TwoStageOutcome {
-        exact,
-        survivors,
-        screen_evaluations: screened.fresh_evaluations,
-    })
-}
-
-/// Which fidelity a multistart engine run represents — controls only
-/// which reporting-only metrics the run feeds.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Stage {
-    Exact,
-    Screen,
-}
-
-/// The engine behind [`run_multistart`] and both stages of
-/// [`run_multistart_screened`]: each start carries its own seed index
-/// (`(index, start)`), so a stage-2 subset replays exactly the seeds —
-/// and therefore the walks — the full run would use.
-fn run_multistart_indexed<E: ScheduleEvaluator + ?Sized>(
-    evaluator: &E,
-    space: &ScheduleSpace,
-    starts: &[(usize, &Schedule)],
-    strategy: &StrategyConfig,
-    store: Option<&EvalStore>,
-    stage: Stage,
     sequential: bool,
 ) -> Result<MultistartOutcome> {
     if starts.is_empty() {
@@ -465,7 +298,7 @@ fn run_multistart_indexed<E: ScheduleEvaluator + ?Sized>(
     }
     if starts
         .iter()
-        .any(|&(_, start)| !space.contains(start) || !evaluator.idle_feasible(start))
+        .any(|start| !space.contains(start) || !evaluator.idle_feasible(start))
     {
         return Err(SearchError::StartOutOfSpace);
     }
@@ -496,10 +329,11 @@ fn run_multistart_indexed<E: ScheduleEvaluator + ?Sized>(
         // cross-start interleaving.
         starts
             .iter()
-            .map(|&(seed_index, start)| {
+            .enumerate()
+            .map(|(start_index, start)| {
                 let session = shared.session();
                 Ok(cacs_par::sequential(|| {
-                    run_single(&session, space, start, strategy, seed_index)
+                    run_single(&session, space, start, strategy, start_index)
                 }))
             })
             .collect()
@@ -508,14 +342,15 @@ fn run_multistart_indexed<E: ScheduleEvaluator + ?Sized>(
             let shared = &shared;
             let handles: Vec<_> = starts
                 .iter()
-                .map(|&(seed_index, start)| {
+                .enumerate()
+                .map(|(start_index, start)| {
                     scope.spawn(move || {
                         let session = shared.session();
                         // The strategy runs sequentially inside each search
                         // thread; the start-level fan-out is the
                         // parallelism here.
                         cacs_par::sequential(|| {
-                            run_single(&session, space, start, strategy, seed_index)
+                            run_single(&session, space, start, strategy, start_index)
                         })
                     })
                 })
@@ -526,8 +361,8 @@ fn run_multistart_indexed<E: ScheduleEvaluator + ?Sized>(
             // and with a store attached their work is already durable.
             handles
                 .into_iter()
-                .zip(starts)
-                .map(|(handle, &(start_index, _))| {
+                .enumerate()
+                .map(|(start_index, handle)| {
                     handle
                         .join()
                         .map_err(|_| SearchError::SearchPanicked { start_index })
@@ -548,19 +383,9 @@ fn run_multistart_indexed<E: ScheduleEvaluator + ?Sized>(
 
     // Section-V accounting as a metrics side channel (the authoritative
     // counts stay in the reports/outcome — metrics never feed either).
-    // Screening runs feed only the two-stage counters: the search.*
-    // side channel mirrors Section-V, which never sees screened work.
-    match stage {
-        Stage::Exact => {
-            cacs_obs::metrics::SEARCH_FRESH_EVALUATIONS.add(shared.fresh_evaluations() as u64);
-            cacs_obs::metrics::SEARCH_UNIQUE_EVALUATIONS.add(shared.unique_evaluations() as u64);
-            cacs_obs::metrics::SEARCH_WARM_STARTED.add(shared.warm_started() as u64);
-            cacs_obs::metrics::EVAL_EXACT_EVALS.add(shared.fresh_evaluations() as u64);
-        }
-        Stage::Screen => {
-            cacs_obs::metrics::EVAL_SCREEN_EVALS.add(shared.fresh_evaluations() as u64);
-        }
-    }
+    cacs_obs::metrics::SEARCH_FRESH_EVALUATIONS.add(shared.fresh_evaluations() as u64);
+    cacs_obs::metrics::SEARCH_UNIQUE_EVALUATIONS.add(shared.unique_evaluations() as u64);
+    cacs_obs::metrics::SEARCH_WARM_STARTED.add(shared.warm_started() as u64);
 
     let reports = results.into_iter().collect::<Result<Vec<SearchReport>>>()?;
     Ok(MultistartOutcome {
@@ -755,125 +580,6 @@ mod tests {
         // The engine's derivation, not the raw base seed, feeds start 0:
         // two strategies sharing a base seed still get mixed streams.
         assert_ne!(derive_start_seed(7, 0), 7);
-    }
-
-    /// A deliberately coarse screening surrogate of [`paraboloid`]:
-    /// same landscape shape (so ranking is meaningful), different —
-    /// cheaper-looking — values (so any leak of screening values into
-    /// exact results is caught bitwise).
-    fn coarse_paraboloid() -> FnEvaluator<impl Fn(&Schedule) -> Option<f64> + Sync> {
-        FnEvaluator::new(3, |s: &Schedule| {
-            let c = s.counts();
-            let (a, b, d) = (c[0] as f64, c[1] as f64, c[2] as f64);
-            let v = 0.2 - 0.01 * ((a - 3.0).powi(2) + (b - 2.0).powi(2) + (d - 3.0).powi(2));
-            Some((v * 8.0).round() / 8.0)
-        })
-    }
-
-    #[test]
-    fn screened_survivor_reports_are_bitwise_identical_to_no_screen() {
-        let exact = paraboloid();
-        let screen = coarse_paraboloid();
-        let space = ScheduleSpace::new(vec![6, 6, 6]).unwrap();
-        for strategy in all_strategies() {
-            let full = run_multistart(&exact, &space, &starts(), &strategy, None).unwrap();
-            let two = run_multistart_screened(
-                &screen,
-                &exact,
-                &space,
-                &starts(),
-                &strategy,
-                &ScreenConfig { survivor_frac: 0.5 },
-                None,
-            )
-            .unwrap();
-            assert_eq!(two.survivors.len(), 1, "{}", strategy.name());
-            assert!(two.screen_evaluations > 0, "{}", strategy.name());
-            for (j, &i) in two.survivors.iter().enumerate() {
-                let (a, b) = (&two.exact.reports[j], &full.reports[i]);
-                assert_eq!(a.best, b.best, "{} start {i}", strategy.name());
-                assert_eq!(
-                    a.best_value.to_bits(),
-                    b.best_value.to_bits(),
-                    "{} start {i}",
-                    strategy.name()
-                );
-                assert_eq!(
-                    a.evaluations,
-                    b.evaluations,
-                    "{} start {i}",
-                    strategy.name()
-                );
-                assert_eq!(a.trajectory, b.trajectory, "{} start {i}", strategy.name());
-            }
-        }
-    }
-
-    #[test]
-    fn survivor_frac_one_reproduces_the_full_run_exactly() {
-        let exact = paraboloid();
-        let screen = coarse_paraboloid();
-        let space = ScheduleSpace::new(vec![6, 6, 6]).unwrap();
-        for strategy in all_strategies() {
-            let full = run_multistart(&exact, &space, &starts(), &strategy, None).unwrap();
-            let two = run_multistart_screened(
-                &screen,
-                &exact,
-                &space,
-                &starts(),
-                &strategy,
-                &ScreenConfig { survivor_frac: 1.0 },
-                None,
-            )
-            .unwrap();
-            assert_eq!(two.survivors, vec![0, 1]);
-            for (a, b) in two.exact.reports.iter().zip(&full.reports) {
-                assert_eq!(a.best, b.best);
-                assert_eq!(a.best_value.to_bits(), b.best_value.to_bits());
-                assert_eq!(a.evaluations, b.evaluations);
-                assert_eq!(a.trajectory, b.trajectory);
-            }
-        }
-    }
-
-    #[test]
-    fn invalid_survivor_fractions_are_rejected() {
-        let exact = paraboloid();
-        let screen = coarse_paraboloid();
-        let space = ScheduleSpace::new(vec![6, 6, 6]).unwrap();
-        let strategy = StrategyConfig::Hybrid(HybridConfig::default());
-        for bad in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
-            assert!(
-                matches!(
-                    run_multistart_screened(
-                        &screen,
-                        &exact,
-                        &space,
-                        &starts(),
-                        &strategy,
-                        &ScreenConfig { survivor_frac: bad },
-                        None,
-                    ),
-                    Err(SearchError::InvalidConfig { .. })
-                ),
-                "survivor_frac {bad} accepted"
-            );
-        }
-    }
-
-    #[test]
-    fn survivor_counts_clamp_sanely() {
-        let c = ScreenConfig { survivor_frac: 0.5 };
-        assert_eq!(c.survivor_count(0), 0);
-        assert_eq!(c.survivor_count(1), 1);
-        assert_eq!(c.survivor_count(2), 1);
-        assert_eq!(c.survivor_count(5), 3);
-        let all = ScreenConfig { survivor_frac: 1.0 };
-        assert_eq!(all.survivor_count(4), 4);
-        let tiny = ScreenConfig {
-            survivor_frac: 1.0e-9,
-        };
-        assert_eq!(tiny.survivor_count(100), 1);
     }
 
     #[test]

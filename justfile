@@ -15,8 +15,8 @@ lint:
 
 # Run the perf-baseline self-checks and rewrite their BENCH_*.json at
 # the repo root: the strategy shootout's answers and resume check, the
-# eval-cache and two-stage speed-up floors, the <3% recorder overhead
-# and the streaming sweep's constant memory. Exits non-zero when a gate
+# eval-cache speed-up floor, the <3% recorder overhead and the
+# streaming sweep's constant memory. Exits non-zero when a gate
 # fails. Timings come from perfbench (python3 perfbench/run.py), not
 # from here. Uses the reduced synthesis budget; pass FLAGS="--full" for
 # the paper-accuracy budget. CACS_THREADS caps the worker threads.

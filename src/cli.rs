@@ -11,7 +11,7 @@
 //!   streaming benchmark ([`cacs_distrib::synthetic::surrogate`]) over
 //!   the given box.
 
-use cacs_core::{CodesignProblem, EvaluationConfig, ScreeningProblem};
+use cacs_core::{CodesignProblem, EvaluationConfig};
 use cacs_search::{ExhaustiveReport, ScheduleEvaluator, ScheduleSpace};
 use std::error::Error;
 
@@ -104,40 +104,6 @@ impl ProblemSpec {
             problem.set_eval_cache(false);
         }
         Ok(Box::new(problem))
-    }
-
-    /// The reduced-fidelity **screening** evaluator for the two-stage
-    /// pipeline: the exact evaluator's configuration with its PSO
-    /// budget scaled down by `budget_frac`
-    /// ([`EvaluationConfig::screened`] — seed discipline untouched),
-    /// wrapped in [`ScreeningProblem`] so deadline near-misses rank by
-    /// the relaxed weighted performance instead of collapsing to
-    /// infeasible. Screening results only ever *rank* starts; every
-    /// reported number comes from the exact evaluator. The synthetic
-    /// surrogate is already µs-scale, so its screening evaluator is
-    /// the exact one (the two-stage machinery still runs; the budget
-    /// knob is a no-op).
-    ///
-    /// # Errors
-    ///
-    /// Propagates case-study construction failures.
-    pub fn screening_evaluator(
-        &self,
-        budget_frac: f64,
-        eval_cache: bool,
-    ) -> Result<Box<dyn ScheduleEvaluator>, Box<dyn Error>> {
-        let config = match self {
-            ProblemSpec::PaperFast => EvaluationConfig::fast().screened(budget_frac),
-            ProblemSpec::PaperFull => EvaluationConfig::default().screened(budget_frac),
-            ProblemSpec::Synthetic(dims) => {
-                return Ok(Box::new(cacs_distrib::synthetic::surrogate(dims.len())));
-            }
-        };
-        let mut problem = paper_problem(config)?;
-        if !eval_cache {
-            problem.set_eval_cache(false);
-        }
-        Ok(Box::new(ScreeningProblem::new(problem)))
     }
 
     /// Derives the schedule space the coordinator announces to workers.
@@ -278,71 +244,14 @@ pub fn multistart_digest(
     starts: &[cacs_sched::Schedule],
     reports: &[cacs_search::SearchReport],
 ) -> Result<String, Box<dyn Error>> {
-    let indices: Vec<usize> = (0..reports.len()).collect();
-    indexed_digest(strategy, space, reports.len(), starts, &indices, reports)
-}
-
-/// [`multistart_digest`] for a **two-stage (screened)** run: the header
-/// still counts every start, but only the exactly re-evaluated
-/// survivors get `SEARCH` lines — addressed by their **original** start
-/// index, so each line is byte-identical to the corresponding line of
-/// the unscreened run (stage 2 replays the survivor's exact search
-/// under its original per-start seed). `BEST` is selected over the
-/// survivors only; screening values never appear. With a survivor
-/// fraction of 1.0 the output is byte-identical to
-/// [`multistart_digest`]'s.
-///
-/// # Errors
-///
-/// As [`multistart_digest`]; additionally when `survivors` and
-/// `reports` disagree in length or a survivor index is out of range.
-pub fn screened_digest(
-    strategy: StrategyKind,
-    space: &ScheduleSpace,
-    starts: &[cacs_sched::Schedule],
-    survivors: &[usize],
-    reports: &[cacs_search::SearchReport],
-) -> Result<String, Box<dyn Error>> {
-    if survivors.len() != reports.len() {
-        return Err(format!(
-            "{} survivor indices but {} exact reports",
-            survivors.len(),
-            reports.len()
-        )
-        .into());
-    }
-    if let Some(&bad) = survivors.iter().find(|&&i| i >= starts.len()) {
-        return Err(format!(
-            "survivor index {bad} out of range for {} starts",
-            starts.len()
-        )
-        .into());
-    }
-    let survived: Vec<cacs_sched::Schedule> =
-        survivors.iter().map(|&i| starts[i].clone()).collect();
-    indexed_digest(strategy, space, starts.len(), &survived, survivors, reports)
-}
-
-/// Shared digest renderer: `entries[j]` is the search that ran from
-/// `starts[j]` and is printed under start index `indices[j]` (the
-/// identity mapping for a plain multistart, the original start indices
-/// for a screened run's survivors). `total` is the header count.
-fn indexed_digest(
-    strategy: StrategyKind,
-    space: &ScheduleSpace,
-    total: usize,
-    starts: &[cacs_sched::Schedule],
-    indices: &[usize],
-    reports: &[cacs_search::SearchReport],
-) -> Result<String, Box<dyn Error>> {
     let rank_of = |s: &cacs_sched::Schedule| -> Result<u64, Box<dyn Error>> {
         space
             .rank(s)
             .ok_or_else(|| format!("schedule {s} outside the space").into())
     };
-    let mut digest = format!("{} {total}\n", strategy.label());
+    let mut digest = format!("{} {}\n", strategy.label(), reports.len());
     let mut best: Option<(u64, u64)> = None;
-    for ((i, start), report) in indices.iter().zip(starts).zip(reports) {
+    for (i, (start, report)) in starts.iter().zip(reports).enumerate() {
         let found = match &report.best {
             Some(s) => {
                 let pair = (rank_of(s)?, report.best_value.to_bits());
@@ -514,96 +423,6 @@ mod tests {
             multistart_digest(StrategyKind::Tabu, &space, &starts, &outcome.reports).unwrap();
         assert!(digest.starts_with("TABU 1\nSEARCH 0 "));
         assert!(digest.trim_end().ends_with("DONE"));
-    }
-
-    #[test]
-    fn screened_digest_lines_match_the_unscreened_run() {
-        let spec = ProblemSpec::parse("synthetic:16x16x16").unwrap();
-        let space = spec.space().unwrap();
-        let eval = spec.evaluator().unwrap();
-        let starts: Vec<cacs_sched::Schedule> = [[8u32, 8, 8], [2, 3, 4], [1, 1, 1], [12, 2, 3]]
-            .iter()
-            .map(|c| cacs_sched::Schedule::new(c.to_vec()).unwrap())
-            .collect();
-        let strategy = cacs_search::StrategyConfig::Hybrid(cacs_search::HybridConfig::default());
-        let plain =
-            cacs_search::run_multistart(eval.as_ref(), &space, &starts, &strategy, None).unwrap();
-        let plain_digest =
-            multistart_digest(StrategyKind::Hybrid, &space, &starts, &plain.reports).unwrap();
-        let two = cacs_search::run_multistart_screened(
-            eval.as_ref(),
-            eval.as_ref(),
-            &space,
-            &starts,
-            &strategy,
-            &cacs_search::ScreenConfig { survivor_frac: 0.5 },
-            None,
-        )
-        .unwrap();
-        let screened = screened_digest(
-            StrategyKind::Hybrid,
-            &space,
-            &starts,
-            &two.survivors,
-            &two.exact.reports,
-        )
-        .unwrap();
-        // Same header, and every survivor SEARCH line appears verbatim
-        // in the unscreened digest (original index, exact bits, exact
-        // Section-V evaluation count).
-        let plain_lines: Vec<&str> = plain_digest.lines().collect();
-        assert_eq!(screened.lines().next(), plain_lines.first().copied());
-        assert_eq!(two.survivors.len(), 2);
-        for line in screened.lines().filter(|l| l.starts_with("SEARCH ")) {
-            assert!(
-                plain_lines.contains(&line),
-                "screened line {line:?} not byte-identical to the unscreened run"
-            );
-        }
-        // Survivor fraction 1.0 reproduces the full digest byte for byte.
-        let full = cacs_search::run_multistart_screened(
-            eval.as_ref(),
-            eval.as_ref(),
-            &space,
-            &starts,
-            &strategy,
-            &cacs_search::ScreenConfig { survivor_frac: 1.0 },
-            None,
-        )
-        .unwrap();
-        let full_digest = screened_digest(
-            StrategyKind::Hybrid,
-            &space,
-            &starts,
-            &full.survivors,
-            &full.exact.reports,
-        )
-        .unwrap();
-        assert_eq!(full_digest, plain_digest);
-    }
-
-    #[test]
-    fn screened_digest_rejects_malformed_survivor_sets() {
-        let spec = ProblemSpec::parse("synthetic:4x4").unwrap();
-        let space = spec.space().unwrap();
-        let starts = vec![cacs_sched::Schedule::new(vec![2, 2]).unwrap()];
-        let report = cacs_search::SearchReport {
-            best: None,
-            best_value: f64::NEG_INFINITY,
-            evaluations: 0,
-            trajectory: Vec::new(),
-        };
-        // Length mismatch.
-        assert!(screened_digest(
-            StrategyKind::Hybrid,
-            &space,
-            &starts,
-            &[],
-            std::slice::from_ref(&report)
-        )
-        .is_err());
-        // Out-of-range survivor index.
-        assert!(screened_digest(StrategyKind::Hybrid, &space, &starts, &[5], &[report]).is_err());
     }
 
     #[test]

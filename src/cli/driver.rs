@@ -18,11 +18,11 @@
 //! The machine-readable output on stdout is the byte-stable digest
 //! (see [`crate::cli::multistart_digest`]); diagnostics go to stderr.
 
-use crate::cli::{multistart_digest, screened_digest, ProblemSpec, StrategyKind};
+use crate::cli::{multistart_digest, ProblemSpec, StrategyKind};
 use cacs_sched::Schedule;
 use cacs_search::{
-    run_multistart, run_multistart_screened, AnnealConfig, EvalStore, GeneticConfig, HybridConfig,
-    MultistartOutcome, ScheduleEvaluator, ScreenConfig, StrategyConfig, TabuConfig,
+    run_multistart, AnnealConfig, EvalStore, GeneticConfig, HybridConfig, MultistartOutcome,
+    ScheduleEvaluator, StrategyConfig, TabuConfig,
 };
 use std::error::Error;
 use std::path::PathBuf;
@@ -33,16 +33,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 const EXIT_KILLED: i32 = 9;
 /// Exit status of a failed `--selfcheck`.
 const EXIT_SELFCHECK: i32 = 3;
-/// Screening budget fraction used when `--survivor-frac` alone turns
-/// the two-stage pipeline on.
-const DEFAULT_SCREEN_BUDGET: f64 = 0.3;
-/// Survivor fraction used when `--screen-budget` alone turns the
-/// two-stage pipeline on.
-const DEFAULT_SURVIVOR_FRAC: f64 = 0.5;
-
-/// One engine dispatch's result: the exact outcome, its digest, and —
-/// when the two-stage pipeline ran — `(screen_evals, survivors)`.
-type DispatchResult = Result<(MultistartOutcome, String, Option<(usize, usize)>), Box<dyn Error>>;
 
 struct Args {
     problem: String,
@@ -54,10 +44,6 @@ struct Args {
     selfcheck: bool,
     metrics: Option<PathBuf>,
     no_eval_cache: bool,
-    // Two-stage screening knobs: either enables screening; with neither
-    // the run takes the reference single-stage path.
-    screen_budget: Option<f64>,
-    survivor_frac: Option<f64>,
     // Strategy knobs; `None` keeps the strategy's default.
     tolerance: Option<f64>,
     max_steps: Option<usize>,
@@ -78,7 +64,7 @@ fn usage(bin: &str) -> ! {
          [--strategy hybrid|anneal|genetic|tabu] \
          [--starts m1xm2x…[,m1xm2x…]] [--store FILE] [--resume] \
          [--kill-after-fresh-evals N] [--selfcheck] [--metrics FILE] \
-         [--no-eval-cache] [--screen-budget F] [--survivor-frac F] \
+         [--no-eval-cache] \
          [--tolerance F] [--max-steps N] (hybrid) \
          [--seed N] [--steps N] [--initial-temperature F] [--cooling F] (anneal) \
          [--seed N] [--population N] [--generations N] (genetic) \
@@ -99,8 +85,6 @@ fn parse_args(bin: &str) -> Args {
         selfcheck: false,
         metrics: None,
         no_eval_cache: false,
-        screen_budget: None,
-        survivor_frac: None,
         tolerance: None,
         max_steps: None,
         seed: None,
@@ -149,8 +133,6 @@ fn parse_args(bin: &str) -> Args {
                 args.no_eval_cache = true;
                 i += 1;
             }
-            "--screen-budget" => args.screen_budget = Some(parsed!(&mut i)),
-            "--survivor-frac" => args.survivor_frac = Some(parsed!(&mut i)),
             "--tolerance" => args.tolerance = Some(parsed!(&mut i)),
             "--max-steps" => args.max_steps = Some(parsed!(&mut i)),
             "--seed" => args.seed = Some(parsed!(&mut i)),
@@ -245,25 +227,6 @@ fn build_strategy(args: &Args) -> StrategyConfig {
     }
 }
 
-/// Resolves the two-stage screening knobs: `None` is the single-stage
-/// reference path (the default); either screening flag enables the
-/// pipeline, with the other knob defaulted. Exits 2 on out-of-range
-/// fractions.
-fn screening_config(bin: &str, args: &Args) -> Option<(f64, f64)> {
-    if args.screen_budget.is_none() && args.survivor_frac.is_none() {
-        return None;
-    }
-    let budget = args.screen_budget.unwrap_or(DEFAULT_SCREEN_BUDGET);
-    let frac = args.survivor_frac.unwrap_or(DEFAULT_SURVIVOR_FRAC);
-    for (flag, v) in [("--screen-budget", budget), ("--survivor-frac", frac)] {
-        if !(v.is_finite() && v > 0.0 && v <= 1.0) {
-            eprintln!("{bin}: {flag} must be in (0, 1], got {v}");
-            std::process::exit(2);
-        }
-    }
-    Some((budget, frac))
-}
-
 /// Parses `--starts`: comma-separated `m1xm2x…` tuples.
 fn parse_starts(spec: &str) -> Result<Vec<Schedule>, Box<dyn Error>> {
     spec.split(',')
@@ -340,7 +303,6 @@ fn run(bin: &'static str) -> Result<(), Box<dyn Error>> {
         std::process::exit(2)
     });
     let strategy = build_strategy(&args);
-    let screening = screening_config(bin, &args);
     let space = spec.space()?;
     // `--no-eval-cache` runs the reference cache-free evaluation path;
     // the digest printed below is bit-identical either way (the CI
@@ -398,41 +360,13 @@ fn run(bin: &'static str) -> Result<(), Box<dyn Error>> {
     };
 
     // One engine dispatch shared by the measured run and the selfcheck
-    // reference: screened two-stage or the plain parallel multistart.
-    // The kill wrapper (and the store) sit on the **exact** evaluator
-    // only — screening results are never journalled, a resumed run
-    // simply re-screens deterministically.
-    let execute = |exact: &dyn ScheduleEvaluator, store: Option<&EvalStore>| -> DispatchResult {
-        match screening {
-            Some((budget, frac)) => {
-                let screen_eval = spec.screening_evaluator(budget, !args.no_eval_cache)?;
-                let two = run_multistart_screened(
-                    screen_eval.as_ref(),
-                    exact,
-                    &space,
-                    &starts,
-                    &strategy,
-                    &ScreenConfig {
-                        survivor_frac: frac,
-                    },
-                    store,
-                )?;
-                let digest = screened_digest(
-                    args.strategy,
-                    &space,
-                    &starts,
-                    &two.survivors,
-                    &two.exact.reports,
-                )?;
-                let stats = (two.screen_evaluations, two.survivors.len());
-                Ok((two.exact, digest, Some(stats)))
-            }
-            None => {
-                let outcome = run_multistart(exact, &space, &starts, &strategy, store)?;
-                let digest = multistart_digest(args.strategy, &space, &starts, &outcome.reports)?;
-                Ok((outcome, digest, None))
-            }
-        }
+    // reference.
+    let execute = |evaluator: &dyn ScheduleEvaluator,
+                   store: Option<&EvalStore>|
+     -> Result<(MultistartOutcome, String), Box<dyn Error>> {
+        let outcome = run_multistart(evaluator, &space, &starts, &strategy, store)?;
+        let digest = multistart_digest(args.strategy, &space, &starts, &outcome.reports)?;
+        Ok((outcome, digest))
     };
 
     let killer = KillAfter {
@@ -442,16 +376,9 @@ fn run(bin: &'static str) -> Result<(), Box<dyn Error>> {
         calls: AtomicUsize::new(0),
     };
     let t = crate::cli::metrics::RunTimer::start();
-    let (outcome, digest, screen_stats) = execute(&killer, store.as_ref())?;
+    let (outcome, digest) = execute(&killer, store.as_ref())?;
     let wall_ms = t.elapsed_ms();
 
-    if let Some((screen_evals, survivors)) = screen_stats {
-        eprintln!(
-            "{bin}: screening: {screen_evals} reduced-fidelity evaluation(s) \
-             ranked {} start(s); {survivors} survivor(s) re-evaluated exactly",
-            starts.len()
-        );
-    }
     report_outcome(bin, &outcome, wall_ms);
     print!("{digest}");
 
@@ -464,10 +391,9 @@ fn run(bin: &'static str) -> Result<(), Box<dyn Error>> {
     if args.selfcheck {
         eprintln!("{bin}: selfcheck — uninterrupted in-memory run…");
         // Fresh evaluator, no store, no kill wrapper: the reference is
-        // what a single untouched process would have produced (under
-        // the same screening mode).
+        // what a single untouched process would have produced.
         let reference_eval = spec.evaluator_with_cache(!args.no_eval_cache)?;
-        let (reference, reference_digest, _) = execute(reference_eval.as_ref(), None)?;
+        let (reference, reference_digest) = execute(reference_eval.as_ref(), None)?;
         if digest.as_bytes() != reference_digest.as_bytes() {
             eprintln!("{bin}: SELFCHECK FAILED — digests differ");
             eprintln!("--- this run ---\n{digest}--- uninterrupted ---\n{reference_digest}");

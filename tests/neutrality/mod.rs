@@ -1,20 +1,11 @@
 //! Shared harness of the determinism-neutrality tests: the evaluation
-//! caches ([`cacs::core::EvalCtx`] expm memo + app-synthesis cache), the
-//! `cacs-obs` recorder and two-stage screening must not change a single
-//! byte of any digest nor a single Section-V evaluation count. Each test
-//! runs table rows, one per toggle: the same search, sweep or `cacs-opt`
-//! run with the toggle off (the reference path), then on, and compares
-//! bytes. `eval_cache_neutrality.rs`, `obs_neutrality.rs` and
-//! `two_stage_neutrality.rs` hold the rows of their toggle.
-//!
-//! Screening is the one toggle that may drop work: it re-runs only the
-//! surviving starts exactly. Its contract is that every survivor's
-//! search is bit-identical to the same start's search in the
-//! single-stage run (stage 2 replays it under the original per-start
-//! seed), and a survivor fraction of 1.0 reproduces the whole digest.
-//! The exact evaluator seeds every application's PSO from the evaluated
-//! schedule alone, so a start's exact search is the same whichever
-//! starts run before or beside it.
+//! caches ([`cacs::core::EvalCtx`] expm memo + app-synthesis cache) and
+//! the `cacs-obs` recorder must not change a single byte of any digest
+//! nor a single Section-V evaluation count. Each test runs table rows,
+//! one per toggle: the same search, sweep or `cacs-opt` run with the
+//! toggle off (the reference path), then on, and compares bytes.
+//! `eval_cache_neutrality.rs` and `obs_neutrality.rs` hold the rows of
+//! their toggle.
 //!
 //! The recorder switch is process-global, so every test that evaluates
 //! in-process serialises on one mutex (other integration-test binaries
@@ -23,12 +14,12 @@
 // Each test binary uses only the rows and helpers of its own toggle.
 #![allow(dead_code)]
 
-use cacs::cli::{multistart_digest, screened_digest, ProblemSpec, StrategyKind};
+use cacs::cli::{multistart_digest, ProblemSpec, StrategyKind};
 use cacs::distrib::{sweep_in_process, CoordinatorConfig};
 use cacs::sched::Schedule;
 use cacs::search::{
-    run_multistart, run_multistart_screened, AnnealConfig, GeneticConfig, HybridConfig,
-    ScheduleEvaluator, ScreenConfig, SearchReport, StrategyConfig, TabuConfig,
+    run_multistart, AnnealConfig, GeneticConfig, HybridConfig, SearchReport, StrategyConfig,
+    TabuConfig,
 };
 use std::path::Path;
 use std::process::Command;
@@ -36,7 +27,6 @@ use std::sync::{Mutex, MutexGuard};
 
 static RECORDER: Mutex<()> = Mutex::new(());
 
-type Evaluator = Box<dyn ScheduleEvaluator>;
 pub type Strategy = (StrategyKind, StrategyConfig);
 /// (toggle, problem spec, starts, strategies)
 pub type Row<'a> = (Toggle, &'a str, Vec<Schedule>, Vec<Strategy>);
@@ -55,9 +45,6 @@ pub enum Toggle {
     EvalCache,
     /// The process-global `cacs-obs` recorder.
     Recorder,
-    /// Two-stage screening with the reduced PSO budget (0.3) at this
-    /// survivor fraction; off is the single-stage run.
-    Screening(f64),
 }
 
 /// Runs `f` with the toggle's global state (the recorder) switched as
@@ -97,96 +84,49 @@ pub fn hybrid_only() -> Vec<Strategy> {
     all_strategies().into_iter().take(1).collect()
 }
 
-pub fn starts(tuples: &[[u32; 3]]) -> Vec<Schedule> {
-    tuples
-        .iter()
-        .map(|c| Schedule::new(c.to_vec()).expect("start"))
-        .collect()
-}
-
-/// Starts of the synthetic screening rows (all idle-feasible under the
-/// surrogate: no count sum is a multiple of 16).
-pub fn synthetic_starts() -> Vec<Schedule> {
-    starts(&[[1, 1, 1], [5, 5, 5], [2, 3, 4], [4, 4, 4]])
-}
-
 /// What a multistart run exposes to the contract: its digest and every
-/// search it reports, keyed by original start index.
+/// search it reports, in start order.
 struct Run {
     digest: String,
-    searches: Vec<(usize, SearchReport)>,
-    screen_evaluations: usize,
+    reports: Vec<SearchReport>,
 }
 
-/// One multistart run of `strategy` from `starts`, with `toggle` off or
-/// on. `shared` is a screening row's (exact, screening) evaluator pair,
-/// reused across the row's runs; the other rows evaluate cold.
+/// One cold multistart run of `strategy` from `starts`, with `toggle`
+/// off or on.
 fn search(
     spec: &ProblemSpec,
     starts: &[Schedule],
     (kind, strategy): &Strategy,
     toggle: Toggle,
     on: bool,
-    shared: Option<&(Evaluator, Evaluator)>,
 ) -> Run {
     let space = spec.space().expect("space");
-    if let (Toggle::Screening(survivor_frac), Some((exact, screen)), true) = (toggle, shared, on) {
-        let two = run_multistart_screened(
-            screen.as_ref(),
-            exact.as_ref(),
-            &space,
-            starts,
-            strategy,
-            &ScreenConfig { survivor_frac },
-            None,
-        )
-        .expect("screened run");
-        let digest = screened_digest(*kind, &space, starts, &two.survivors, &two.exact.reports)
-            .expect("screened digest");
-        return Run {
-            digest,
-            searches: two.survivors.into_iter().zip(two.exact.reports).collect(),
-            screen_evaluations: two.screen_evaluations,
-        };
-    }
-    let cold;
-    let exact = match shared {
-        Some((exact, _)) => exact,
-        None => {
-            cold = spec
-                .evaluator_with_cache(on || !matches!(toggle, Toggle::EvalCache))
-                .expect("evaluator");
-            &cold
-        }
-    };
+    let evaluator = spec
+        .evaluator_with_cache(on || !matches!(toggle, Toggle::EvalCache))
+        .expect("evaluator");
     with_recorder(toggle, on, || {
         let outcome =
-            run_multistart(exact.as_ref(), &space, starts, strategy, None).expect("search");
+            run_multistart(evaluator.as_ref(), &space, starts, strategy, None).expect("search");
         let digest = multistart_digest(*kind, &space, starts, &outcome.reports).expect("digest");
         Run {
             digest,
-            searches: outcome.reports.into_iter().enumerate().collect(),
-            screen_evaluations: 0,
+            reports: outcome.reports,
         }
     })
 }
 
-/// The contract: every search the toggled run reports equals the same
-/// start's search in the reference run — digest line, best schedule,
-/// objective bits, Section-V evaluation count — and a run that reports
-/// every start prints the reference digest byte for byte. A screened
-/// run below fraction 1.0 must really screen: a strict, non-empty
-/// survivor subset, paid for by screening evaluations.
-fn assert_neutral(tag: &str, toggle: Toggle, off: &Run, on: &Run) {
-    let reference_lines: Vec<&str> = off.digest.lines().collect();
-    for line in on.digest.lines().filter(|l| l.starts_with("SEARCH ")) {
-        assert!(
-            reference_lines.contains(&line),
-            "{tag}: line {line:?} not byte-identical to the reference run"
-        );
-    }
-    for (idx, report) in &on.searches {
-        let (_, reference) = &off.searches[*idx];
+/// The contract: the toggled run prints the reference digest byte for
+/// byte, and every search equals the same start's search in the
+/// reference run — best schedule, objective bits, Section-V evaluation
+/// count.
+fn assert_neutral(tag: &str, off: &Run, on: &Run) {
+    assert_eq!(
+        on.digest.as_bytes(),
+        off.digest.as_bytes(),
+        "{tag}: digest changed"
+    );
+    assert_eq!(on.reports.len(), off.reports.len(), "{tag}: search count");
+    for (idx, (report, reference)) in on.reports.iter().zip(&off.reports).enumerate() {
         assert_eq!(report.best, reference.best, "{tag} start {idx}: best");
         assert_eq!(
             report.best_value.to_bits(),
@@ -198,22 +138,6 @@ fn assert_neutral(tag: &str, toggle: Toggle, off: &Run, on: &Run) {
             "{tag} start {idx}: Section-V evaluation count"
         );
     }
-    if on.searches.len() == off.searches.len() {
-        assert_eq!(
-            on.digest.as_bytes(),
-            off.digest.as_bytes(),
-            "{tag}: digest changed"
-        );
-    }
-    if let Toggle::Screening(frac) = toggle {
-        assert!(on.screen_evaluations > 0, "{tag}: nothing was screened");
-        if frac < 1.0 {
-            assert!(
-                !on.searches.is_empty() && on.searches.len() < off.searches.len(),
-                "{tag}: expected a strict survivor subset"
-            );
-        }
-    }
 }
 
 /// Each strategy of each row: its toggled run must be neutral against
@@ -222,18 +146,11 @@ pub fn check_rows(rows: &[Row]) {
     let _guard = recorder_lock();
     for (toggle, name, starts, strategies) in rows {
         let spec = ProblemSpec::parse(name).expect("problem spec");
-        let shared = matches!(toggle, Toggle::Screening(_)).then(|| {
-            (
-                spec.evaluator().expect("exact evaluator"),
-                spec.screening_evaluator(0.3, true)
-                    .expect("screening evaluator"),
-            )
-        });
         for strategy in strategies {
             let tag = format!("{toggle:?} {name} {}", strategy.0.name());
-            let off = search(&spec, starts, strategy, *toggle, false, shared.as_ref());
-            let on = search(&spec, starts, strategy, *toggle, true, shared.as_ref());
-            assert_neutral(&tag, *toggle, &off, &on);
+            let off = search(&spec, starts, strategy, *toggle, false);
+            let on = search(&spec, starts, strategy, *toggle, true);
+            assert_neutral(&tag, &off, &on);
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Integration tests for the strategy-aware `cacs-opt` binary as a
 //! real child process: every strategy passes `--selfcheck`, a
 //! non-hybrid strategy survives a hard kill→resume cycle bit for bit,
-//! and `cacs-opt --strategy hybrid` prints the pinned pre-engine hybrid
-//! digest bytes.
+//! `cacs-opt --strategy hybrid` prints the pinned pre-engine hybrid
+//! digest bytes, and bad or retired flags are usage errors.
 
 use std::path::Path;
 use std::process::Command;
@@ -147,4 +147,20 @@ fn foreign_strategy_knobs_are_refused() {
     assert_eq!(code, Some(2), "stderr:\n{stderr}");
     let (code, _, stderr) = run_opt(&["--strategy", "hybrid", "--tolerance", "0.01"]);
     assert_eq!(code, Some(0), "stderr:\n{stderr}");
+}
+
+/// Retired flags are unknown options: a usage error (exit 2), not a
+/// panic and not a silent no-op.
+#[test]
+fn retired_flags_are_usage_errors() {
+    for retired in [
+        &["--warm-start"][..],
+        &["--no-screen"],
+        &["--screen-budget", "0.3"],
+        &["--survivor-frac", "0.5"],
+    ] {
+        let (code, _, stderr) = run_opt(retired);
+        assert_eq!(code, Some(2), "{retired:?}; stderr:\n{stderr}");
+        assert!(stderr.contains("usage:"), "{retired:?}; stderr:\n{stderr}");
+    }
 }
