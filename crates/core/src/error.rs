@@ -20,8 +20,6 @@ pub enum CoreError {
     Control(cacs_control::ControlError),
     /// The search substrate failed.
     Search(cacs_search::SearchError),
-    /// The distributed-sweep subsystem failed.
-    Distrib(cacs_distrib::DistribError),
 }
 
 impl fmt::Display for CoreError {
@@ -32,7 +30,6 @@ impl fmt::Display for CoreError {
             CoreError::Sched(e) => write!(f, "scheduling: {e}"),
             CoreError::Control(e) => write!(f, "control design: {e}"),
             CoreError::Search(e) => write!(f, "schedule search: {e}"),
-            CoreError::Distrib(e) => write!(f, "distributed sweep: {e}"),
         }
     }
 }
@@ -45,7 +42,6 @@ impl Error for CoreError {
             CoreError::Sched(e) => Some(e),
             CoreError::Control(e) => Some(e),
             CoreError::Search(e) => Some(e),
-            CoreError::Distrib(e) => Some(e),
         }
     }
 }
@@ -71,12 +67,6 @@ impl From<cacs_control::ControlError> for CoreError {
 impl From<cacs_search::SearchError> for CoreError {
     fn from(e: cacs_search::SearchError) -> Self {
         CoreError::Search(e)
-    }
-}
-
-impl From<cacs_distrib::DistribError> for CoreError {
-    fn from(e: cacs_distrib::DistribError) -> Self {
-        CoreError::Distrib(e)
     }
 }
 

@@ -2,7 +2,6 @@
 //! verification).
 
 use crate::{CodesignProblem, Result};
-use cacs_distrib::{CoordinatorConfig, ShardedSweep};
 use cacs_sched::Schedule;
 use cacs_search::{
     exhaustive_search, run_multistart, EvalStore, ExhaustiveReport, ScheduleSpace, SearchReport,
@@ -164,38 +163,6 @@ impl CodesignProblem {
     pub fn optimize_exhaustive(&self) -> Result<ExhaustiveReport> {
         let space = self.schedule_space()?;
         Ok(exhaustive_search(self, &space)?)
-    }
-
-    /// An exhaustive sweep sharded over `workers` in-process workers via
-    /// the `cacs-distrib` coordinator: the space is partitioned into
-    /// rank-range leases, each worker sweeps its leases through the full
-    /// wire protocol, and the shard reports are merged back together.
-    /// The merged report is **bit-identical** to the single-process
-    /// sweep under the same [`cacs_search::SweepConfig`]
-    /// (`config.sweep`) — sharding, lease scheduling and fault recovery
-    /// are invisible in the result.
-    ///
-    /// For multi-process or cross-host deployments, use the
-    /// `cacs-sweep-coord` / `cacs-sweep-worker` binaries (or
-    /// [`cacs_distrib::run_coordinator`] directly) — this method is the
-    /// same coordinator over an in-process transport, and doubles as the
-    /// subsystem's equivalence oracle in tests.
-    ///
-    /// # Errors
-    ///
-    /// Propagates search errors and [`CoreError::Distrib`] coordinator
-    /// failures.
-    ///
-    /// [`CoreError::Distrib`]: crate::CoreError::Distrib
-    pub fn optimize_exhaustive_sharded(
-        &self,
-        workers: usize,
-        config: &CoordinatorConfig,
-    ) -> Result<ShardedSweep> {
-        let space = self.schedule_space()?;
-        Ok(cacs_distrib::sweep_in_process(
-            self, &space, workers, config,
-        )?)
     }
 }
 

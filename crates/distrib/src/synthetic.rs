@@ -1,14 +1,12 @@
-//! The synthetic µs-scale sweep objective shared by the benchmarks and
-//! the distributed-sweep binaries.
+//! The synthetic ns-scale sweep objective shared by the benchmarks, the
+//! `cacs-opt` binary's `synthetic:` problem mode and the tests.
 //!
-//! Coordinator and workers must construct **the same** evaluator for a
-//! byte-identical merged report, so the function lives here — one
-//! definition, used by perfbench's `synthetic-sweep` workload (which
-//! times it), `perf-baseline`'s constant-memory check and chaos-soak,
-//! the `cacs-sweep-worker` binary's `synthetic:` problem mode, and the
-//! integration tests. For the historical 3-dimensional box it computes
-//! exactly the objective whose answers `BENCH_streaming_sweep.json`
-//! records.
+//! One definition, so every caller evaluates the same objective:
+//! perfbench's `synthetic-sweep` workload times it, `perf-baseline`'s
+//! constant-memory check sweeps it, and `cacs-opt --problem
+//! synthetic:<box>` searches it. For the historical 3-dimensional box it
+//! computes exactly the objective whose answers
+//! `BENCH_streaming_sweep.json` records.
 
 use cacs_sched::Schedule;
 use cacs_search::FnEvaluator;

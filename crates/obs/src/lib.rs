@@ -418,17 +418,6 @@ registry! {
     counters {
         // Synthesis retry loop restarts (control::synthesize).
         SYNTHESIS_RETRIES => "control.synthesis_retries",
-        // FaultEvent totals by kind, plus supervision outcomes.
-        FAULTS_CORRUPT => "distrib.faults_corrupt",
-        FAULTS_DIED => "distrib.faults_died",
-        FAULTS_GARBAGE => "distrib.faults_garbage",
-        FAULTS_HANDSHAKE => "distrib.faults_handshake",
-        FAULTS_SPAWN => "distrib.faults_spawn",
-        FAULTS_TIMEOUT => "distrib.faults_timeout",
-        LEASES_COMPLETED => "distrib.leases_completed",
-        LEASES_REISSUED => "distrib.leases_reissued",
-        QUARANTINED_WORKERS => "distrib.quarantined_workers",
-        RESPAWNS => "distrib.respawns",
         // EvalCtx app-level synthesis cache: per-app results served
         // from the memo vs synthesised fresh.
         EVAL_APP_SYNTH_CACHE_HITS => "eval.app_synth_cache_hits",
@@ -474,9 +463,6 @@ registry! {
         PHASE_B_NS => "control.phase_b_ns",
         SIMULATE_WORST_CASE_NS => "control.simulate_worst_case_ns",
         SYNTHESIS_NS => "control.synthesis_ns",
-        CHECKPOINT_WRITE_NS => "distrib.checkpoint_write_ns",
-        HANDSHAKE_NS => "distrib.handshake_ns",
-        LEASE_NS => "distrib.lease_ns",
         EVAL_SCHEDULE_NS => "eval.schedule_ns",
         EXPM_NS => "linalg.expm_ns",
         // Parallel-region telemetry: items per region and per-lane
@@ -749,9 +735,9 @@ mod tests {
         with_recorder(|| {
             let s = stamp();
             std::thread::scope(|scope| {
-                scope.spawn(|| metrics::LEASE_NS.observe_since(&s));
+                scope.spawn(|| metrics::STORE_WRITE_THROUGH_NS.observe_since(&s));
             });
-            assert_eq!(metrics::LEASE_NS.count(), 1);
+            assert_eq!(metrics::STORE_WRITE_THROUGH_NS.count(), 1);
         });
     }
 
@@ -762,9 +748,9 @@ mod tests {
         reset();
         let s = stamp();
         enable();
-        metrics::LEASE_NS.observe_since(&s);
+        metrics::STORE_WRITE_THROUGH_NS.observe_since(&s);
         disable();
-        assert_eq!(metrics::LEASE_NS.count(), 0);
+        assert_eq!(metrics::STORE_WRITE_THROUGH_NS.count(), 0);
         reset();
     }
 
@@ -786,14 +772,14 @@ mod tests {
     fn quantiles_are_bucket_accurate() {
         with_recorder(|| {
             for v in [10u64, 100, 1_000, 10_000] {
-                metrics::LEASE_NS.record(v);
+                metrics::STORE_WRITE_THROUGH_NS.record(v);
             }
-            let p50 = metrics::LEASE_NS.quantile(0.5);
+            let p50 = metrics::STORE_WRITE_THROUGH_NS.quantile(0.5);
             // p50 is the upper bound of the bucket holding 100.
             assert_eq!(p50, 1u64 << Histogram::bucket_index(100));
-            assert_eq!(metrics::LEASE_NS.quantile(1.0), 16_384);
+            assert_eq!(metrics::STORE_WRITE_THROUGH_NS.quantile(1.0), 16_384);
             // q=0 → the first occupied bucket's upper bound ([8,16) holds 10).
-            assert_eq!(metrics::LEASE_NS.quantile(0.0), 16);
+            assert_eq!(metrics::STORE_WRITE_THROUGH_NS.quantile(0.0), 16);
         });
     }
 
@@ -844,7 +830,7 @@ mod tests {
             let s = summary();
             assert!(s.contains("linalg.expm_ns"));
             assert!(s.contains("pso.objective_calls"));
-            assert!(!s.contains("distrib.lease_ns"));
+            assert!(!s.contains("store.write_through_ns"));
         });
         let _guard = serialize();
         assert!(summary().contains("(no metrics recorded)"));

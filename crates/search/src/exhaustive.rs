@@ -16,8 +16,7 @@
 //! order and its strict-`>` running best is the first-seen best of the
 //! ranks it swept. The caller folds the lane partials with
 //! [`ExhaustiveReport::merge_owned`]
-//! (the commutative, associative merge the distributed coordinator
-//! also relies on), which makes the selected best schedule, its
+//! (commutative and associative, property-tested), which makes the selected best schedule, its
 //! tie-breaking, every counter and the retained results bit-identical
 //! to a plain sequential loop over the box at any thread count and any
 //! grain. Under `CACS_THREADS=1`, [`cacs_par::sequential`] or inside
@@ -69,8 +68,8 @@ impl SweepConfig {
     }
 }
 
-/// Outcome of an exhaustive sweep over the schedule space (or, for a
-/// sharded sweep, over one rank range of it — see
+/// Outcome of an exhaustive sweep over the schedule space (or, for one
+/// lane or range of a sweep, over part of it — see
 /// [`exhaustive_search_range`] and [`ExhaustiveReport::merge`]).
 #[derive(Debug, Clone)]
 pub struct ExhaustiveReport {
@@ -99,7 +98,7 @@ pub struct ExhaustiveReport {
 /// non-NaN values numerically (±0.0 compare equal, exactly like the
 /// sequential sweep's strict-`>` improvement rule treats them), every
 /// non-NaN above every NaN, NaN-vs-NaN by raw `f64::to_bits` pattern
-/// (the wire encoding).
+/// (the digest encoding).
 fn merge_value_order(a: f64, b: f64) -> std::cmp::Ordering {
     match (a.is_nan(), b.is_nan()) {
         (false, false) => a.partial_cmp(&b).expect("both non-NaN"),
@@ -134,15 +133,15 @@ impl ExhaustiveReport {
     /// into enumeration order.
     ///
     /// The operation is **commutative** and **associative**, with
-    /// [`ExhaustiveReport::empty`] as identity — shards can arrive in any
-    /// order, be merged in any grouping (coordinator trees, checkpoint
-    /// resume), and still reduce to the exact sequential result.
+    /// [`ExhaustiveReport::empty`] as identity — partial reports can
+    /// arrive in any order, be merged in any grouping, and still reduce
+    /// to the exact sequential result.
     ///
     /// # Ordering of best values (including NaN)
     ///
     /// Best selection uses a **total** order so the reduction stays
     /// commutative/associative on *any* input, including reports that
-    /// arrive off the wire with pathological objectives:
+    /// are hand-built with pathological objectives:
     ///
     /// * non-NaN values compare numerically; an exact tie — including
     ///   `-0.0` vs `+0.0`, which the sequential sweep's strict
@@ -151,7 +150,7 @@ impl ExhaustiveReport {
     /// * any non-NaN best beats any NaN best (a sequential sweep never
     ///   selects a NaN best: NaN loses every strict comparison);
     /// * between two NaN bests, the larger raw bit pattern
-    ///   (`f64::to_bits`, the wire encoding) wins, ties by lower rank —
+    ///   (`f64::to_bits`, the digest encoding) wins, ties by lower rank —
     ///   an arbitrary but *defined* and documented order, so merging
     ///   NaN-bearing shards in any grouping yields one deterministic
     ///   result instead of undefined behaviour.
@@ -173,7 +172,7 @@ impl ExhaustiveReport {
     /// [`ExhaustiveReport::merge`] consuming the left operand: the
     /// accumulator's own results are *moved* into the merged report
     /// instead of deep-cloned, so folding many shards into a running
-    /// report (the coordinator's per-lease path) costs one traversal per
+    /// report (the sweep's per-lane fold) costs one traversal per
     /// merge rather than re-cloning everything accumulated so far. Only
     /// `other`'s (per-shard, small) results are cloned.
     ///
@@ -244,9 +243,9 @@ impl ExhaustiveReport {
     /// schedule, same objective bit patterns (`f64::to_bits`, so
     /// `0.0`/`-0.0` and NaN payloads are distinguished), same counters,
     /// same retained results in the same order, same truncation flag.
-    /// This is the equivalence the sharded and lane sweep machinery
-    /// guarantees against the sequential sweep, and the single predicate
-    /// every self-check and test asserts.
+    /// This is the equivalence the lane sweep guarantees against the
+    /// sequential sweep, and the single predicate every self-check and
+    /// test asserts.
     pub fn bit_identical(&self, other: &ExhaustiveReport) -> bool {
         self.best == other.best
             && self.best_value.to_bits() == other.best_value.to_bits()
@@ -334,9 +333,8 @@ pub fn exhaustive_search_with<E: ScheduleEvaluator + ?Sized>(
 }
 
 /// Sweeps one **rank range** `[start, end)` of the space's lexicographic
-/// enumeration — the shard primitive behind distributed sweeps: partition
-/// `[0, space.len())` into ranges, sweep each independently (any process,
-/// any host), then fold the partial reports back together with
+/// enumeration. Ranges partitioning `[0, space.len())` can be swept
+/// independently and their reports folded back together with
 /// [`ExhaustiveReport::merge`]. The result over a range is bit-identical
 /// to what a full sweep contributes over those ranks; an empty range
 /// (`start >= end`) yields [`ExhaustiveReport::empty`].

@@ -1,9 +1,8 @@
-//! End-to-end integrity primitives shared by every durable or
-//! wire-crossing line format in the workspace: the evaluation store's
-//! snapshot/journal records, the distributed sweep's wire protocol, and
-//! the coordinator checkpoint.
+//! End-to-end integrity primitives of the workspace's durable line
+//! format: the evaluation store's snapshot and journal records, plus
+//! the CRC-32 that pins the scientific anchor's report digest.
 //!
-//! All three are line-oriented ASCII formats whose corruption used to be
+//! The store's records are line-oriented ASCII whose corruption used to be
 //! detected only by accident of parse failure — a flipped hex digit in
 //! an objective's bit pattern still parses and would have been silently
 //! merged. A per-line CRC-32 suffix closes that hole: bit rot, partial

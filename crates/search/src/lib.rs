@@ -17,7 +17,7 @@
 //!   persistence,
 //! * [`EvalStore`] — a persistent, digest-addressed store of completed
 //!   evaluations (append-only journal + `END`-guarded compacted
-//!   snapshot, wire-compatible rank/bit-pattern encodings) so an
+//!   snapshot, rank/bit-pattern encodings) so an
 //!   interrupted multistart search resumes with strictly fewer fresh
 //!   evaluations and bit-identical results,
 //! * [`ScheduleSpace`] — the bounded box of candidate schedules, with
@@ -29,9 +29,10 @@
 //!   rank-order reduction (see [`SweepConfig`] for the claim-grain and
 //!   result-retention knobs),
 //! * [`exhaustive_search_range`] + [`ExhaustiveReport::merge`] — the
-//!   sharding primitives: sweep one rank range of the enumeration in
-//!   isolation and fold partial reports back together bit-identically
-//!   (the substrate of the `cacs-distrib` multi-process coordinator),
+//!   lane reduction: every lane of a sweep folds its rank blocks into a
+//!   partial report, and the commutative, associative merge folds the
+//!   partials back into the sequential sweep's report bit for bit; a
+//!   single rank range can be swept in isolation the same way,
 //! * [`run_multistart`] + [`StrategyConfig`] — the **unified strategy
 //!   engine** and the one way to run a search: a multistart driver
 //!   that checks the run once up front, then runs any strategy over the

@@ -248,9 +248,9 @@ impl ScheduleSpace {
     /// does not fit in `u64` (only possible when
     /// [`ScheduleSpace::checked_len`] is `None`).
     ///
-    /// Ranks are what sharded sweeps and checkpoints exchange instead of
-    /// schedules: a rank plus the shared space identifies a schedule
-    /// exactly, in a form that is cheap to transmit and trivially ordered.
+    /// Ranks are what digests, stores and report merges record instead
+    /// of schedules: a rank plus the shared space identifies a schedule
+    /// exactly, in a form that is cheap to store and trivially ordered.
     pub fn rank(&self, schedule: &Schedule) -> Option<u64> {
         if !self.contains(schedule) {
             return None;

@@ -20,7 +20,7 @@
 //! Two sibling files:
 //!
 //! * `<path>` — the **compacted snapshot**, a line-oriented text file
-//!   sharing the distributed-sweep wire protocol's primitive encodings
+//!   sharing the report digest's primitive encodings
 //!   (schedules as enumeration ranks, objectives as 16-hex-digit
 //!   `f64::to_bits` patterns — the currency of the repo's bit-identical
 //!   contract):
@@ -35,9 +35,8 @@
 //!   ```
 //!
 //!   Snapshots are written through a sibling temp file and an atomic
-//!   rename, and loads refuse files without the `END` trailer — the
-//!   same pattern as the sweep coordinator's checkpoint, so a process
-//!   killed mid-compaction can never corrupt the store.
+//!   rename, and loads refuse files without the `END` trailer, so a
+//!   process killed mid-compaction can never corrupt the store.
 //!
 //! * `<path>.log` — the **append-only journal** of records since the
 //!   last compaction, one `E` line per completed evaluation, flushed
@@ -47,10 +46,8 @@
 //! # Integrity (format version 2)
 //!
 //! Every `E` record — in the snapshot and in the journal — carries a
-//! [CRC-32 suffix](crate::integrity) covering its payload. Unlike the
-//! sweep checkpoint (where one damaged line invalidates the indivisible
-//! merged report, so resume is refused), store records are independent
-//! facts: a record whose CRC is missing or fails, whose payload does
+//! [CRC-32 suffix](crate::integrity) covering its payload. Store
+//! records are independent facts: a record whose CRC is missing or fails, whose payload does
 //! not parse, or whose rank lies outside the space is **quarantined** —
 //! skipped with a count surfaced through
 //! [`EvalStore::quarantined_records`] — and every other record is kept.
@@ -232,9 +229,8 @@ impl CompactionPolicy {
 /// Encodes one evaluation record as its line form: `E <rank>
 /// <bits|none>`, where `<bits>` is the objective's `f64::to_bits` as 16
 /// lower-case hex digits and `none` marks an infeasible evaluation —
-/// byte-compatible with the distributed-sweep wire protocol's `R` line
-/// payload encoding (and under the same stability guarantee: frozen
-/// within a store format version).
+/// the encoding of the report digest's `R` lines, frozen within a store
+/// format version.
 pub fn encode_record(rank: u64, value_bits: Option<u64>) -> String {
     match value_bits {
         Some(bits) => format!("E {rank} {bits:016x}"),
@@ -919,8 +915,7 @@ mod tests {
     fn corrupt_mid_journal_is_quarantined_not_refused() {
         // One unparseable interior record quarantines that record only:
         // the store still opens and the healthy record behind it
-        // replays — records are independent facts, unlike checkpoint
-        // lines, whose merged report is indivisible.
+        // replays — records are independent facts.
         let path = temp_store_path("mid-corrupt");
         let space = space();
         drop(EvalStore::open(&path, "p", &space).unwrap());

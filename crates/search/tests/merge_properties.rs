@@ -1,9 +1,9 @@
-//! Property tests for the sharding primitives: `ScheduleSpace::rank` as
-//! the verified inverse of `unrank`, and `ExhaustiveReport::merge` as a
-//! commutative, associative reduction with `ExhaustiveReport::empty` as
-//! identity — the algebra that lets a distributed sweep reassemble shard
-//! reports in any arrival order and still match the sequential sweep
-//! bit-for-bit.
+//! Property tests for the sweep's reduction primitives:
+//! `ScheduleSpace::rank` as the verified inverse of `unrank`, and
+//! `ExhaustiveReport::merge` as a commutative, associative reduction
+//! with `ExhaustiveReport::empty` as identity — the algebra that lets
+//! the lane sweep fold partial reports in any order and still match the
+//! sequential sweep bit-for-bit.
 
 #![allow(clippy::unwrap_used)] // tests unwrap freely
 
@@ -217,7 +217,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// With NaN and infinite bests in the mix — values a real shard sweep
-    /// can never produce but a hand-crafted or corrupted wire report can —
+    /// can never produce but a hand-crafted report can —
     /// the merge must stay commutative, associative, and deterministic:
     /// any grouping and any permutation of the same shard set reduces to
     /// one bit-identical result, and a NaN best never survives contact

@@ -42,26 +42,6 @@ profile PROBLEM="paper-fast" STRATEGY="hybrid" OUT="/tmp/cacs-profile.json" FLAG
     target/release/cacs-opt --problem {{PROBLEM}} --strategy {{STRATEGY}} \
         --metrics {{OUT}} {{FLAGS}}
 
-# Distributed exhaustive sweep: coordinator + WORKERS local worker
-# processes over the wire protocol, self-checked byte-for-byte against
-# the single-process sequential sweep. PROBLEM is paper-fast,
-# paper-full or synthetic:<m1>x<m2>x… (see `cacs-sweep-coord --help`
-# for checkpoints, TCP workers and fault injection).
-sweep-distributed WORKERS="2" PROBLEM="paper-fast" FLAGS="":
-    cargo build --release --bin cacs-sweep-coord --bin cacs-sweep-worker
-    target/release/cacs-sweep-coord --problem {{PROBLEM}} \
-        --workers {{WORKERS}} --shard-size 4096 --selfcheck {{FLAGS}}
-
-# Chaos soak: run the seeded fault matrix (worker death, hang, wire
-# garbage/truncation/byte-flip, scripted disconnect, slow start) over a
-# 2M-schedule sharded sweep and fail unless every cell's merged report
-# is byte-identical to the sequential sweep and the all-workers-dead
-# cell errors with a typed WorkersExhausted inside its budget. Writes
-# BENCH_chaos_soak.json under OUT (the CI chaos-soak gate).
-chaos-soak OUT="/tmp/chaos-soak":
-    mkdir -p {{OUT}}
-    cargo run --release -p cacs-bench --bin chaos-soak -- --out {{OUT}}
-
 # Strategy-aware resumable multistart search: STRATEGY is hybrid,
 # anneal, genetic or tabu — all four run on the unified engine with
 # identical store/resume/selfcheck semantics (see `cacs-opt` for the

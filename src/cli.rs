@@ -1,17 +1,18 @@
-//! Shared plumbing for the `cacs-sweep-coord` / `cacs-sweep-worker`
-//! binaries: problem specifications and the stable report digest.
+//! Shared plumbing of the `cacs-opt` binary: problem specifications and
+//! the stable, bit-exact digests it prints.
 //!
-//! Coordinator and workers must agree **exactly** on the objective, so a
-//! sweep is launched against a *problem specification* string that both
-//! sides resolve independently:
+//! A run is launched against a *problem specification* string, which
+//! also names the run's persistent state (an evaluation store is
+//! addressed by [`ProblemSpec::digest`]):
 //!
 //! * `paper-fast` / `paper-full` — the paper case study under the
 //!   reduced resp. paper-accuracy synthesis budget,
-//! * `synthetic:<m1>x<m2>x…` — the µs-scale surrogate objective of the
+//! * `synthetic:<m1>x<m2>x…` — the ns-scale surrogate objective of the
 //!   streaming benchmark ([`cacs_distrib::synthetic::surrogate`]) over
 //!   the given box.
 
 use cacs_core::{CodesignProblem, EvaluationConfig};
+use cacs_sched::Schedule;
 use cacs_search::{ExhaustiveReport, ScheduleEvaluator, ScheduleSpace};
 use std::error::Error;
 
@@ -50,11 +51,11 @@ impl ProblemSpec {
         }
     }
 
-    /// The canonical digest naming this problem — the address of
-    /// persistent state (evaluation stores, sweep checkpoints): two
-    /// processes resolve the same digest to the same objective, so
-    /// state written under it can be resumed safely, and state written
-    /// under any other digest is refused with a typed error.
+    /// The canonical digest naming this problem — the address of an
+    /// evaluation store: two processes resolve the same digest to the
+    /// same objective, so a store written under it can be resumed
+    /// safely, and one written under any other digest is refused with a
+    /// typed error.
     pub fn digest(&self) -> String {
         match self {
             ProblemSpec::PaperFast => "paper-fast".to_string(),
@@ -66,8 +67,8 @@ impl ProblemSpec {
         }
     }
 
-    /// Builds the evaluator this spec describes (what workers sweep
-    /// with, and what the coordinator self-checks against).
+    /// Builds the evaluator this spec describes (what a run searches
+    /// with, and what `--selfcheck` reruns against).
     ///
     /// # Errors
     ///
@@ -106,7 +107,7 @@ impl ProblemSpec {
         Ok(Box::new(problem))
     }
 
-    /// Derives the schedule space the coordinator announces to workers.
+    /// Derives the schedule space a run searches.
     ///
     /// # Errors
     ///
@@ -194,27 +195,67 @@ impl StrategyKind {
     }
 }
 
-/// Renders a report in the wire encoding (`REPORT` header, `R` result
-/// lines, `DONE`) — a stable, bit-exact textual digest: two reports are
-/// byte-identical here if and only if they agree on every counter, the
-/// best schedule, and every retained objective's bit pattern. The CI
-/// smoke job and `--selfcheck` compare these bytes.
+/// The enumeration rank of `schedule` in `space`, or an error naming a
+/// schedule that lies outside it.
+fn rank_in(space: &ScheduleSpace, schedule: &Schedule) -> Result<u64, Box<dyn Error>> {
+    space
+        .rank(schedule)
+        .ok_or_else(|| format!("schedule {schedule} outside the space").into())
+}
+
+/// Renders an exhaustive report as a stable, bit-exact textual digest:
+/// two reports are byte-identical here if and only if they agree on
+/// every counter, the best schedule, and every retained objective's bit
+/// pattern. Schedules appear as enumeration ranks and objectives as
+/// 16-hex `f64` bit patterns. The CI smoke job and the scientific-anchor
+/// test compare these bytes.
+///
+/// ```text
+/// REPORT 0 <enumerated> <evaluated> <feasible> <rank>:<bits>|none <truncated 0|1> <nresults>
+/// R <rank> <bits>|none
+/// DONE 0
+/// ```
+///
+/// with one `R` line per retained result, in report order.
 ///
 /// # Errors
 ///
-/// Propagates encoding failures (a report not produced over `space`).
+/// Returns an error when the report holds a schedule outside `space`
+/// (it has no rank).
 pub fn report_digest(
     space: &ScheduleSpace,
     report: &ExhaustiveReport,
 ) -> Result<String, Box<dyn Error>> {
-    let mut digest = cacs_distrib::wire::report_to_lines(space, 0, report)?.join("\n");
-    digest.push('\n');
+    let best = match &report.best {
+        Some(s) => format!(
+            "{}:{:016x}",
+            rank_in(space, s)?,
+            report.best_value.to_bits()
+        ),
+        None => "none".to_string(),
+    };
+    let mut digest = format!(
+        "REPORT 0 {} {} {} {best} {} {}\n",
+        report.enumerated,
+        report.evaluated,
+        report.feasible,
+        u8::from(report.results_truncated),
+        report.results.len()
+    );
+    for (schedule, value) in &report.results {
+        let value = match value {
+            Some(v) => format!("{:016x}", v.to_bits()),
+            None => "none".to_string(),
+        };
+        digest.push_str(&format!("R {} {value}\n", rank_in(space, schedule)?));
+    }
+    digest.push_str("DONE 0\n");
     Ok(digest)
 }
 
 /// Renders a multistart's results as a stable, bit-exact textual
-/// digest (ranks + 16-hex `f64` bit patterns, the wire encodings): two
-/// runs are byte-identical here if and only if every search found the
+/// digest (ranks + 16-hex `f64` bit patterns, as in [`report_digest`]):
+/// two runs are byte-identical here if and only if every search found the
 /// same best schedule with the same objective bits at the same
 /// Section-V evaluation cost. This is the currency of the resume
 /// contract — a resumed run's digest must equal the uninterrupted
@@ -241,20 +282,15 @@ pub fn report_digest(
 pub fn multistart_digest(
     strategy: StrategyKind,
     space: &ScheduleSpace,
-    starts: &[cacs_sched::Schedule],
+    starts: &[Schedule],
     reports: &[cacs_search::SearchReport],
 ) -> Result<String, Box<dyn Error>> {
-    let rank_of = |s: &cacs_sched::Schedule| -> Result<u64, Box<dyn Error>> {
-        space
-            .rank(s)
-            .ok_or_else(|| format!("schedule {s} outside the space").into())
-    };
     let mut digest = format!("{} {}\n", strategy.label(), reports.len());
     let mut best: Option<(u64, u64)> = None;
     for (i, (start, report)) in starts.iter().zip(reports).enumerate() {
         let found = match &report.best {
             Some(s) => {
-                let pair = (rank_of(s)?, report.best_value.to_bits());
+                let pair = (rank_in(space, s)?, report.best_value.to_bits());
                 // Replicates the run-level selection: strictly greater
                 // wins, first start wins ties (start order is part of
                 // the run's definition).
@@ -269,7 +305,7 @@ pub fn multistart_digest(
         };
         digest.push_str(&format!(
             "SEARCH {i} {} {found} {}\n",
-            rank_of(start)?,
+            rank_in(space, start)?,
             report.evaluations
         ));
     }
@@ -394,6 +430,64 @@ mod tests {
                 "{problem}: digest drifted from pre-engine bytes"
             );
         }
+    }
+
+    /// Golden pin of the report digest's line format: ranks, 16-hex bit
+    /// patterns, `none` for infeasible objectives and for a report with
+    /// no best, and the truncation flag of a capped sweep.
+    /// `tests/pipeline_integration.rs` pins the paper sweep's digest by
+    /// CRC.
+    #[test]
+    fn report_digest_pins_its_line_format() {
+        use cacs_search::{exhaustive_search_with, FnEvaluator, SweepConfig};
+        let space = ScheduleSpace::new(vec![3, 4]).unwrap();
+        let mixed = FnEvaluator::with_idle_check(
+            2,
+            |s: &Schedule| {
+                let c = s.counts();
+                if (c[0] + c[1]).is_multiple_of(5) {
+                    None
+                } else {
+                    Some(f64::from(c[0] * 7 + c[1] * 3) / 10.0 - 1.5)
+                }
+            },
+            |s: &Schedule| s.counts().iter().sum::<u32>() % 4 != 0,
+        );
+        let infeasible = FnEvaluator::new(2, |_: &Schedule| None);
+        let digest = |eval: &dyn ScheduleEvaluator, max_results| {
+            let config = SweepConfig {
+                max_results,
+                ..SweepConfig::default()
+            };
+            let report = exhaustive_search_with(eval, &space, &config).unwrap();
+            report_digest(&space, &report).unwrap()
+        };
+        assert_eq!(
+            digest(&mixed, None),
+            "REPORT 0 12 9 6 11:3ffccccccccccccc 0 9\n\
+             R 0 bfe0000000000000\n\
+             R 1 bfc9999999999998\n\
+             R 3 none\n\
+             R 4 3fc9999999999998\n\
+             R 6 none\n\
+             R 7 3ff199999999999a\n\
+             R 9 none\n\
+             R 10 3ff8000000000000\n\
+             R 11 3ffccccccccccccc\n\
+             DONE 0\n"
+        );
+        assert_eq!(
+            digest(&mixed, Some(3)),
+            "REPORT 0 12 9 6 11:3ffccccccccccccc 1 3\n\
+             R 0 bfe0000000000000\n\
+             R 1 bfc9999999999998\n\
+             R 3 none\n\
+             DONE 0\n"
+        );
+        assert_eq!(
+            digest(&infeasible, Some(0)),
+            "REPORT 0 12 12 0 none 1 0\nDONE 0\n"
+        );
     }
 
     #[test]

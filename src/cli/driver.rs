@@ -37,7 +37,7 @@ const EXIT_SELFCHECK: i32 = 3;
 struct Args {
     problem: String,
     strategy: StrategyKind,
-    starts: Option<String>,
+    starts: Option<Vec<Schedule>>,
     store: Option<PathBuf>,
     resume: bool,
     kill_after: Option<usize>,
@@ -117,7 +117,12 @@ fn parse_args(bin: &str) -> Args {
                     std::process::exit(2)
                 });
             }
-            "--starts" => args.starts = Some(value(&mut i)),
+            "--starts" => {
+                args.starts = Some(parse_starts(&value(&mut i)).unwrap_or_else(|e| {
+                    eprintln!("{bin}: {e}");
+                    usage(bin)
+                }));
+            }
             "--store" => args.store = Some(PathBuf::from(value(&mut i))),
             "--resume" => {
                 args.resume = true;
@@ -227,7 +232,9 @@ fn build_strategy(args: &Args) -> StrategyConfig {
     }
 }
 
-/// Parses `--starts`: comma-separated `m1xm2x…` tuples.
+/// Parses `--starts`: comma-separated `m1xm2x…` tuples. A malformed
+/// tuple is a usage error; a well-formed start outside the problem's
+/// space is refused later, when the space is known.
 fn parse_starts(spec: &str) -> Result<Vec<Schedule>, Box<dyn Error>> {
     spec.split(',')
         .map(|tuple| {
@@ -309,7 +316,7 @@ fn run(bin: &'static str) -> Result<(), Box<dyn Error>> {
     // eval-cache smoke job compares the bytes).
     let evaluator = spec.evaluator_with_cache(!args.no_eval_cache)?;
     let starts = match &args.starts {
-        Some(spec) => parse_starts(spec)?,
+        Some(starts) => starts.clone(),
         None => vec![Schedule::round_robin(space.app_count())?],
     };
     eprintln!(
@@ -336,9 +343,9 @@ fn run(bin: &'static str) -> Result<(), Box<dyn Error>> {
                 std::process::exit(2);
             }
             if args.resume && !EvalStore::exists(path) {
-                // Mirrors the sweep coordinator's resume semantics
-                // (missing file = fresh start), but loudly: a mistyped
-                // path would otherwise silently re-pay every evaluation.
+                // A missing file is a fresh start, but loudly: a
+                // mistyped path would otherwise silently re-pay every
+                // evaluation.
                 eprintln!(
                     "{bin}: warning — store {} does not exist; starting fresh \
                      (check the path if you expected to resume)",

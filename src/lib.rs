@@ -21,7 +21,7 @@
 //! | [`search`] | unified strategy engine (one store-backed multistart driver for the hybrid search of Section IV and the annealing/genetic/tabu baselines), exhaustive streaming sweeps, persistent evaluation store |
 //! | [`apps`] | the automotive case study (Tables I, II; Figure 6 plants) |
 //! | [`core`] | the two-stage co-design framework (Sections III–IV), the reusable [`core::EvalCtx`] evaluation context (scratch pools + bit-identical caches), multicore/interleaved extensions, report generation |
-//! | [`distrib`] | sharded multi-process sweep coordinator: rank-range leases, line-oriented wire protocol, checkpoint/resume, bit-identical merge |
+//! | [`distrib`] | the synthetic ns-scale sweep surrogate behind `--problem synthetic:<box>` and the sweep benchmarks |
 //! | [`obs`] | determinism-safe observability: counters, log-spaced histograms, RAII timers behind a zero-cost-when-disabled global recorder; the one sanctioned home of the monotonic clock |
 //!
 //! # Quickstart
@@ -89,15 +89,14 @@
 //! or off (`--no-eval-cache` / `CodesignProblem::set_eval_cache` give
 //! the reference path; CI compares the two byte-for-byte).
 
-//! # Distributed sweeps
+//! # Exhaustive sweeps
 //!
-//! When a schedule box outgrows one machine, [`distrib`] shards the
-//! exhaustive sweep into rank-range leases served to worker processes
-//! (the `cacs-sweep-coord` / `cacs-sweep-worker` binaries, or
-//! [`core`]'s `optimize_exhaustive_sharded` for the in-process variant)
-//! with lease re-issue on worker death and checkpoint/resume on
-//! coordinator death — and a merged report guaranteed bit-identical to
-//! the single-process sweep.
+//! One engine answers the exhaustive question: the in-process lane
+//! sweep ([`search::exhaustive_search_with`], or [`core`]'s
+//! `optimize_exhaustive`). Lanes of scoped threads claim rank blocks of
+//! the box's lexicographic enumeration, and their partial reports fold
+//! together with [`search::ExhaustiveReport::merge`], so the report is
+//! bit-identical to the sequential sweep at any thread count.
 
 //! # Resumable searches on the unified strategy engine
 //!
@@ -111,9 +110,9 @@
 //! (`cacs-opt --strategy … --store … --resume`, or [`core`]'s
 //! `optimize_with_strategy`) with the **same best schedule and
 //! objective bits** and strictly fewer fresh evaluations. Randomised strategies derive per-start seeds
-//! deterministically, so resume replays the exact walk. Stores and
-//! sweep checkpoints are digest-addressed: state written for a
-//! different problem or box is refused with a typed error.
+//! deterministically, so resume replays the exact walk. Stores are
+//! digest-addressed: a store written for a different problem or box is
+//! refused with a typed error.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

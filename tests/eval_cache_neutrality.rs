@@ -5,7 +5,7 @@
 mod neutrality;
 
 use neutrality::{
-    all_strategies, check_rows, check_sharded_sweep, check_store_kill_resume_cycle, hybrid_only,
+    all_strategies, check_exhaustive_sweep, check_rows, check_store_kill_resume_cycle, hybrid_only,
     round_robin, run_opt, Toggle,
 };
 
@@ -32,11 +32,11 @@ fn paper_fast_hybrid_digest_is_cache_neutral() {
     )]);
 }
 
-/// Two sweep workers share one `EvalCtx`: racing inserts must not
-/// change a byte of the merged report.
+/// The sweep's lanes share one `EvalCtx`: racing inserts must not
+/// change a byte of the reduced report.
 #[test]
-fn sharded_sweep_digest_is_cache_neutral() {
-    check_sharded_sweep(Toggle::EvalCache, "paper-fast");
+fn exhaustive_sweep_digest_is_cache_neutral() {
+    check_exhaustive_sweep(Toggle::EvalCache, "paper-fast");
 }
 
 /// Kill → resume with the caches on; the resumed digest must equal a

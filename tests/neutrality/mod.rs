@@ -15,11 +15,10 @@
 #![allow(dead_code)]
 
 use cacs::cli::{multistart_digest, ProblemSpec, StrategyKind};
-use cacs::distrib::{sweep_in_process, CoordinatorConfig};
 use cacs::sched::Schedule;
 use cacs::search::{
-    run_multistart, AnnealConfig, GeneticConfig, HybridConfig, SearchReport, StrategyConfig,
-    TabuConfig,
+    exhaustive_search_with, run_multistart, AnnealConfig, GeneticConfig, HybridConfig,
+    SearchReport, StrategyConfig, SweepConfig, TabuConfig,
 };
 use std::path::Path;
 use std::process::Command;
@@ -160,29 +159,27 @@ pub fn round_robin() -> Vec<Schedule> {
     vec![Schedule::round_robin(3).expect("start")]
 }
 
-/// Two sweep workers share one evaluator — with the caches on, one
-/// `EvalCtx`, so racing inserts must not change a byte of the merged
-/// report; likewise with the recorder on.
-pub fn check_sharded_sweep(toggle: Toggle, spec: &str) {
+/// The lanes of an exhaustive sweep share one evaluator — with the
+/// caches on, one `EvalCtx`, so racing memo inserts must not change a
+/// byte of the reduced report; likewise with the recorder on.
+pub fn check_exhaustive_sweep(toggle: Toggle, spec: &str) {
     let _guard = recorder_lock();
-    let config = CoordinatorConfig {
-        shard_size: 64,
-        ..CoordinatorConfig::default()
-    };
     let spec = ProblemSpec::parse(spec).expect("problem spec");
     let space = spec.space().expect("space");
     let digest = |on: bool| {
         let cache = on || !matches!(toggle, Toggle::EvalCache);
         let evaluator = spec.evaluator_with_cache(cache).expect("evaluator");
         with_recorder(toggle, on, || {
-            let sweep = sweep_in_process(evaluator.as_ref(), &space, 2, &config).expect("sweep");
-            cacs::cli::report_digest(&space, &sweep.report).expect("digest")
+            let report =
+                exhaustive_search_with(evaluator.as_ref(), &space, &SweepConfig::default())
+                    .expect("sweep");
+            cacs::cli::report_digest(&space, &report).expect("digest")
         })
     };
     assert_eq!(
         digest(false).as_bytes(),
         digest(true).as_bytes(),
-        "{toggle:?}: merged sweep report changed"
+        "{toggle:?}: exhaustive sweep report changed"
     );
 }
 

@@ -5,7 +5,7 @@
 mod neutrality;
 
 use neutrality::{
-    all_strategies, check_rows, check_sharded_sweep, hybrid_only, recorder_lock, round_robin,
+    all_strategies, check_exhaustive_sweep, check_rows, hybrid_only, recorder_lock, round_robin,
     Toggle,
 };
 
@@ -27,11 +27,11 @@ fn paper_fast_hybrid_digest_is_recorder_neutral() {
     check_rows(&[(Toggle::Recorder, "paper-fast", round_robin(), hybrid_only())]);
 }
 
-/// Two sweep workers recording concurrently must not change a byte of
-/// the merged report.
+/// The sweep's lanes recording concurrently must not change a byte of
+/// the reduced report.
 #[test]
-fn sharded_sweep_digest_is_recorder_neutral() {
-    check_sharded_sweep(Toggle::Recorder, "synthetic:8x8x8");
+fn exhaustive_sweep_digest_is_recorder_neutral() {
+    check_exhaustive_sweep(Toggle::Recorder, "synthetic:8x8x8");
 }
 
 #[test]

@@ -181,3 +181,29 @@ fn custom_platform_pipeline() {
         .unwrap();
     assert!(eval.overall_performance.is_some());
 }
+
+/// The scientific anchor: the cold, schedule-seeded exhaustive sweep of
+/// the paper case study enumerates 192 schedules, evaluates 77 and
+/// finds 54 feasible, with best `(1,4,3)` at a fixed `P_all` bit
+/// pattern. A CRC-32 of the full report digest pins every retained
+/// objective's bits and the digest format itself. The constant is the
+/// same under `CACS_THREADS=1`, so a parallel run that drifts from the
+/// sequential one fails here without a second sweep.
+#[test]
+fn paper_sweep_matches_the_scientific_anchor() {
+    let problem = fast_problem();
+    let single = problem.optimize_exhaustive().unwrap();
+    assert_eq!(
+        (single.enumerated, single.evaluated, single.feasible),
+        (192, 77, 54)
+    );
+    assert_eq!(single.best, Some(Schedule::new(vec![1, 4, 3]).unwrap()));
+    assert_eq!(single.best_value.to_bits(), 0x3fc7_65a0_7803_13c0);
+    assert_eq!(single.results.len(), 77);
+    let digest = cacs::cli::report_digest(&problem.schedule_space().unwrap(), &single).unwrap();
+    assert_eq!(
+        cacs::search::integrity::crc32(digest.as_bytes()),
+        0xfac3_0933,
+        "paper report digest:\n{digest}"
+    );
+}

@@ -2,7 +2,8 @@
 //! real child process: every strategy passes `--selfcheck`, a
 //! non-hybrid strategy survives a hard kill→resume cycle bit for bit,
 //! `cacs-opt --strategy hybrid` prints the pinned pre-engine hybrid
-//! digest bytes, and bad or retired flags are usage errors.
+//! digest bytes, and bad or retired flags and malformed starts are
+//! usage errors.
 
 use std::path::Path;
 use std::process::Command;
@@ -163,4 +164,20 @@ fn retired_flags_are_usage_errors() {
         assert_eq!(code, Some(2), "{retired:?}; stderr:\n{stderr}");
         assert!(stderr.contains("usage:"), "{retired:?}; stderr:\n{stderr}");
     }
+}
+
+/// A malformed `--starts` is a usage error (exit 2, with the usage
+/// text); a well-formed start outside the space is a run error (exit 1).
+#[test]
+fn malformed_starts_are_usage_errors() {
+    for bad in [",", "1x", "axb", "0x1", ""] {
+        let (code, _, stderr) = run_opt(&["--problem", "synthetic:5x5", "--starts", bad]);
+        assert_eq!(code, Some(2), "--starts {bad:?}; stderr:\n{stderr}");
+        assert!(
+            stderr.contains("usage:"),
+            "--starts {bad:?}; stderr:\n{stderr}"
+        );
+    }
+    let (code, _, stderr) = run_opt(&["--problem", "synthetic:5x5", "--starts", "6x1"]);
+    assert_eq!(code, Some(1), "--starts 6x1; stderr:\n{stderr}");
 }
