@@ -1,11 +1,11 @@
 //! Synthesis-side evaluation context: a pool of reusable scratch
 //! buffers for the PSO objective hot path.
 //!
-//! One controller synthesis evaluates its objective thousands of times;
-//! every call needs candidate gain matrices, the period-map product
-//! buffers, the characteristic-polynomial and root-finder buffers of the
-//! stability test, the feedforward LU buffers, the worst-case
-//! simulation trace and a feedforward vector.
+//! One controller synthesis evaluates its objective thousands of times.
+//! Its period map, characteristic polynomial, feedforward LU and
+//! simulation state live on the stack of the fixed-size objective
+//! kernel ([`crate::LiftedKernel`]); what remains on the heap is the
+//! worst-case simulation trace and the per-task feedforward vector.
 //! [`SynthCtx`] keeps finished [`SynthScratch`] sets in a pool behind a
 //! poison-tolerant mutex ([`cacs_par::sync::lock_recover`]): each
 //! synthesis pops one (or builds a fresh one on first use / under peak
@@ -18,33 +18,18 @@
 //! bit-identical whether a buffer is fresh or reused, and the pool
 //! order (which does depend on thread timing) is unobservable.
 
-use crate::feedback::FeedforwardWorkspace;
-use crate::lifted::PeriodMapWorkspace;
-use crate::simulate::SimWorkspace;
 use crate::Response;
-use cacs_linalg::{EigWorkspace, Matrix};
 use cacs_par::sync::lock_recover;
 use std::sync::Mutex;
 
 /// Every buffer an objective call of a synthesis needs.
 ///
-/// Buffers adapt to the plant dimensions on first use and are reused
-/// verbatim afterwards; a scratch set can serve apps of different
-/// shapes back to back (each user re-ensures its sizes).
+/// The vectors keep their capacity across objective calls and
+/// syntheses, so a scratch set serves apps of any shape back to back.
 #[derive(Debug)]
 pub struct SynthScratch {
-    /// Candidate per-task gain rows (`m` × `1×l`).
-    pub(crate) gains: Vec<Matrix>,
-    /// Period-map product buffers.
-    pub(crate) pm: PeriodMapWorkspace,
-    /// Characteristic-polynomial, Schur–Cohn and root-finder buffers.
-    pub(crate) eig: EigWorkspace,
     /// Worst-case simulation trace (vectors reused, capacity kept).
     pub(crate) response: Response,
-    /// Simulation state-column buffers.
-    pub(crate) sim: SimWorkspace,
-    /// Feedforward-gain product and LU buffers.
-    pub(crate) ff: FeedforwardWorkspace,
     /// Per-task feedforward gains.
     pub(crate) feedforwards: Vec<f64>,
 }
@@ -52,17 +37,12 @@ pub struct SynthScratch {
 impl SynthScratch {
     pub(crate) fn new() -> Self {
         SynthScratch {
-            gains: Vec::new(),
-            pm: PeriodMapWorkspace::new(),
-            eig: EigWorkspace::new(),
             response: Response {
                 times: Vec::new(),
                 outputs: Vec::new(),
                 inputs: Vec::new(),
                 reference: 0.0,
             },
-            sim: SimWorkspace::new(),
-            ff: FeedforwardWorkspace::new(),
             feedforwards: Vec::new(),
         }
     }

@@ -99,80 +99,26 @@ fn eval_poly_at_matrix(p: &Polynomial, a: &Matrix) -> Result<Matrix> {
 /// * [`ControlError::SynthesisFailed`] if `I − A − BK` is singular or the
 ///   DC gain is (numerically) zero — no feedforward can achieve tracking.
 pub fn feedforward_gain(a: &Matrix, b: &Matrix, c: &Matrix, k: &Matrix) -> Result<f64> {
-    feedforward_gain_ws(a, b, c, k, &mut FeedforwardWorkspace::new())
-}
-
-/// Reusable buffers for [`feedforward_gain_ws`], sized lazily to the
-/// state dimension.
-#[derive(Debug)]
-pub(crate) struct FeedforwardWorkspace {
-    /// `B·K` (l × l).
-    bk: Matrix,
-    /// `I − A − BK`, then its LU factors (l × l).
-    lu: Matrix,
-    /// LU row permutation.
-    perm: Vec<usize>,
-    /// `(I − A − BK)⁻¹ B` (l × 1).
-    x: Matrix,
-    /// `C·x` (1 × 1).
-    dc: Matrix,
-}
-
-impl FeedforwardWorkspace {
-    pub(crate) fn new() -> Self {
-        FeedforwardWorkspace {
-            bk: Matrix::zeros(1, 1),
-            lu: Matrix::zeros(1, 1),
-            perm: Vec::new(),
-            x: Matrix::zeros(1, 1),
-            dc: Matrix::zeros(1, 1),
-        }
-    }
-}
-
-/// [`feedforward_gain`] on reusable buffers: no allocation once `ws`
-/// fits the state dimension. Every buffer is fully overwritten, and the
-/// operations run in the allocating composition's order (`B·K` and
-/// `C·x` by the same product kernel, `(I − A) − BK` element by
-/// element, the same LU), so the gain and the errors are bit-identical.
-pub(crate) fn feedforward_gain_ws(
-    a: &Matrix,
-    b: &Matrix,
-    c: &Matrix,
-    k: &Matrix,
-    ws: &mut FeedforwardWorkspace,
-) -> Result<f64> {
     let l = a.rows();
     if !a.is_square() || b.shape() != (l, 1) || c.shape() != (1, l) || k.shape() != (1, l) {
         return Err(ControlError::InvalidPlant {
             reason: "feedforward gain needs A (l×l), B (l×1), C (1×l), K (1×l)".into(),
         });
     }
-    if ws.bk.shape() != (l, l) {
-        ws.bk = Matrix::zeros(l, l);
-        ws.lu = Matrix::zeros(l, l);
-        ws.x = Matrix::zeros(l, 1);
-    }
-    // M = I - A - B K
-    b.matmul_into(k, &mut ws.bk)?;
-    for i in 0..l {
-        for j in 0..l {
-            let eye = if i == j { 1.0 } else { 0.0 };
-            ws.lu.set(i, j, (eye - a.get(i, j)) - ws.bk.get(i, j));
-        }
-    }
-    match LuDecomposition::factor_in_place(&mut ws.lu, &mut ws.perm) {
-        Ok(_) => {}
+    // M = (I − A) − B K
+    let m = Matrix::identity(l)
+        .sub_matrix(a)?
+        .sub_matrix(&b.matmul(k)?)?;
+    let lu = match LuDecomposition::new(&m) {
+        Ok(lu) => lu,
         Err(cacs_linalg::LinalgError::Singular) => {
             return Err(ControlError::SynthesisFailed {
                 reason: "closed loop has a pole at z = 1; cannot compute feedforward".into(),
             })
         }
         Err(e) => return Err(e.into()),
-    }
-    LuDecomposition::solve_factored_into(&ws.lu, &ws.perm, b, &mut ws.x)?;
-    c.matmul_into(&ws.x, &mut ws.dc)?;
-    let dc = ws.dc.get(0, 0);
+    };
+    let dc = c.matmul(&lu.solve(b)?)?.get(0, 0);
     if !dc.is_finite() || dc.abs() < 1e-12 {
         return Err(ControlError::SynthesisFailed {
             reason: format!("zero DC gain ({dc}); reference tracking impossible"),
@@ -300,114 +246,6 @@ mod tests {
         let c = Matrix::row(&[1.0, 0.0]);
         let k = Matrix::row(&[0.0, 0.0]);
         assert!(feedforward_gain(&a, &b, &c, &k).is_err());
-    }
-
-    /// The allocating composition `feedforward_gain` used before it
-    /// moved onto a workspace: the bitwise reference for
-    /// [`feedforward_gain_ws`].
-    fn feedforward_gain_reference(a: &Matrix, b: &Matrix, c: &Matrix, k: &Matrix) -> Result<f64> {
-        let l = a.rows();
-        if !a.is_square() || b.shape() != (l, 1) || c.shape() != (1, l) || k.shape() != (1, l) {
-            return Err(ControlError::InvalidPlant {
-                reason: "feedforward gain needs A (l×l), B (l×1), C (1×l), K (1×l)".into(),
-            });
-        }
-        let bk = b.matmul(k)?;
-        let m = Matrix::identity(l).sub_matrix(a)?.sub_matrix(&bk)?;
-        let lu = match LuDecomposition::new(&m) {
-            Ok(lu) => lu,
-            Err(cacs_linalg::LinalgError::Singular) => {
-                return Err(ControlError::SynthesisFailed {
-                    reason: "closed loop has a pole at z = 1; cannot compute feedforward".into(),
-                })
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let x = lu.solve(b)?;
-        let dc = c.matmul(&x)?.get(0, 0);
-        if !dc.is_finite() || dc.abs() < 1e-12 {
-            return Err(ControlError::SynthesisFailed {
-                reason: format!("zero DC gain ({dc}); reference tracking impossible"),
-            });
-        }
-        Ok(1.0 / dc)
-    }
-
-    #[test]
-    fn workspace_feedforward_is_bit_identical_to_the_allocating_composition() {
-        let (a2, b2) = discrete_double_integrator();
-        let a3 =
-            Matrix::from_rows(&[&[0.9, 0.1, 0.0], &[0.0, 0.8, 0.2], &[0.1, 0.0, 0.7]]).unwrap();
-        let b3 = Matrix::column(&[0.0, 0.3, 1.0]);
-        let a1 = Matrix::from_rows(&[&[0.92]]).unwrap();
-        let b1 = Matrix::column(&[0.08]);
-        // (A, B, C, K, what the case exercises)
-        let cases = [
-            (
-                &a2,
-                &b2,
-                Matrix::row(&[1.0, 0.0]),
-                Matrix::row(&[-0.2, -0.7]),
-                "2x2",
-            ),
-            (
-                &a3,
-                &b3,
-                Matrix::row(&[1.0, 0.0, 0.0]),
-                Matrix::row(&[-1.0, 0.5, -0.25]),
-                "3x3",
-            ),
-            (&a1, &b1, Matrix::row(&[1.0]), Matrix::row(&[-3.7]), "1x1"),
-            // A = I, K = 0: pole at z = 1, singular I − A − BK.
-            (
-                &Matrix::identity(2),
-                &Matrix::column(&[0.0, 1.0]),
-                Matrix::row(&[1.0, 0.0]),
-                Matrix::row(&[0.0, 0.0]),
-                "singular",
-            ),
-            // C orthogonal to (I − A − BK)⁻¹ B: zero DC gain.
-            (
-                &a2,
-                &b2,
-                Matrix::row(&[0.0, 0.0]),
-                Matrix::row(&[-0.2, -0.7]),
-                "zero DC",
-            ),
-            // Shape mismatch.
-            (
-                &a2,
-                &b2,
-                Matrix::row(&[1.0]),
-                Matrix::row(&[-0.2, -0.7]),
-                "shape",
-            ),
-        ];
-        // One workspace across shapes and outcomes, as in a synthesis.
-        let mut ws = FeedforwardWorkspace::new();
-        for round in 0..2 {
-            for (a, b, c, k, what) in &cases {
-                let expect = feedforward_gain_reference(a, b, c, k);
-                let got = feedforward_gain_ws(a, b, c, k, &mut ws);
-                match (&expect, &got) {
-                    (Ok(e), Ok(g)) => assert_eq!(e.to_bits(), g.to_bits(), "{what} round {round}"),
-                    _ => assert_eq!(expect, got, "{what} round {round}"),
-                }
-                assert_eq!(feedforward_gain(a, b, c, k), got, "{what}");
-            }
-        }
-        // The cases do reach each outcome.
-        let outcome = |case: &(&Matrix, &Matrix, Matrix, Matrix, &str), ws: &mut _| {
-            let (a, b, c, k, _) = case;
-            match feedforward_gain_ws(a, b, c, k, ws) {
-                Ok(_) => "ok".to_string(),
-                Err(e) => e.to_string(),
-            }
-        };
-        assert_eq!(outcome(&cases[0], &mut ws), "ok");
-        assert!(outcome(&cases[3], &mut ws).contains("pole at z = 1"));
-        assert!(outcome(&cases[4], &mut ws).contains("zero DC gain"));
-        assert!(outcome(&cases[5], &mut ws).contains("feedforward gain needs"));
     }
 
     #[test]

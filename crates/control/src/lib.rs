@@ -24,9 +24,14 @@
 //!   saturation constraints: one method, a direct search over the
 //!   per-task feedback gains (Section III's PSO over pole locations plus
 //!   an extended Ackermann gain match was removed, since at `m = 1` its
-//!   `m·l` gains cannot match the `2l` characteristic coefficients), and
-//! * [`SynthCtx`] — a pool of reusable scratch buffers
-//!   ([`PeriodMapWorkspace`], [`SimWorkspace`], gain/feedforward vectors)
+//!   `m·l` gains cannot match the `2l` characteristic coefficients),
+//! * [`LiftedKernel`] — the PSO objective's fixed-size kernels: period
+//!   map, characteristic polynomial, feedforward LU and worst-case
+//!   simulation on stack arrays of the plant's state dimension `l`
+//!   (chosen once per synthesis; `l ≤` [`MAX_STATE_DIM`], a larger plant
+//!   is refused), bit-identical to the general [`cacs_linalg::Matrix`]
+//!   path above, which stays the public reference, and
+//! * [`SynthCtx`] — a pool of reusable response/feedforward buffers
 //!   behind [`synthesize_with`], plus [`LiftedPlant::new_cached`] for
 //!   memoised discretisation via [`cacs_linalg::ExpmCache`]. Every reuse
 //!   and cache path is bit-identical to the allocating, cache-free one.
@@ -62,6 +67,7 @@ mod discretize;
 mod error;
 mod feedback;
 mod kalman;
+mod kernel;
 mod lifted;
 mod lqr;
 mod lti;
@@ -79,7 +85,8 @@ pub use discretize::{discretize_delayed, discretize_delayed_cached, discretize_z
 pub use error::ControlError;
 pub use feedback::{ackermann, feedforward_gain, verify_pole_placement};
 pub use kalman::{design_periodic_kalman, kalman_gain, simulate_with_kalman, KalmanResponse};
-pub use lifted::{LiftedPlant, PeriodMapWorkspace, Stability};
+pub use kernel::{CharPoly, LiftedKernel, MAX_STATE_DIM};
+pub use lifted::{LiftedPlant, PeriodMapWorkspace};
 pub use lqr::{synthesize_lqr, LqrConfig};
 pub use lti::ContinuousLti;
 pub use observer::{

@@ -24,23 +24,11 @@
 //! step-by-step simulation, which is unambiguous.
 
 use crate::{discretize_delayed_cached, ContinuousLti, ControlError, DelayedStep, Result};
-use cacs_linalg::{spectral_radius, EigWorkspace, ExpmCache, ExpmWorkspace, Matrix};
-
-/// Outcome of [`LiftedPlant::closed_loop_stability_ws`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Stability {
-    /// Every root of the period map is certified inside `certify_below`.
-    CertifiedBelow,
-    /// A root is certified at or beyond `certify_beyond`.
-    CertifiedBeyond,
-    /// Neither certificate applies: the exact `ρ(Φ)`.
-    Exact(f64),
-}
+use cacs_linalg::{spectral_radius, ExpmCache, ExpmWorkspace, Matrix};
 
 /// Reusable buffers for [`LiftedPlant::period_map_into`] — the four
 /// fixed matrices of the product chain, sized lazily to the plant and
-/// kept across objective evaluations so the innermost PSO kernel
-/// allocates nothing.
+/// kept across calls so a loop of period maps allocates nothing.
 #[derive(Debug)]
 pub struct PeriodMapWorkspace {
     /// Current state dimension `l` the buffers are sized for (0 = unsized).
@@ -128,7 +116,7 @@ impl LiftedPlant {
     ///
     /// * [`ControlError::InvalidTiming`] if the slices are empty or have
     ///   different lengths, or any `delay > period`.
-    /// * Discretisation errors from [`discretize_delayed`].
+    /// * Discretisation errors from [`crate::discretize_delayed`].
     pub fn new(plant: ContinuousLti, periods: &[f64], delays: &[f64]) -> Result<Self> {
         LiftedPlant::new_cached(plant, periods, delays, None)
     }
@@ -275,10 +263,11 @@ impl LiftedPlant {
     /// system matrix whose eigenvalues the paper places (general-`m`
     /// `A_hol`).
     ///
-    /// This is the innermost kernel of every PSO objective evaluation,
-    /// so the product chain runs on four fixed buffers (step, two
+    /// The product chain runs on four fixed buffers (step, two
     /// ping-pong accumulators, one l×l scratch) instead of allocating
-    /// per interval.
+    /// per interval. This is the reference the PSO objective's
+    /// fixed-size kernel ([`crate::LiftedKernel::period_map`]) reproduces
+    /// bit for bit.
     ///
     /// # Errors
     ///
@@ -297,10 +286,6 @@ impl LiftedPlant {
     ///
     /// Same conditions as [`LiftedPlant::step_matrix`].
     pub fn period_map_into(&self, gains: &[Matrix], ws: &mut PeriodMapWorkspace) -> Result<()> {
-        // Fires once per PSO objective call — sampled so an enabled
-        // recorder stays within the perf-baseline overhead budget.
-        let _t =
-            cacs_obs::time_sampled(&cacs_obs::metrics::PERIOD_MAP_NS, cacs_obs::HOT_PATH_SAMPLE);
         self.check_gains(gains)?;
         let m = self.tasks();
         ws.ensure(self.state_dim());
@@ -330,11 +315,11 @@ impl LiftedPlant {
     /// and Durand–Kerner ([`cacs_linalg::spectral_radius`]).
     ///
     /// The PSO objective does not call this. It only needs to know
-    /// whether `ρ(Φ)` is below the stability margin, which
-    /// [`LiftedPlant::closed_loop_stability_ws`] certifies from the
-    /// characteristic polynomial on pooled buffers, root-finding only
-    /// when it cannot certify. Whenever it does return a radius, it is
-    /// this function's, bit for bit.
+    /// whether `ρ(Φ)` is below the stability margin, which it certifies
+    /// by a Schur–Cohn test on the coefficients of its fixed-size kernel
+    /// ([`crate::LiftedKernel::characteristic_polynomial`]), root-finding
+    /// only when it cannot certify. Whenever it does root-find, the
+    /// radius is this function's, bit for bit.
     ///
     /// # Errors
     ///
@@ -346,68 +331,6 @@ impl LiftedPlant {
     ) -> Result<f64> {
         self.period_map_into(gains, ws)?;
         Ok(spectral_radius(&ws.phi)?)
-    }
-
-    /// The PSO objective's stability test, allocation-free: is
-    /// `ρ(Φ) < certify_below`, provably not below `certify_beyond`, or
-    /// what is `ρ(Φ)` exactly?
-    ///
-    /// Builds `Φ` into `pm` and its characteristic polynomial into `eig`
-    /// once, then decides in this order:
-    ///
-    /// 1. **Stable certificate.** A Schur–Cohn pass on those
-    ///    coefficients ([`EigWorkspace::roots_within`]) that puts every
-    ///    root inside `certify_below` returns
-    ///    [`Stability::CertifiedBelow`] without finding a root.
-    /// 2. **Unstable certificate** (only when `certify_beyond` is
-    ///    given). With finite coefficients, a Schur–Cohn pass that does
-    ///    *not* put every root inside `certify_beyond` proves a root at
-    ///    or beyond it, so `ρ(Φ)` is not below that radius; it returns
-    ///    [`Stability::CertifiedBeyond`], again without finding a root.
-    ///    The certificate says "at or beyond", never by how much.
-    /// 3. Otherwise (a root between the two radii, or non-finite
-    ///    coefficients) it returns [`Stability::Exact`] with the exact
-    ///    Durand–Kerner radius, bit-identical to
-    ///    [`LiftedPlant::closed_loop_spectral_radius`]. Callers that
-    ///    score a design by `ρ` itself need this side.
-    ///
-    /// `eig` keeps the coefficients afterwards, so
-    /// [`EigWorkspace::root_radius`] yields the exact `ρ` of a certified
-    /// design on demand.
-    ///
-    /// The Schur–Cohn test is exact only in exact arithmetic (see the
-    /// `cacs_linalg` eigen module docs). To certify against a bound `r`,
-    /// pass `certify_below` a small relative band under `r` and
-    /// `certify_beyond` the same band above it. The two radii need not
-    /// share a bound: `certify_beyond` may be any radius, e.g. the one
-    /// a caller's score must clear, not only the stability margin.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`LiftedPlant::closed_loop_spectral_radius`];
-    /// a root-finder failure can only occur on the uncertified side.
-    pub fn closed_loop_stability_ws(
-        &self,
-        gains: &[Matrix],
-        pm: &mut PeriodMapWorkspace,
-        eig: &mut EigWorkspace,
-        certify_below: f64,
-        certify_beyond: Option<f64>,
-    ) -> Result<Stability> {
-        self.period_map_into(gains, pm)?;
-        let finite = eig
-            .characteristic_polynomial(&pm.phi)?
-            .iter()
-            .all(|c| c.is_finite());
-        if eig.roots_within(certify_below) {
-            return Ok(Stability::CertifiedBelow);
-        }
-        if let Some(radius) = certify_beyond {
-            if finite && radius > 0.0 && radius.is_finite() && !eig.roots_within(radius) {
-                return Ok(Stability::CertifiedBeyond);
-            }
-        }
-        Ok(Stability::Exact(eig.root_radius()?))
     }
 
     /// The paper's explicit two-task `A_hol` (eq. (16), with the missing
@@ -657,39 +580,5 @@ mod tests {
         let expected = x_prev.vstack(&x).unwrap();
         let mapped = lifted.period_map(&gains).unwrap().matmul(&v0).unwrap();
         assert!(mapped.approx_eq(&expected, 1e-9 * expected.max_abs().max(1.0)));
-    }
-
-    #[test]
-    fn stability_certificates_bracket_the_exact_radius() {
-        let (h, tau) = paper_like_timing();
-        let lifted = LiftedPlant::new(servo_like(), &h, &tau).unwrap();
-        let (mut pm, mut eig) = (PeriodMapWorkspace::new(), EigWorkspace::new());
-        let unstable = vec![Matrix::row(&[5.0, 1.0]); 2];
-        for gains in [small_gains(2), unstable] {
-            let rho = lifted.closed_loop_spectral_radius(&gains).unwrap();
-            let mut check = |below: f64, beyond: Option<f64>| {
-                lifted
-                    .closed_loop_stability_ws(&gains, &mut pm, &mut eig, below, beyond)
-                    .unwrap()
-            };
-            let exact = Stability::Exact(rho);
-            assert_eq!(check(rho * 1.01, None), Stability::CertifiedBelow);
-            assert_eq!(
-                check(rho * 1.01, Some(rho * 1.02)),
-                Stability::CertifiedBelow
-            );
-            assert_eq!(
-                check(rho * 0.98, Some(rho * 0.99)),
-                Stability::CertifiedBeyond
-            );
-            // A root between the radii, or no upper radius: the exact ρ,
-            // bit for bit.
-            assert_eq!(check(rho * 0.99, Some(rho * 1.01)), exact);
-            assert_eq!(check(rho * 0.99, None), exact);
-            // A radius that is not positive and finite certifies nothing.
-            for bad in [0.0, -1.0, f64::INFINITY, f64::NAN] {
-                assert_eq!(check(rho * 0.99, Some(bad)), exact, "{bad}");
-            }
-        }
     }
 }

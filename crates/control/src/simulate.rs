@@ -149,15 +149,15 @@ pub fn simulate_worst_case(
 }
 
 /// [`simulate_worst_case`] writing into a caller-owned [`Response`] and
-/// [`SimWorkspace`], so a synthesis loop's thousands of simulations reuse
-/// the trace vectors and state columns instead of reallocating.
-/// Bit-identical to the allocating path.
+/// [`SimWorkspace`], so a loop of simulations reuses the trace vectors
+/// and state columns instead of reallocating. Bit-identical to the
+/// allocating path; the PSO objective's fixed-size kernel
+/// ([`crate::LiftedKernel::simulate`]) reproduces it bit for bit.
 ///
 /// # Errors
 ///
 /// Same conditions as [`simulate_worst_case`]; on error `out` is left
 /// cleared.
-#[allow(clippy::too_many_arguments)]
 pub fn simulate_worst_case_into(
     lifted: &LiftedPlant,
     gains: &[Matrix],
@@ -167,43 +167,6 @@ pub fn simulate_worst_case_into(
     out: &mut Response,
     ws: &mut SimWorkspace,
 ) -> Result<()> {
-    simulate_observed(
-        lifted,
-        gains,
-        feedforwards,
-        reference,
-        horizon,
-        out,
-        ws,
-        |_, _, _| true,
-    )?;
-    Ok(())
-}
-
-/// The simulation loop behind [`simulate_worst_case_into`], with a
-/// per-sample observer. After each recorded sample `(y, u)` the loop
-/// advances the clock to the next sampling instant `t_next` and calls
-/// `observe(t_next, y, u)`; `false` stops the simulation there, leaving
-/// `out` with the samples recorded so far. Returns `Ok(true)` when the
-/// horizon was covered (or the state diverged), `Ok(false)` when the
-/// observer stopped it.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_observed(
-    lifted: &LiftedPlant,
-    gains: &[Matrix],
-    feedforwards: &[f64],
-    reference: f64,
-    horizon: f64,
-    out: &mut Response,
-    ws: &mut SimWorkspace,
-    mut observe: impl FnMut(f64, f64, f64) -> bool,
-) -> Result<bool> {
-    // Fires once per surviving PSO candidate — sampled so an enabled
-    // recorder stays within the perf-baseline overhead budget.
-    let _t = cacs_obs::time_sampled(
-        &cacs_obs::metrics::SIMULATE_WORST_CASE_NS,
-        cacs_obs::HOT_PATH_SAMPLE,
-    );
     out.times.clear();
     out.outputs.clear();
     out.inputs.clear();
@@ -237,8 +200,7 @@ pub(crate) fn simulate_observed(
     // Rough sample-count estimate so the recording vectors allocate
     // once (reused calls usually already have the capacity); the state
     // update runs entirely on two reused column buffers and scalar dot
-    // products (this loop is the innermost cost of every PSO objective
-    // evaluation).
+    // products.
     let min_period = lifted
         .intervals()
         .iter()
@@ -288,12 +250,8 @@ pub(crate) fn simulate_observed(
             out.inputs.push(u);
             break;
         }
-        if !observe(t, y, u) {
-            return Ok(false);
-        }
     }
-
-    Ok(true)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -401,64 +359,6 @@ mod tests {
             assert_eq!(bits(&fresh.outputs), bits(&out.outputs), "round {round}");
             assert_eq!(bits(&fresh.inputs), bits(&out.inputs), "round {round}");
         }
-    }
-
-    #[test]
-    fn observer_sees_every_sample_and_can_stop_the_run() {
-        let lifted = fast_first_order();
-        let gains = vec![Matrix::row(&[-0.3]), Matrix::row(&[-0.3])];
-        let full = simulate_worst_case(&lifted, &gains, &[1.3, 1.3], 2.0, 0.08).unwrap();
-        let mut out = Response {
-            times: Vec::new(),
-            outputs: Vec::new(),
-            inputs: Vec::new(),
-            reference: 0.0,
-        };
-        let mut ws = SimWorkspace::new();
-        let mut seen = Vec::new();
-        let covered = simulate_observed(
-            &lifted,
-            &gains,
-            &[1.3, 1.3],
-            2.0,
-            0.08,
-            &mut out,
-            &mut ws,
-            |t_next, y, u| {
-                seen.push((t_next, y, u));
-                true
-            },
-        )
-        .unwrap();
-        assert!(covered);
-        assert_eq!(out, full);
-        assert_eq!(seen.len(), full.times.len());
-        for (k, &(t_next, y, u)) in seen.iter().enumerate() {
-            assert_eq!(y.to_bits(), full.outputs[k].to_bits());
-            assert_eq!(u.to_bits(), full.inputs[k].to_bits());
-            if let Some(&t) = full.times.get(k + 1) {
-                assert_eq!(t_next.to_bits(), t.to_bits());
-            }
-        }
-        // Stopping after the fifth sample keeps exactly that prefix.
-        let mut calls = 0;
-        let covered = simulate_observed(
-            &lifted,
-            &gains,
-            &[1.3, 1.3],
-            2.0,
-            0.08,
-            &mut out,
-            &mut ws,
-            |_, _, _| {
-                calls += 1;
-                calls < 5
-            },
-        )
-        .unwrap();
-        assert!(!covered);
-        assert_eq!(out.times, full.times[..5]);
-        assert_eq!(out.outputs, full.outputs[..5]);
     }
 
     #[test]

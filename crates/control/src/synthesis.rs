@@ -15,15 +15,29 @@
 //!
 //! Feedforward gains `F_j` always come from the paper's eq. (17) applied
 //! per interval with its total input matrix.
+//!
+//! # Objective kernels
+//!
+//! The objective is the whole cost of a synthesis: thousands of calls,
+//! each building a period map, its characteristic polynomial, the
+//! feedforward gains and a worst-case simulation. [`synthesize_with`]
+//! matches on the plant's state dimension `l` once and runs every call
+//! on a [`LiftedKernel`] of that size (`l ≤` [`MAX_STATE_DIM`]; a larger
+//! plant is refused with [`ControlError::SynthesisFailed`]): stack
+//! arrays, gains read straight from the PSO's parameter slice, and only
+//! the exact-ρ arm's Durand–Kerner buffers pooled per attempt. The
+//! kernels repeat the Matrix path's operation order, so designs are
+//! bit-identical to scoring on [`LiftedPlant::closed_loop_spectral_radius`],
+//! [`feedforward_gain`] and [`simulate_worst_case`]; debug builds
+//! re-score every abandoned call on that Matrix path.
 
 use crate::ctx::{SynthCtx, SynthScratch};
-use crate::feedback::feedforward_gain_ws;
-use crate::simulate::simulate_observed;
+use crate::kernel::{LiftedKernel, MAX_STATE_DIM};
 use crate::{
-    settling_time, simulate_worst_case, ControlError, LiftedPlant, Response, Result, SettlingSpec,
-    Stability,
+    feedforward_gain, settling_time, simulate_worst_case, ControlError, LiftedPlant, Response,
+    Result, SettlingSpec,
 };
-use cacs_linalg::{BitKey, Matrix};
+use cacs_linalg::{BitKey, EigWorkspace, Matrix};
 use cacs_pso::{Bounds, Pso, PsoConfig};
 
 /// Penalty scale for unstable / infeasible candidate designs. Settling
@@ -205,11 +219,24 @@ struct Evaluation {
     settling: f64,
     max_input: f64,
     /// Exact `ρ(Φ)`, or `None` when the pre-test certified the candidate
-    /// stable and no root was found. The scratch's eigen workspace then
-    /// still holds the characteristic polynomial to compute it from.
+    /// stable and no root was found.
     rho: Option<f64>,
     /// `Some` when the evaluation stopped once it proved `score ≥ bound`.
     abandoned: Option<Abandon>,
+    /// The evaluation root-found `ρ(Φ)` (the exact-ρ arm).
+    exact_rho: bool,
+}
+
+/// An infeasible design's evaluation, scored `score`.
+fn infeasible(score: f64) -> Evaluation {
+    Evaluation {
+        score,
+        settling: f64::INFINITY,
+        max_input: f64::INFINITY,
+        rho: Some(f64::INFINITY),
+        abandoned: None,
+        exact_rho: false,
+    }
 }
 
 /// The input-saturation term of the score: zero within `U_max`, and a
@@ -246,152 +273,10 @@ fn penalty_radius(bound: f64, margin: f64) -> Option<f64> {
     (r <= MAX_SCORED_RHO).then_some(r)
 }
 
-/// Scores one gain set on reusable buffers, under the PSO bound
-/// contract ([`Pso::minimize`]): the score is exact whenever it is below
-/// `bound`, and once the evaluation proves the exact score is at or
-/// above `bound` it may stop with a value `≥ bound`. Pass `f64::INFINITY`
-/// for the exact score. Infeasible designs score by penalty.
-///
-/// Two early exits, both sound for any finite bound:
-///
-/// * **Unstable certificate**: a root certified by a Schur–Cohn test
-///   beyond the bound's [`penalty_radius`] `r` settles the comparison
-///   without Durand–Kerner. It proves `ρ ≥ r ≥ margin`, so the
-///   candidate is unstable and its exact score, `PENALTY·(1 +
-///   ρ.min(MAX_SCORED_RHO))` or `PENALTY·(1 + MAX_SCORED_RHO)` if the
-///   root finder fails, is at least `PENALTY·(1 + r) ≥ bound`: the
-///   score only grows with `ρ`, `r` never exceeds the cap, and rounded
-///   addition and multiplication keep that order. The call answers
-///   `PENALTY·(1 + r)`. For a bound up to `PENALTY·(1 + margin)`, `r`
-///   is the margin. Above that (a particle best that is itself
-///   penalised) the argument holds whatever term made the bound that
-///   large (instability, saturation, feedforward or simulation
-///   failure), since only `r`, not the bound's origin, enters it.
-/// * **Simulation cut**: while the worst-case simulation runs, the
-///   saturation term of the running `max |u|` plus the next sampling
-///   instant after the latest out-of-band sample (capped at the
-///   `2·horizon` every unsettled score pays) is a lower bound of the
-///   final score. Both only grow as samples arrive, the omitted plateau
-///   term is non-negative, and rounded addition of non-negative terms is
-///   monotone, so the simulation stops once that bound reaches `bound`.
-///
-/// On an exact return `scratch.feedforwards` holds the per-task
-/// feedforward gains (empty for infeasible designs); the period-map,
-/// simulation and response buffers are evaluation scratch.
-fn evaluate_gains_ws(
-    lifted: &LiftedPlant,
-    gains: &[Matrix],
-    config: &SynthesisConfig,
-    bound: f64,
-    scratch: &mut SynthScratch,
-) -> Evaluation {
-    let infeasible = |score: f64| Evaluation {
-        score,
-        settling: f64::INFINITY,
-        max_input: f64::INFINITY,
-        rho: Some(f64::INFINITY),
-        abandoned: None,
-    };
-    scratch.feedforwards.clear();
-
-    // Stability first — cheap rejection of divergent designs. A stable
-    // candidate's score never reads ρ, so the certified pre-test skips
-    // root-finding; the unstable penalty does read it, so that side (and
-    // anything the test cannot certify) gets the exact ρ, unless a root
-    // beyond the bound's penalty radius settles the comparison.
-    let certify_below = config.stability_margin * (1.0 - CERTIFY_BAND);
-    let radius = penalty_radius(bound, config.stability_margin);
-    let rho = match lifted.closed_loop_stability_ws(
-        gains,
-        &mut scratch.pm,
-        &mut scratch.eig,
-        certify_below,
-        radius.map(|r| r * (1.0 + CERTIFY_BAND)),
-    ) {
-        Ok(Stability::CertifiedBelow) => {
-            // Debug builds hold every certificate to the exact path.
-            debug_assert!(
-                matches!(scratch.eig.root_radius(), Ok(r) if r < config.stability_margin),
-                "certified below {certify_below} but exact ρ is {:?}",
-                scratch.eig.root_radius()
-            );
-            None
-        }
-        Ok(Stability::CertifiedBeyond) => {
-            let r = radius.expect("an unstable certificate needs a radius");
-            return Evaluation {
-                abandoned: Some(Abandon::Unstable),
-                ..infeasible(PENALTY * (1.0 + r))
-            };
-        }
-        Ok(Stability::Exact(rho)) if !rho.is_finite() || rho >= config.stability_margin => {
-            return infeasible(PENALTY * (1.0 + rho.min(MAX_SCORED_RHO)));
-        }
-        Ok(Stability::Exact(rho)) => Some(rho),
-        // A ρ the root finder cannot find scores like a non-finite one.
-        Err(_) => return infeasible(PENALTY * (1.0 + MAX_SCORED_RHO)),
-    };
-
-    // Feedforward gains per task (paper eq. (17)), with the precomputed
-    // per-interval total input matrices.
-    let c = lifted.plant().c();
-    for ((iv, b_total), gain) in lifted.intervals().iter().zip(lifted.b_totals()).zip(gains) {
-        match feedforward_gain_ws(&iv.a_d, b_total, c, gain, &mut scratch.ff) {
-            Ok(f) => scratch.feedforwards.push(f),
-            Err(_) => {
-                scratch.feedforwards.clear();
-                return infeasible(2.0 * PENALTY);
-            }
-        }
-    }
-
-    // The running lower bound of the simulation cut.
-    let cut = bound < f64::INFINITY;
-    let tol = config.settling.tolerance(config.reference);
-    let unsettled_floor = 2.0 * config.horizon;
-    let (mut run_max_u, mut run_saturation, mut run_unsettled) = (0.0_f64, 0.0, 0.0_f64);
-    let mut lower_bound = 0.0;
-    let observe = |t_next: f64, y: f64, u: f64| {
-        if !cut {
-            return true;
-        }
-        if u.abs() > run_max_u {
-            run_max_u = u.abs();
-            run_saturation = saturation_penalty(config, run_max_u);
-        }
-        // The settling test's band check; NaN counts as out of band.
-        let in_band = (y - config.reference).abs() <= tol;
-        if !in_band {
-            run_unsettled = t_next.min(unsettled_floor);
-        }
-        lower_bound = run_saturation + run_unsettled;
-        lower_bound < bound
-    };
-    match simulate_observed(
-        lifted,
-        gains,
-        &scratch.feedforwards,
-        config.reference,
-        config.horizon,
-        &mut scratch.response,
-        &mut scratch.sim,
-        observe,
-    ) {
-        Ok(true) => {}
-        Ok(false) => {
-            scratch.feedforwards.clear();
-            return Evaluation {
-                abandoned: Some(Abandon::Simulation),
-                ..infeasible(lower_bound)
-            };
-        }
-        Err(_) => {
-            scratch.feedforwards.clear();
-            return infeasible(10.0 * PENALTY);
-        }
-    }
-    let response = &scratch.response;
-
+/// The score of a stable design's simulated worst-case response: the
+/// saturation term, the settling time (or, unsettled, a penalty by the
+/// remaining error) and a small plateau breaker.
+fn score_response(config: &SynthesisConfig, response: &Response, rho: Option<f64>) -> Evaluation {
     let max_input = response.max_input_magnitude();
     let score = saturation_penalty(config, max_input);
 
@@ -410,104 +295,297 @@ fn evaluate_gains_ws(
     };
     let plateau_term = 1e-3 * config.horizon * mean_rel_err.min(10.0);
 
-    let settling = match settling_time(response, config.settling) {
-        Some(t) => t,
+    let (score, settling) = match settling_time(response, config.settling) {
+        Some(t) => (score + t + plateau_term, t),
         None => {
             // Not settled within the horizon: penalise by the remaining
             // relative error so "almost settled" designs still rank better.
             let rel_err = response.final_error() / config.reference.abs();
-            return Evaluation {
-                score: score + config.horizon * (2.0 + rel_err.min(1e3)) + plateau_term,
-                settling: f64::INFINITY,
-                max_input,
-                rho,
-                abandoned: None,
-            };
+            let unsettled = score + config.horizon * (2.0 + rel_err.min(1e3)) + plateau_term;
+            (unsettled, f64::INFINITY)
         }
     };
-
     Evaluation {
-        score: score + settling + plateau_term,
+        score,
         settling,
         max_input,
         rho,
         abandoned: None,
+        exact_rho: false,
     }
 }
 
-/// Writes gain rows into `gains`, reusing the matrices when the shape
-/// already matches (the steady state inside a PSO run) and rebuilding
-/// them otherwise. `params` is either the flat `m·l` per-task layout or
-/// a single shared row of width `l` replicated across all tasks.
-fn write_gain_rows(gains: &mut Vec<Matrix>, params: &[f64], m: usize, l: usize) {
-    if gains.len() != m || gains.iter().any(|g| g.shape() != (1, l)) {
-        gains.clear();
-        gains.resize_with(m, || Matrix::zeros(1, l));
-    }
-    for (j, gain) in gains.iter_mut().enumerate() {
-        let src = if params.len() == m * l {
-            &params[j * l..(j + 1) * l]
-        } else {
-            params
-        };
-        for (i, &v) in src.iter().enumerate() {
-            gain.set(0, i, v);
+/// Per-task gain rows of a parameter vector: the flat `m·l` per-task
+/// layout, or a single shared row of width `l` replicated across all
+/// tasks.
+fn gain_matrices(params: &[f64], m: usize, l: usize) -> Vec<Matrix> {
+    (0..m)
+        .map(|j| match params.len() == m * l {
+            true => Matrix::row(&params[j * l..(j + 1) * l]),
+            false => Matrix::row(params),
+        })
+        .collect()
+}
+
+/// The exact score of `params` on the public Matrix path
+/// ([`LiftedPlant::closed_loop_spectral_radius`], [`feedforward_gain`],
+/// [`simulate_worst_case`]): the reference the kernel path reproduces
+/// bit for bit. Debug builds re-score every abandoned objective call
+/// here.
+fn reference_evaluation(
+    lifted: &LiftedPlant,
+    params: &[f64],
+    config: &SynthesisConfig,
+) -> Evaluation {
+    let gains = gain_matrices(params, lifted.tasks(), lifted.state_dim());
+    let rho = match lifted.closed_loop_spectral_radius(&gains) {
+        Ok(rho) if !rho.is_finite() || rho >= config.stability_margin => {
+            return infeasible(PENALTY * (1.0 + rho.min(MAX_SCORED_RHO)))
         }
+        Ok(rho) => rho,
+        Err(_) => return infeasible(PENALTY * (1.0 + MAX_SCORED_RHO)),
+    };
+    let c = lifted.plant().c();
+    let feedforwards = lifted
+        .intervals()
+        .iter()
+        .zip(lifted.b_totals())
+        .zip(&gains)
+        .map(|((iv, b_total), gain)| feedforward_gain(&iv.a_d, b_total, c, gain))
+        .collect::<Result<Vec<_>>>();
+    let Ok(feedforwards) = feedforwards else {
+        return infeasible(2.0 * PENALTY);
+    };
+    match simulate_worst_case(
+        lifted,
+        &gains,
+        &feedforwards,
+        config.reference,
+        config.horizon,
+    ) {
+        Ok(response) => score_response(config, &response, Some(rho)),
+        Err(_) => infeasible(10.0 * PENALTY),
     }
 }
 
 /// The PSO objective of one synthesis attempt: bounded scoring of
-/// parameter vectors on one scratch set, with local tallies of the
-/// abandoned calls.
-struct Objective<'a> {
+/// parameter vectors on the plant's fixed-size kernel and one scratch
+/// set, with local tallies of the abandoned and root-finding calls.
+struct Objective<'a, const L: usize, const N: usize> {
     lifted: &'a LiftedPlant,
+    kernel: &'a LiftedKernel<L, N>,
     config: &'a SynthesisConfig,
     scratch: &'a mut SynthScratch,
-    m: usize,
-    l: usize,
+    /// Durand–Kerner buffers of the exact-ρ arm.
+    roots: EigWorkspace,
     /// Abandoned calls since the last publish, indexed by [`Abandon`].
     abandoned: [u64; 2],
+    /// Calls since the last publish that root-found `ρ`.
+    exact_rho: u64,
+    /// Sampling ticks of the period-map and simulation timers
+    /// ([`cacs_obs::time_sampled`]), kept here so an unsampled call
+    /// touches no state shared between threads.
+    timer_ticks: [u64; 2],
 }
 
 #[cfg(test)]
 thread_local! {
     /// Test switch: score every objective call exactly (bound `+∞`).
     static EXACT_OBJECTIVE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-    /// Abandoned calls published on this thread, indexed by [`Abandon`]:
-    /// `[unstable, simulation]`.
-    static ABANDONED_CALLS: std::cell::Cell<[u64; 2]> = const { std::cell::Cell::new([0; 2]) };
+    /// Calls published on this thread: `[unstable, simulation]`
+    /// abandoned (indexed by [`Abandon`]), then exact-ρ.
+    static PUBLISHED_CALLS: std::cell::Cell<[u64; 3]> = const { std::cell::Cell::new([0; 3]) };
     /// Unstable certificates given on this thread against a bound above
     /// `PENALTY·(1 + margin)`, i.e. at a radius beyond the margin.
     static PENALTY_RADIUS_CERTIFICATES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-impl<'a> Objective<'a> {
-    /// An objective scoring every call on `scratch`.
+impl<'a, const L: usize, const N: usize> Objective<'a, L, N> {
     fn new(
         lifted: &'a LiftedPlant,
+        kernel: &'a LiftedKernel<L, N>,
         config: &'a SynthesisConfig,
         scratch: &'a mut SynthScratch,
     ) -> Self {
         Objective {
             lifted,
+            kernel,
             config,
             scratch,
-            m: lifted.tasks(),
-            l: lifted.state_dim(),
+            roots: EigWorkspace::new(),
             abandoned: [0; 2],
+            exact_rho: 0,
+            timer_ticks: [0; 2],
         }
     }
 
     /// Scores `params` (the flat `m·l` per-task gains or one shared row
-    /// of width `l`) under the PSO bound contract: materialises the
-    /// gains into the scratch set's reusable matrices and evaluates
-    /// them there. It is a pure function of `(params, bound)` (the
-    /// scratch contents are fully overwritten), so which scratch set the
-    /// objective holds is unobservable.
+    /// of width `l`) under the PSO bound contract ([`Pso::minimize`]):
+    /// the score is exact whenever it is below `bound`, and once the
+    /// evaluation proves the exact score is at or above `bound` it may
+    /// stop with a value `≥ bound`. Pass `f64::INFINITY` for the exact
+    /// score. Infeasible designs score by penalty. It is a pure function
+    /// of `(params, bound)`: the scratch contents are fully overwritten.
     ///
-    /// Debug builds re-score every abandoned call exactly and check that
-    /// the exact score does reach the abandoned answer, itself at or
-    /// above the bound.
+    /// Two early exits, both sound for any finite bound:
+    ///
+    /// * **Unstable certificate**: a root certified by a Schur–Cohn test
+    ///   beyond the bound's [`penalty_radius`] `r` settles the comparison
+    ///   without Durand–Kerner. It proves `ρ ≥ r ≥ margin`, so the
+    ///   candidate is unstable and its exact score, `PENALTY·(1 +
+    ///   ρ.min(MAX_SCORED_RHO))` or `PENALTY·(1 + MAX_SCORED_RHO)` if the
+    ///   root finder fails, is at least `PENALTY·(1 + r) ≥ bound`: the
+    ///   score only grows with `ρ`, `r` never exceeds the cap, and rounded
+    ///   addition and multiplication keep that order. The call answers
+    ///   `PENALTY·(1 + r)`. For a bound up to `PENALTY·(1 + margin)`, `r`
+    ///   is the margin. Above that (a particle best that is itself
+    ///   penalised) the argument holds whatever term made the bound that
+    ///   large (instability, saturation, feedforward or simulation
+    ///   failure), since only `r`, not the bound's origin, enters it.
+    /// * **Simulation cut**: while the worst-case simulation runs, the
+    ///   saturation term of the running `max |u|` plus the next sampling
+    ///   instant after the latest out-of-band sample (capped at the
+    ///   `2·horizon` every unsettled score pays) is a lower bound of the
+    ///   final score. Both only grow as samples arrive, the omitted plateau
+    ///   term is non-negative, and rounded addition of non-negative terms is
+    ///   monotone, so the simulation stops once that bound reaches `bound`.
+    ///
+    /// A stable candidate's score never reads `ρ`, so a Schur–Cohn test
+    /// that certifies every root inside the margin skips root-finding.
+    /// The unstable penalty does read it, so that side, and anything
+    /// neither test certifies, root-finds the exact `ρ`.
+    ///
+    /// On an exact return `scratch.feedforwards` holds the per-task
+    /// feedforward gains (empty for infeasible designs); the simulation
+    /// trace is evaluation scratch.
+    fn evaluate(&mut self, params: &[f64], bound: f64) -> Evaluation {
+        let (kernel, config) = (self.kernel, self.config);
+        let margin = config.stability_margin;
+        let scratch = &mut *self.scratch;
+        scratch.feedforwards.clear();
+        let phi = {
+            let _t = cacs_obs::time_sampled(
+                &cacs_obs::metrics::PERIOD_MAP_NS,
+                &mut self.timer_ticks[0],
+                cacs_obs::HOT_PATH_SAMPLE,
+            );
+            kernel.period_map(params)
+        };
+        let poly = LiftedKernel::<L, N>::characteristic_polynomial(&phi);
+        if poly.roots_within(margin * (1.0 - CERTIFY_BAND)) {
+            // Debug builds hold every certificate to the Matrix path.
+            debug_assert!(
+                {
+                    let gains = gain_matrices(params, kernel.tasks(), L);
+                    matches!(self.lifted.closed_loop_spectral_radius(&gains), Ok(r) if r < margin)
+                },
+                "certified below the margin {margin}, but the Matrix path's ρ is not"
+            );
+            return self.evaluate_stable(params, bound, None);
+        }
+        // With finite coefficients, a failed test at a band above the
+        // penalty radius proves a root at or beyond it.
+        let finite = poly.coeffs().iter().all(|c| c.is_finite());
+        if let Some(r) = penalty_radius(bound, margin) {
+            if finite && !poly.roots_within(r * (1.0 + CERTIFY_BAND)) {
+                return Evaluation {
+                    abandoned: Some(Abandon::Unstable),
+                    ..infeasible(PENALTY * (1.0 + r))
+                };
+            }
+        }
+        let unstable = match self.roots.root_radius_of(poly.coeffs()) {
+            Ok(rho) if !rho.is_finite() || rho >= margin => {
+                infeasible(PENALTY * (1.0 + rho.min(MAX_SCORED_RHO)))
+            }
+            Ok(rho) => return self.evaluate_stable(params, bound, Some(rho)),
+            // A ρ the root finder cannot find scores like a non-finite one.
+            Err(_) => infeasible(PENALTY * (1.0 + MAX_SCORED_RHO)),
+        };
+        Evaluation {
+            exact_rho: true,
+            ..unstable
+        }
+    }
+
+    /// The rest of [`Objective::evaluate`] for a stable candidate:
+    /// feedforward gains per task (paper eq. (17)), then the worst-case
+    /// simulation under the cut. `rho` is the root-found `ρ`, or `None`
+    /// for a certified one.
+    fn evaluate_stable(&mut self, params: &[f64], bound: f64, rho: Option<f64>) -> Evaluation {
+        let exact_rho = rho.is_some();
+        let (kernel, config) = (self.kernel, self.config);
+        let scratch = &mut *self.scratch;
+        for j in 0..kernel.tasks() {
+            match kernel.feedforward(params, j) {
+                Ok(f) => scratch.feedforwards.push(f),
+                Err(_) => {
+                    scratch.feedforwards.clear();
+                    return Evaluation {
+                        exact_rho,
+                        ..infeasible(2.0 * PENALTY)
+                    };
+                }
+            }
+        }
+
+        // The running lower bound of the simulation cut.
+        let cut = bound < f64::INFINITY;
+        let tol = config.settling.tolerance(config.reference);
+        let unsettled_floor = 2.0 * config.horizon;
+        let (mut run_max_u, mut run_saturation, mut run_unsettled) = (0.0_f64, 0.0, 0.0_f64);
+        let mut lower_bound = 0.0;
+        let observe = |t_next: f64, y: f64, u: f64| {
+            if !cut {
+                return true;
+            }
+            if u.abs() > run_max_u {
+                run_max_u = u.abs();
+                run_saturation = saturation_penalty(config, run_max_u);
+            }
+            // The settling test's band check; NaN counts as out of band.
+            let in_band = (y - config.reference).abs() <= tol;
+            if !in_band {
+                run_unsettled = t_next.min(unsettled_floor);
+            }
+            lower_bound = run_saturation + run_unsettled;
+            lower_bound < bound
+        };
+        let _t = cacs_obs::time_sampled(
+            &cacs_obs::metrics::SIMULATE_WORST_CASE_NS,
+            &mut self.timer_ticks[1],
+            cacs_obs::HOT_PATH_SAMPLE,
+        );
+        let eval = match kernel.simulate(
+            params,
+            &scratch.feedforwards,
+            config.reference,
+            config.horizon,
+            &mut scratch.response,
+            observe,
+        ) {
+            Ok(true) => score_response(config, &scratch.response, rho),
+            Ok(false) => {
+                scratch.feedforwards.clear();
+                Evaluation {
+                    abandoned: Some(Abandon::Simulation),
+                    ..infeasible(lower_bound)
+                }
+            }
+            Err(_) => {
+                scratch.feedforwards.clear();
+                infeasible(10.0 * PENALTY)
+            }
+        };
+        Evaluation { exact_rho, ..eval }
+    }
+
+    /// [`Objective::evaluate`] as the PSO sees it, tallying abandoned
+    /// and root-finding calls.
+    ///
+    /// Debug builds re-score every abandoned call on the Matrix
+    /// reference path and check that the exact score does reach the
+    /// abandoned answer, itself at or above the bound.
     fn score(&mut self, params: &[f64], bound: f64) -> f64 {
         #[cfg(test)]
         let bound = if EXACT_OBJECTIVE.with(std::cell::Cell::get) {
@@ -515,10 +593,8 @@ impl<'a> Objective<'a> {
         } else {
             bound
         };
-        let scratch = &mut *self.scratch;
-        let mut gains = std::mem::take(&mut scratch.gains);
-        write_gain_rows(&mut gains, params, self.m, self.l);
-        let eval = evaluate_gains_ws(self.lifted, &gains, self.config, bound, scratch);
+        let eval = self.evaluate(params, bound);
+        self.exact_rho += u64::from(eval.exact_rho);
         if let Some(abandon) = eval.abandoned {
             self.abandoned[abandon as usize] += 1;
             #[cfg(test)]
@@ -529,8 +605,7 @@ impl<'a> Objective<'a> {
                 PENALTY_RADIUS_CERTIFICATES.with(|c| c.set(c.get() + 1));
             }
             if cfg!(debug_assertions) {
-                let exact =
-                    evaluate_gains_ws(self.lifted, &gains, self.config, f64::INFINITY, scratch);
+                let exact = reference_evaluation(self.lifted, params, self.config);
                 assert!(
                     eval.score >= bound && exact.score >= eval.score,
                     "{abandon:?} answered {} against its bound {bound}: exact score {}",
@@ -539,30 +614,25 @@ impl<'a> Objective<'a> {
                 );
             }
         }
-        scratch.gains = gains;
         eval.score
     }
 
-    /// Adds the phase's abandoned-call tallies to the metrics registry
-    /// (once per phase: a per-call update would cost more than the
-    /// observability budget allows) and resets them.
+    /// Adds the phase's abandoned and exact-ρ tallies to the metrics
+    /// registry (once per phase: a per-call update would cost more than
+    /// the observability budget allows) and resets them.
     fn publish(&mut self) {
         let [unstable, simulation] = self.abandoned;
         cacs_obs::metrics::PSO_ABANDONED_UNSTABLE.add(unstable);
         cacs_obs::metrics::PSO_ABANDONED_SIM.add(simulation);
+        cacs_obs::metrics::PSO_EXACT_RHO.add(self.exact_rho);
         #[cfg(test)]
-        ABANDONED_CALLS.with(|c| {
-            let [u, s] = c.get();
-            c.set([u + unstable, s + simulation]);
+        PUBLISHED_CALLS.with(|c| {
+            let [u, s, e] = c.get();
+            c.set([u + unstable, s + simulation, e + self.exact_rho]);
         });
         self.abandoned = [0; 2];
+        self.exact_rho = 0;
     }
-}
-
-fn params_to_gains(params: &[f64], m: usize, l: usize) -> Vec<Matrix> {
-    (0..m)
-        .map(|j| Matrix::row(&params[j * l..(j + 1) * l]))
-        .collect()
 }
 
 /// Synthesises the holistic controller for `lifted` under `config`.
@@ -575,8 +645,9 @@ fn params_to_gains(params: &[f64], m: usize, l: usize) -> Vec<Matrix> {
 ///
 /// # Errors
 ///
-/// * [`ControlError::SynthesisFailed`] if the configuration is invalid or
-///   no stabilising, feasible design was found within the PSO budget on
+/// * [`ControlError::SynthesisFailed`] if the configuration is invalid,
+///   the plant's state dimension exceeds [`MAX_STATE_DIM`], or no
+///   stabilising, feasible design was found within the PSO budget on
 ///   any attempt.
 ///
 /// # Example
@@ -607,13 +678,14 @@ pub fn synthesize(lifted: &LiftedPlant, config: &SynthesisConfig) -> Result<Desi
 
 /// [`synthesize`] with an explicit scratch-buffer context.
 ///
-/// The synthesis takes one scratch set from the context's pool, runs
-/// every PSO objective call and the final design check on it, and
-/// returns it, so a long-lived [`SynthCtx`] (e.g. one shared by the
-/// lanes of a sweep) amortises the gain/period-map/simulation
-/// allocations across an entire schedule sweep. Results are
-/// bit-identical to [`synthesize`] — scratch reuse skips no
-/// computation.
+/// The synthesis copies the plant into its fixed-size objective kernel
+/// ([`LiftedKernel`], chosen once by the state dimension), takes one
+/// scratch set from the context's pool, runs every PSO objective call
+/// and the final design check on both, and returns the set, so a
+/// long-lived [`SynthCtx`] (e.g. one shared by the lanes of a sweep)
+/// amortises the response and feedforward buffers across an entire
+/// schedule sweep. Results are bit-identical to [`synthesize`]: scratch
+/// reuse skips no computation.
 ///
 /// # Errors
 ///
@@ -625,16 +697,38 @@ pub fn synthesize_with(
 ) -> Result<DesignedController> {
     config.validate()?;
     let _t = cacs_obs::time(&cacs_obs::metrics::SYNTHESIS_NS);
+    match lifted.state_dim() {
+        1 => synthesize_on::<1, 2>(lifted, config, ctx),
+        2 => synthesize_on::<2, 4>(lifted, config, ctx),
+        3 => synthesize_on::<3, 6>(lifted, config, ctx),
+        4 => synthesize_on::<4, 8>(lifted, config, ctx),
+        l => Err(ControlError::SynthesisFailed {
+            reason: format!(
+                "plant state dimension {l} exceeds the objective kernels' limit of \
+                 {MAX_STATE_DIM}"
+            ),
+        }),
+    }
+}
+
+/// [`synthesize_with`] on the kernel of state dimension `L`.
+fn synthesize_on<const L: usize, const N: usize>(
+    lifted: &LiftedPlant,
+    config: &SynthesisConfig,
+    ctx: &SynthCtx,
+) -> Result<DesignedController> {
+    let kernel = LiftedKernel::<L, N>::new(lifted)?;
     let mut scratch = ctx.take();
-    let design = synthesize_attempts(lifted, config, &mut scratch);
+    let design = synthesize_attempts(lifted, &kernel, config, &mut scratch);
     ctx.put(scratch);
     design
 }
 
 /// The retry chain of [`synthesize_with`]; every attempt scores and
-/// finishes its design on `scratch`.
-fn synthesize_attempts(
+/// finishes its design on `kernel` and `scratch`.
+fn synthesize_attempts<const L: usize, const N: usize>(
     lifted: &LiftedPlant,
+    kernel: &LiftedKernel<L, N>,
     config: &SynthesisConfig,
     scratch: &mut SynthScratch,
 ) -> Result<DesignedController> {
@@ -648,7 +742,8 @@ fn synthesize_attempts(
             .pso
             .seed
             .wrapping_add(attempt.wrapping_mul(ATTEMPT_SEED_STRIDE));
-        match synthesize_direct(lifted, &attempt_config, scratch) {
+        let objective = Objective::new(lifted, kernel, &attempt_config, scratch);
+        match synthesize_direct(objective) {
             Ok(design) => return Ok(design),
             // Only design infeasibility is seed-dependent; configuration
             // and PSO-mechanics errors fail identically on every seed,
@@ -688,19 +783,17 @@ impl AttemptError {
 
 type AttemptResult = std::result::Result<DesignedController, AttemptError>;
 
-fn synthesize_direct(
-    lifted: &LiftedPlant,
-    config: &SynthesisConfig,
-    scratch: &mut SynthScratch,
+fn synthesize_direct<const L: usize, const N: usize>(
+    mut objective: Objective<'_, L, N>,
 ) -> AttemptResult {
-    let (m, l) = (lifted.tasks(), lifted.state_dim());
+    let config = objective.config;
+    let (m, l) = (objective.kernel.tasks(), L);
     let map_err = |e: cacs_pso::PsoError| {
         AttemptError::fatal(ControlError::SynthesisFailed {
             reason: format!("PSO failed: {e}"),
         })
     };
     let mut evaluations = 0usize;
-    let mut objective = Objective::new(lifted, config, scratch);
 
     // Phase A (m > 1): search the l-dimensional shared-gain subspace
     // (every task uses the same K). This cheap warm start makes the full
@@ -751,31 +844,29 @@ fn synthesize_direct(
     };
     evaluations += result.evaluations;
 
-    finish(
-        lifted,
-        config,
-        objective.scratch,
-        &params_to_gains(&result.best_position, m, l),
-        evaluations,
-    )
+    finish(&mut objective, &result.best_position, evaluations)
 }
 
-/// Recomputes the winning design's details and validates feasibility.
-/// All failures here mean the swarm ended on an infeasible design —
-/// exactly the seed-dependent case worth retrying.
-fn finish(
-    lifted: &LiftedPlant,
-    config: &SynthesisConfig,
-    scratch: &mut SynthScratch,
-    gains: &[Matrix],
+/// Recomputes the winning design's details on the objective's kernel
+/// and validates feasibility. All failures here mean the swarm ended on
+/// an infeasible design — exactly the seed-dependent case worth
+/// retrying.
+fn finish<const L: usize, const N: usize>(
+    objective: &mut Objective<'_, L, N>,
+    params: &[f64],
     evaluations: usize,
 ) -> AttemptResult {
-    let eval = evaluate_gains_ws(lifted, gains, config, f64::INFINITY, scratch);
+    let (kernel, config) = (objective.kernel, objective.config);
+    let eval = objective.evaluate(params, f64::INFINITY);
     // The design reports its exact ρ even when the objective certified it.
-    let rho = eval
-        .rho
-        .unwrap_or_else(|| scratch.eig.root_radius().unwrap_or(f64::INFINITY));
-    let feedforwards = scratch.feedforwards.clone();
+    let rho = eval.rho.unwrap_or_else(|| {
+        let poly = LiftedKernel::<L, N>::characteristic_polynomial(&kernel.period_map(params));
+        objective
+            .roots
+            .root_radius_of(poly.coeffs())
+            .unwrap_or(f64::INFINITY)
+    });
+    let feedforwards = objective.scratch.feedforwards.clone();
     if !rho.is_finite() || rho >= config.stability_margin {
         return Err(AttemptError::seed_dependent(
             ControlError::SynthesisFailed {
@@ -803,7 +894,7 @@ fn finish(
         }
     }
     Ok(DesignedController {
-        gains: gains.to_vec(),
+        gains: gain_matrices(params, kernel.tasks(), L),
         feedforwards,
         settling_time: eval.settling,
         max_input: eval.max_input,
@@ -996,43 +1087,47 @@ mod tests {
     }
 
     /// Synthesises with the bounded objective, then with every
-    /// objective call scored exactly; returns both outcomes and the
-    /// bounded run's abandoned calls, indexed by [`Abandon`], and its
-    /// unstable certificates at a radius beyond the margin.
+    /// objective call scored exactly; returns both outcomes, the bounded
+    /// run's published calls (abandoned, indexed by [`Abandon`], then
+    /// exact-ρ) and its unstable certificates at a radius beyond the
+    /// margin.
     fn bounded_and_exact(
         lifted: &LiftedPlant,
         config: &SynthesisConfig,
     ) -> (
         Result<DesignedController>,
         Result<DesignedController>,
-        [u64; 2],
+        [u64; 3],
         u64,
     ) {
-        ABANDONED_CALLS.with(|c| c.set([0; 2]));
+        PUBLISHED_CALLS.with(|c| c.set([0; 3]));
         PENALTY_RADIUS_CERTIFICATES.with(|c| c.set(0));
         let bounded = synthesize(lifted, config);
-        let abandoned = ABANDONED_CALLS.with(std::cell::Cell::get);
+        let published = PUBLISHED_CALLS.with(std::cell::Cell::get);
         let beyond_margin = PENALTY_RADIUS_CERTIFICATES.with(std::cell::Cell::get);
         EXACT_OBJECTIVE.with(|c| c.set(true));
         let exact = synthesize(lifted, config);
         EXACT_OBJECTIVE.with(|c| c.set(false));
-        assert_eq!(ABANDONED_CALLS.with(std::cell::Cell::get), abandoned);
+        // The exact run abandons nothing.
+        let after_exact = PUBLISHED_CALLS.with(std::cell::Cell::get);
+        assert_eq!(after_exact[..2], published[..2]);
         assert_eq!(
             PENALTY_RADIUS_CERTIFICATES.with(std::cell::Cell::get),
             beyond_margin
         );
-        (bounded, exact, abandoned, beyond_margin)
+        (bounded, exact, published, beyond_margin)
     }
 
     #[test]
     fn bounded_objective_designs_bit_identically_to_the_exact_one() {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let plants = [
+            first_order_lifted(),
             servo_lifted(&[2.3e-3], &[0.9e-3]),
             servo_lifted(&[0.9e-3, 3.2e-3], &[0.9e-3, 0.45e-3]),
             servo_lifted(&[0.9e-3, 0.45e-3, 1.4e-3], &[0.9e-3, 0.45e-3, 0.45e-3]),
         ];
-        let mut abandoned = [0u64; 2];
+        let mut published = [0u64; 3];
         let mut beyond_margin = 0;
         let mut saturated_designs = 0;
         for lifted in &plants {
@@ -1042,10 +1137,15 @@ mod tests {
                 let mut config = quick_config(0.3);
                 config.pso = config.pso.with_budget(16, 30).with_seed(5);
                 config.max_input = max_input;
-                let what = format!("m = {}, max_input {max_input:?}", lifted.tasks());
-                let (bounded, exact, cut, wide) = bounded_and_exact(lifted, &config);
-                abandoned[0] += cut[0];
-                abandoned[1] += cut[1];
+                let what = format!(
+                    "l = {}, m = {}, max_input {max_input:?}",
+                    lifted.state_dim(),
+                    lifted.tasks()
+                );
+                let (bounded, exact, calls, wide) = bounded_and_exact(lifted, &config);
+                for (total, n) in published.iter_mut().zip(calls) {
+                    *total += n;
+                }
                 beyond_margin += wide;
                 let (bounded, exact) = (bounded.unwrap(), exact.unwrap());
                 assert_eq!(bounded.gains.len(), exact.gains.len(), "{what}");
@@ -1070,11 +1170,32 @@ mod tests {
                 }
             }
         }
-        // Both early exits ran, the unstable certificate also at penalty
-        // radii beyond the margin, and the limit did bind on some designs.
-        assert!(abandoned[0] > 0 && abandoned[1] > 0, "{abandoned:?}");
+        // Both early exits and the exact-ρ arm ran, the unstable
+        // certificate also at penalty radii beyond the margin, and the
+        // limit did bind on some designs.
+        assert!(published.iter().all(|&n| n > 0), "{published:?}");
         assert!(beyond_margin > 0);
         assert!(saturated_designs > 0);
+    }
+
+    #[test]
+    fn state_dimension_beyond_the_kernel_limit_is_refused() {
+        let l = MAX_STATE_DIM + 1;
+        let plant = ContinuousLti::new(
+            Matrix::diagonal(&vec![-50.0; l]),
+            Matrix::column(&vec![50.0; l]),
+            Matrix::row(&vec![1.0; l]),
+        )
+        .unwrap();
+        let lifted = LiftedPlant::new(plant, &[1e-3, 3e-3], &[1e-3, 0.4e-3]).unwrap();
+        match synthesize(&lifted, &quick_config(1.0)) {
+            Err(ControlError::SynthesisFailed { reason }) => assert!(
+                reason.contains(&format!("state dimension {l}"))
+                    && reason.contains(&format!("limit of {MAX_STATE_DIM}")),
+                "{reason}"
+            ),
+            other => panic!("l = {l} accepted: {other:?}"),
+        }
     }
 
     #[test]

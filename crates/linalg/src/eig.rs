@@ -148,6 +148,9 @@ impl EigWorkspace {
     /// safety band turns this into a certificate. `false` before the
     /// first [`EigWorkspace::characteristic_polynomial`].
     pub fn roots_within(&mut self, radius: f64) -> bool {
+        let n = self.coeffs.len();
+        self.sc_cur.resize(n, 0.0);
+        self.sc_next.resize(n, 0.0);
         schur_cohn_within(&self.coeffs, radius, &mut self.sc_cur, &mut self.sc_next)
     }
 
@@ -159,7 +162,28 @@ impl EigWorkspace {
     /// [`LinalgError::NotConverged`] if the root finder fails.
     pub fn root_radius(&mut self) -> Result<f64> {
         durand_kerner(&self.coeffs, &mut self.monic, &mut self.z)?;
-        Ok(self.z.iter().map(|e| e.abs()).fold(0.0, f64::max))
+        Ok(self.max_root_modulus())
+    }
+
+    /// [`EigWorkspace::root_radius`] of caller-held ascending
+    /// coefficients (leading coefficient non-zero), e.g. a fixed-size
+    /// kernel's stack array: Durand–Kerner runs on this workspace's
+    /// buffers, so once they fit the degree nothing is allocated. The
+    /// stored polynomial is left untouched. Bit-identical to
+    /// `root_radius` after `characteristic_polynomial` stored the same
+    /// coefficients.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::NotConverged`] if the root finder fails.
+    pub fn root_radius_of(&mut self, coeffs: &[f64]) -> Result<f64> {
+        durand_kerner(coeffs, &mut self.monic, &mut self.z)?;
+        Ok(self.max_root_modulus())
+    }
+
+    /// `max |z_i|` over the last Durand–Kerner roots (`0` for none).
+    fn max_root_modulus(&self) -> f64 {
+        self.z.iter().map(|e| e.abs()).fold(0.0, f64::max)
     }
 
     /// [`spectral_radius`] on the workspace: the characteristic

@@ -66,7 +66,7 @@ pub use key::BitKey;
 pub use lu::{inverse, solve, LuDecomposition};
 pub use matrix::Matrix;
 pub use norm::spectral_norm;
-pub use poly::Polynomial;
+pub use poly::{schur_cohn_within, Polynomial};
 pub use qr::QrDecomposition;
 
 /// Crate-wide result alias.

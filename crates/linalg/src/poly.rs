@@ -254,7 +254,8 @@ impl Polynomial {
     /// assert!(!p.roots_within(0.5)); // a root on the circle is not inside
     /// ```
     pub fn roots_within(&self, radius: f64) -> bool {
-        schur_cohn_within(&self.coeffs, radius, &mut Vec::new(), &mut Vec::new())
+        let n = self.coeffs.len();
+        schur_cohn_within(&self.coeffs, radius, &mut vec![0.0; n], &mut vec![0.0; n])
     }
 }
 
@@ -352,42 +353,64 @@ pub(crate) fn durand_kerner(
 /// *Geometry of Polynomials*, §42). The reduction's coefficients are
 /// `q_{i+1} − k·q_{d−1−i}`. Any non-finite coefficient, a vanishing
 /// leading coefficient or a non-positive radius answers `false`, as
-/// does `|k| ≥ 1` (so a root on the circle is rejected). `cur`/`next`
-/// are reduction scratch, fully overwritten.
+/// does `|k| ≥ 1` (so a root on the circle is rejected).
 ///
-/// This is the one implementation behind [`Polynomial::roots_within`]
-/// and [`crate::EigWorkspace::roots_within`].
-pub(crate) fn schur_cohn_within(
+/// `cur` and `next` are reduction scratch of at least `coeffs.len()`
+/// entries each (stack arrays in a fixed-size caller), fully
+/// overwritten before use. This is the one implementation behind
+/// [`Polynomial::roots_within`] and [`crate::EigWorkspace::roots_within`].
+///
+/// # Panics
+///
+/// Panics if a scratch slice is shorter than `coeffs`.
+///
+/// # Example
+///
+/// ```
+/// use cacs_linalg::schur_cohn_within;
+///
+/// let roots_quarter_and_half = [0.125, -0.75, 1.0];
+/// let (mut cur, mut next) = ([0.0; 3], [0.0; 3]);
+/// assert!(schur_cohn_within(&roots_quarter_and_half, 0.6, &mut cur, &mut next));
+/// assert!(!schur_cohn_within(&roots_quarter_and_half, 0.5, &mut cur, &mut next));
+/// ```
+pub fn schur_cohn_within<'a>(
     coeffs: &[f64],
     radius: f64,
-    cur: &mut Vec<f64>,
-    next: &mut Vec<f64>,
+    mut cur: &'a mut [f64],
+    mut next: &'a mut [f64],
 ) -> bool {
     if !(radius > 0.0 && radius.is_finite()) || coeffs.iter().any(|c| !c.is_finite()) {
         return false;
     }
-    cur.clear();
+    assert!(
+        cur.len() >= coeffs.len() && next.len() >= coeffs.len(),
+        "Schur–Cohn scratch shorter than the polynomial"
+    );
     let mut power = 1.0;
-    for &c in coeffs {
-        cur.push(c * power);
+    for (slot, &c) in cur.iter_mut().zip(coeffs) {
+        *slot = c * power;
         power *= radius;
     }
-    match cur.len() {
+    match coeffs.len() {
         0 => return false,
         // A constant has no roots unless it is the zero polynomial.
         1 => return cur[0] != 0.0,
         _ => {}
     }
-    while cur.len() > 1 {
-        let d = cur.len() - 1;
+    let mut len = coeffs.len();
+    while len > 1 {
+        let d = len - 1;
         let k = cur[0] / cur[d];
         // 0/0 (a vanished leading coefficient) gives NaN, which fails too.
         if k.is_nan() || k.abs() >= 1.0 {
             return false;
         }
-        next.clear();
-        next.extend((0..d).map(|i| cur[i + 1] - k * cur[d - 1 - i]));
-        std::mem::swap(cur, next);
+        for i in 0..d {
+            next[i] = cur[i + 1] - k * cur[d - 1 - i];
+        }
+        std::mem::swap(&mut cur, &mut next);
+        len = d;
     }
     true
 }

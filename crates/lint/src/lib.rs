@@ -35,7 +35,7 @@
 //! |------|----------|
 //! | `wall-clock` | search decisions keyed on eval counts + objective bits, never time |
 //! | `poisoned-lock` | `lock_recover` everywhere, so a panicking evaluation cannot abort unrelated searches |
-//! | `raw-spawn` | all threads come from cacs-par / the strategy engine / link readers (`CACS_THREADS`) |
+//! | `raw-spawn` | all threads come from cacs-par / the strategy engine (`CACS_THREADS`) |
 //! | `unchecked-rank-math` | rank/length arithmetic is `checked_`/`saturating_` (the PR-2 overflow class) |
 //! | `hash-iter-in-digest` | digest/merge/emission code never iterates unordered containers |
 //! | `float-eq` | `f64` equality only via `to_bits()` or the documented total order |

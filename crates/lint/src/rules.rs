@@ -5,8 +5,8 @@
 //! deliberately heuristic (no type information), tuned so that every
 //! match is either a real violation or worth a written justification.
 //! Scope is part of each rule: some apply everywhere, some only to the
-//! determinism-bearing layers (`search`, `distrib`, `core`, `par`,
-//! the facade and bins), some only to the digest/merge/emission files
+//! determinism-bearing layers (`search`, `core`, `par`, `pso`, the
+//! facade and bins), some only to the digest/merge/emission files
 //! where iteration order becomes bytes.
 
 use crate::lexer::{Lexed, Tok, TokKind};
@@ -35,13 +35,13 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "raw-spawn",
-        contract: "threads are spawned only by cacs-par, the strategy engine and link reader \
-                   threads — ad-hoc thread::spawn escapes the CACS_THREADS contract",
+        contract: "threads are spawned only by cacs-par and the strategy engine — ad-hoc \
+                   thread::spawn escapes the CACS_THREADS contract",
     },
     RuleInfo {
         id: "unchecked-rank-math",
-        contract: "rank/length arithmetic in search/distrib uses checked_/saturating_ forms \
-                   (the PR-2 silent u64 overflow class)",
+        contract: "rank/length arithmetic in search uses checked_/saturating_ forms (the PR-2 \
+                   silent u64 overflow class)",
     },
     RuleInfo {
         id: "hash-iter-in-digest",
@@ -132,17 +132,14 @@ fn applies_wall_clock(path: &str) -> bool {
     !in_dir(path, "crates/obs")
 }
 
-/// cacs-par owns the scoped lanes of a parallel region, the strategy
-/// engine owns per-start search threads, and the link module owns
-/// reader threads.
+/// cacs-par owns the scoped lanes of a parallel region, and the
+/// strategy engine owns per-start search threads.
 fn applies_raw_spawn(path: &str) -> bool {
-    path != "crates/par/src/lib.rs"
-        && path != "crates/search/src/strategy.rs"
-        && path != "crates/distrib/src/link.rs"
+    path != "crates/par/src/lib.rs" && path != "crates/search/src/strategy.rs"
 }
 
 fn applies_rank_math(path: &str) -> bool {
-    in_dir(path, "crates/search/src") || in_dir(path, "crates/distrib/src")
+    in_dir(path, "crates/search/src")
 }
 
 /// The files whose output is a digest, a merge or emitted bytes: any
@@ -153,9 +150,6 @@ const DIGEST_FILES: &[&str] = &[
     "crates/search/src/exhaustive.rs",
     "crates/search/src/integrity.rs",
     "crates/search/src/store.rs",
-    "crates/distrib/src/wire.rs",
-    "crates/distrib/src/checkpoint.rs",
-    "crates/distrib/src/worker.rs",
     "crates/core/src/report.rs",
     "src/cli.rs",
     "src/cli/driver.rs",
@@ -169,7 +163,6 @@ fn applies_digest(path: &str) -> bool {
 /// total-order module (PR 4) and is the one place allowed to compare.
 fn applies_float_eq(path: &str) -> bool {
     (in_dir(path, "crates/search")
-        || in_dir(path, "crates/distrib")
         || in_dir(path, "crates/core")
         || in_dir(path, "crates/par")
         || in_dir(path, "crates/pso")
@@ -252,8 +245,8 @@ fn raw_spawn(toks: &[Tok], out: &mut Vec<RawDiag>) {
                 rule: "raw-spawn",
                 line: toks[i].line,
                 message: format!(
-                    "thread::{} outside cacs-par / the strategy engine / link readers — \
-                     ad-hoc threads escape the CACS_THREADS contract",
+                    "thread::{} outside cacs-par / the strategy engine — ad-hoc threads \
+                     escape the CACS_THREADS contract",
                     toks[i + 2].text
                 ),
             });
@@ -545,9 +538,9 @@ mod tests {
         let src = "fn f() { let t = Instant::now(); }\n";
         assert_eq!(run("crates/search/src/hybrid.rs", src).len(), 1);
         // Since the obs crate became the one sanctioned clock, the old
-        // bench/link exemptions are gone: they read cacs_obs::now().
+        // bench exemption is gone: it reads cacs_obs::now().
         assert_eq!(run("crates/bench/src/lib.rs", src).len(), 1);
-        assert_eq!(run("crates/distrib/src/link.rs", src).len(), 1);
+        assert_eq!(run("crates/search/src/strategy.rs", src).len(), 1);
         assert_eq!(run("crates/obs/src/lib.rs", src).len(), 0);
     }
 
@@ -570,6 +563,7 @@ mod tests {
         let src = "fn f() { std::thread::spawn(|| {}); thread::Builder::new(); s.spawn(|| {}); }\n";
         assert_eq!(run("crates/core/src/optimize.rs", src).len(), 2);
         assert_eq!(run("crates/par/src/lib.rs", src).len(), 0);
+        assert_eq!(run("crates/search/src/strategy.rs", src).len(), 0);
     }
 
     #[test]
@@ -590,8 +584,8 @@ mod tests {
     #[test]
     fn hash_in_digest_files_only() {
         let src = "use std::collections::HashMap;\n";
-        assert_eq!(run("crates/distrib/src/wire.rs", src).len(), 1);
-        assert!(run("crates/distrib/src/shard.rs", src).is_empty());
+        assert_eq!(run("crates/search/src/store.rs", src).len(), 1);
+        assert!(run("crates/search/src/space.rs", src).is_empty());
     }
 
     #[test]
@@ -651,19 +645,20 @@ mod tests {
     #[test]
     fn unframed_wire_write_needs_literal_and_no_framing() {
         let bad = "fn f() { link.send(&format!(\"R {x}\")).unwrap_or(()); }\n";
-        assert_eq!(run("crates/distrib/src/worker.rs", bad).len(), 1);
+        assert_eq!(run("src/bin/opt.rs", bad).len(), 1);
         let framed = "fn f() { link.send(&append_crc(&format!(\"R {x}\"))).unwrap_or(()); }\n";
-        assert!(run("crates/distrib/src/worker.rs", framed).is_empty());
+        assert!(run("src/bin/opt.rs", framed).is_empty());
         let opaque = "fn f() { tx.send(line).unwrap_or(()); }\n";
-        assert!(run("crates/distrib/src/worker.rs", opaque).is_empty());
+        assert!(run("src/bin/opt.rs", opaque).is_empty());
         // Out of scope: tests and other crates.
-        assert!(run("crates/distrib/tests/wire_fuzz.rs", bad).is_empty());
+        assert!(run("tests/strategy_cli_integration.rs", bad).is_empty());
+        assert!(run("crates/search/src/strategy.rs", bad).is_empty());
     }
 
     #[test]
     fn send_line_callback_is_covered() {
         let bad = "fn f() { send_line(&format!(\"?garbage {n:016x}\"))?; }\n";
-        assert_eq!(run("crates/distrib/src/worker.rs", bad).len(), 1);
+        assert_eq!(run("src/bin/opt.rs", bad).len(), 1);
     }
 
     #[test]

@@ -26,13 +26,13 @@ const CASES: &[(&str, &str, &str, u32)] = &[
     (
         "unchecked-rank-math",
         "unchecked_rank_math",
-        "crates/distrib/src/shard.rs",
+        "crates/search/src/space.rs",
         4,
     ),
     (
         "hash-iter-in-digest",
         "hash_iter_in_digest",
-        "crates/distrib/src/wire.rs",
+        "crates/search/src/store.rs",
         4,
     ),
     ("float-eq", "float_eq", "crates/search/src/strategy.rs", 4),
@@ -40,7 +40,7 @@ const CASES: &[(&str, &str, &str, u32)] = &[
     (
         "unframed-wire-write",
         "unframed_wire_write",
-        "crates/distrib/src/worker.rs",
+        "src/bin/opt.rs",
         4,
     ),
     (

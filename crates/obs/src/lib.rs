@@ -38,8 +38,9 @@
 //! (`control.period_map_ns`, `control.simulate_worst_case_ns`) use
 //! [`time_sampled`] with [`HOT_PATH_SAMPLE`]: they fire thousands of
 //! times per schedule evaluation, so only one call in 64 reads the
-//! clock (deterministically, by per-histogram tick). Their `count` and
-//! `sum` therefore describe the sampled calls; use
+//! clock (deterministically, by a tick each PSO objective keeps, so
+//! unsampled calls touch no state shared between threads). Their
+//! `count` and `sum` therefore describe the sampled calls; use
 //! `pso.objective_calls` for true call volume.
 //!
 //! # The metrics document
@@ -183,10 +184,6 @@ pub struct Histogram {
     sum: AtomicU64,
     max: AtomicU64,
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    /// Call tick for [`time_sampled`] — counts *every* arrival so the
-    /// 1-in-N sampling decision is deterministic per histogram. Never
-    /// exported; only the sampled measurements land in the buckets.
-    tick: AtomicU64,
 }
 
 impl Histogram {
@@ -199,7 +196,6 @@ impl Histogram {
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
             buckets: [const { AtomicU64::new(0) }; HISTOGRAM_BUCKETS],
-            tick: AtomicU64::new(0),
         }
     }
 
@@ -295,7 +291,6 @@ impl Histogram {
         self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
         self.max.store(0, Ordering::Relaxed);
-        self.tick.store(0, Ordering::Relaxed);
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
         }
@@ -336,32 +331,33 @@ pub fn time(hist: &'static Histogram) -> TimerGuard {
     }
 }
 
-/// Sampling rate for [`time_sampled`] call sites on the innermost
-/// per-objective-call paths (`control.period_map_ns`,
-/// `control.simulate_worst_case_ns`), which fire thousands of times
-/// per schedule evaluation. On hosts where the monotonic clock is a
-/// real syscall, timing every call costs more than the work being
-/// measured; 1-in-64 keeps the latency distribution while holding the
-/// enabled-recorder overhead under the perf-baseline 3% budget.
+/// Sampling rate of the innermost per-objective-call timers
+/// (`control.period_map_ns`, `control.simulate_worst_case_ns`), which
+/// fire thousands of times per schedule evaluation. On hosts where the
+/// monotonic clock is a real syscall, timing every call costs more than
+/// the work being measured; 1-in-64 keeps the latency distribution
+/// while holding the enabled-recorder overhead under the perf-baseline
+/// 3% budget.
 pub const HOT_PATH_SAMPLE: u64 = 64;
 
 /// Like [`time`], but reads the clock for only one in `one_in` calls
-/// (deterministically: ticks 0, `one_in`, `2*one_in`, … of each
-/// histogram are the ones measured). Unsampled calls cost a single
-/// relaxed counter bump; the histogram's `count`/`sum`/buckets then
-/// describe the *sampled* calls only. Zero-cost while the recorder is
-/// disabled — the tick does not advance, so enabling mid-run always
-/// measures the first call it sees.
+/// (deterministically: ticks 0, `one_in`, `2*one_in`, … of the
+/// caller's `tick` are the ones measured). The tick belongs to the call
+/// site's owner (e.g. one PSO objective), so an unsampled call bumps a
+/// plain local counter and touches no state shared between threads;
+/// the histogram's `count`/`sum`/buckets then describe the *sampled*
+/// calls only. Zero-cost while the recorder is disabled — the tick does
+/// not advance, so enabling mid-run always measures the first call it
+/// sees.
 #[inline]
-pub fn time_sampled(hist: &'static Histogram, one_in: u64) -> TimerGuard {
+pub fn time_sampled(hist: &'static Histogram, tick: &mut u64, one_in: u64) -> TimerGuard {
     if !enabled() {
         return TimerGuard { inner: None };
     }
-    let tick = hist.tick.fetch_add(1, Ordering::Relaxed);
+    let sampled = tick.is_multiple_of(one_in.max(1));
+    *tick = tick.wrapping_add(1);
     TimerGuard {
-        inner: tick
-            .is_multiple_of(one_in.max(1))
-            .then(|| (Instant::now(), hist)),
+        inner: sampled.then(|| (Instant::now(), hist)),
     }
 }
 
@@ -441,6 +437,9 @@ registry! {
         // without root-finding, or worst-case simulation cut short.
         PSO_ABANDONED_SIM => "pso.abandoned_sim",
         PSO_ABANDONED_UNSTABLE => "pso.abandoned_unstable",
+        // Bounded PSO objective calls that root-found ρ(Φ) by
+        // Durand–Kerner: neither Schur–Cohn certificate applied.
+        PSO_EXACT_RHO => "pso.exact_rho",
         // PSO objective closure invocations (the eval-cost driver).
         PSO_OBJECTIVE_CALLS => "pso.objective_calls",
         PSO_RUNS => "pso.runs",
@@ -698,16 +697,17 @@ mod tests {
     #[test]
     fn sampled_timer_measures_one_in_n() {
         with_recorder(|| {
+            let mut tick = 0;
             for _ in 0..129 {
-                let _t = time_sampled(&metrics::PERIOD_MAP_NS, 64);
+                let _t = time_sampled(&metrics::PERIOD_MAP_NS, &mut tick, 64);
             }
             // Ticks 0, 64 and 128 are the measured ones.
+            assert_eq!(tick, 129);
             assert_eq!(metrics::PERIOD_MAP_NS.count(), 3);
         });
-        // reset() rewinds the tick too: the next enabled run samples
-        // its first call again.
+        // A fresh tick (a new owner) samples its first call again.
         with_recorder(|| {
-            let _t = time_sampled(&metrics::PERIOD_MAP_NS, 64);
+            let _t = time_sampled(&metrics::PERIOD_MAP_NS, &mut 0, 64);
             drop(_t);
             assert_eq!(metrics::PERIOD_MAP_NS.count(), 1);
         });
@@ -718,12 +718,14 @@ mod tests {
         let _guard = serialize();
         disable();
         reset();
+        let mut tick = 0;
         for _ in 0..10 {
-            let _t = time_sampled(&metrics::PERIOD_MAP_NS, 64);
+            let _t = time_sampled(&metrics::PERIOD_MAP_NS, &mut tick, 64);
         }
         // No ticks advanced, nothing recorded.
+        assert_eq!(tick, 0);
         enable();
-        let _t = time_sampled(&metrics::PERIOD_MAP_NS, 64);
+        let _t = time_sampled(&metrics::PERIOD_MAP_NS, &mut tick, 64);
         drop(_t);
         disable();
         assert_eq!(metrics::PERIOD_MAP_NS.count(), 1);

@@ -93,18 +93,7 @@ impl ProblemSpec {
         &self,
         eval_cache: bool,
     ) -> Result<Box<dyn ScheduleEvaluator>, Box<dyn Error>> {
-        let config = match self {
-            ProblemSpec::PaperFast => EvaluationConfig::fast(),
-            ProblemSpec::PaperFull => EvaluationConfig::default(),
-            ProblemSpec::Synthetic(dims) => {
-                return Ok(Box::new(cacs_distrib::synthetic::surrogate(dims.len())));
-            }
-        };
-        let mut problem = paper_problem(config)?;
-        if !eval_cache {
-            problem.set_eval_cache(false);
-        }
-        Ok(Box::new(problem))
+        Ok(self.instance(eval_cache)?.1)
     }
 
     /// Derives the schedule space a run searches.
@@ -113,15 +102,37 @@ impl ProblemSpec {
     ///
     /// Propagates space-derivation failures.
     pub fn space(&self) -> Result<ScheduleSpace, Box<dyn Error>> {
-        match self {
-            ProblemSpec::PaperFast => {
-                Ok(paper_problem(EvaluationConfig::fast())?.schedule_space()?)
+        Ok(self.instance(true)?.0)
+    }
+
+    /// The schedule space and the evaluator of one run, from a single
+    /// problem build (the paper problem's case study and WCET analysis
+    /// run once): the space is derived from the very problem that then
+    /// evaluates. `eval_cache` as in [`ProblemSpec::evaluator_with_cache`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates case-study construction and space-derivation failures.
+    pub fn instance(
+        &self,
+        eval_cache: bool,
+    ) -> Result<(ScheduleSpace, Box<dyn ScheduleEvaluator>), Box<dyn Error>> {
+        let config = match self {
+            ProblemSpec::PaperFast => EvaluationConfig::fast(),
+            ProblemSpec::PaperFull => EvaluationConfig::default(),
+            ProblemSpec::Synthetic(dims) => {
+                return Ok((
+                    ScheduleSpace::new(dims.clone())?,
+                    Box::new(cacs_distrib::synthetic::surrogate(dims.len())),
+                ));
             }
-            ProblemSpec::PaperFull => {
-                Ok(paper_problem(EvaluationConfig::default())?.schedule_space()?)
-            }
-            ProblemSpec::Synthetic(dims) => Ok(ScheduleSpace::new(dims.clone())?),
+        };
+        let mut problem = paper_problem(config)?;
+        let space = problem.schedule_space()?;
+        if !eval_cache {
+            problem.set_eval_cache(false);
         }
+        Ok((space, Box::new(problem)))
     }
 }
 
@@ -340,6 +351,18 @@ mod tests {
         assert_eq!(space.max_counts(), &[5, 6, 7]);
         let eval = spec.evaluator().unwrap();
         assert_eq!(eval.app_count(), 3);
+    }
+
+    #[test]
+    fn one_problem_build_gives_the_space_and_its_evaluator() {
+        for spec in ["paper-fast", "synthetic:5x6x7"] {
+            let spec = ProblemSpec::parse(spec).unwrap();
+            for eval_cache in [true, false] {
+                let (space, eval) = spec.instance(eval_cache).unwrap();
+                assert_eq!(space, spec.space().unwrap(), "{spec:?}");
+                assert_eq!(eval.app_count(), space.app_count(), "{spec:?}");
+            }
+        }
     }
 
     #[test]

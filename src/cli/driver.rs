@@ -310,11 +310,10 @@ fn run(bin: &'static str) -> Result<(), Box<dyn Error>> {
         std::process::exit(2)
     });
     let strategy = build_strategy(&args);
-    let space = spec.space()?;
     // `--no-eval-cache` runs the reference cache-free evaluation path;
     // the digest printed below is bit-identical either way (the CI
     // eval-cache smoke job compares the bytes).
-    let evaluator = spec.evaluator_with_cache(!args.no_eval_cache)?;
+    let (space, evaluator) = spec.instance(!args.no_eval_cache)?;
     let starts = match &args.starts {
         Some(starts) => starts.clone(),
         None => vec![Schedule::round_robin(space.app_count())?],
